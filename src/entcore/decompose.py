@@ -1,16 +1,21 @@
 """Mode-wise SVD factorization, recursive state concentration and exact rebuild.
 
-The concentration of a state repeats three steps until the residual core has
-at most ``stop_order`` modes: pair-rescale, factor every composite mode with
-a full SVD of its unfolding, then recurse on the rank-truncated core.  Each
-level leaves behind one extract per composite mode, holding the wrapped
-leading singular vectors (the slices) and the wrapped trailing ones (the
-complement).  The tree of extracts plus the terminal core reproduces the
-input state exactly up to floating-point error.
+:func:`walk` is the one definition of the concentration hierarchy.  It
+repeats three steps until the residual core has at most ``stop_order``
+modes: pair-rescale, factor every composite mode with a full SVD of its
+unfolding (:func:`hosvd`), then recurse on the core truncated to the local
+ranks.  :func:`concentrate` and the equivalence machinery (certificates,
+verification, the invariant filter and the search) all consume that walk.
+
+:func:`concentrate` records one extract per composite mode and level,
+holding the wrapped leading singular vectors (the slices) and the wrapped
+trailing ones (the complement).  The tree of extracts plus the terminal core
+reproduces the input state exactly up to floating-point error.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,15 +44,24 @@ __all__ = [
     "concentrate",
     "count_parameters",
     "count_tree_parameters",
+    "cutoff_rank",
     "extract_tripartites",
     "hosvd",
     "reconstruct",
+    "walk",
 ]
 
 # Relative cutoff for counting a singular value toward the local rank.
 RANK_RTOL = 1e-10
 # Threshold below which a vector component does not qualify as the phase pivot.
 GAUGE_EPS = 1e-12
+
+
+def cutoff_rank(s) -> int:
+    """Count the descending singular values ``s`` above ``RANK_RTOL * s[0]``; 0 if empty or zero."""
+    if len(s) == 0 or not s[0] > 0:
+        return 0
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 def _gauge_fix_columns(u: np.ndarray) -> np.ndarray:
@@ -93,7 +107,7 @@ def hosvd(t) -> HosvdResult:
         u, s, _ = np.linalg.svd(unfold(t, k), full_matrices=True)
         factors.append(_gauge_fix_columns(u))
         spectra.append(s)
-        ranks.append(int(np.count_nonzero(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0)
+        ranks.append(cutoff_rank(s))
     core = t
     for k, u in enumerate(factors):
         core = mode_multiply(core, u.conj().T, k)
@@ -210,35 +224,53 @@ class ConcentrationTree:
         return sum(1 for level in self.levels for e in level.extracts if e.is_tripartite)
 
 
+def walk(t, stop_order: int, first_pairing: PairingPlan | None = None) -> Iterator[tuple]:
+    """Lazily yield the concentration hierarchy of ``t``, outermost level first.
+
+    Each level is ``(plan, input_dims, h, core)``: the pairing of the level's
+    input of shape ``input_dims``, the :func:`hosvd` of its rescaling, and
+    the core truncated to the local ranks, which is the next level's input.
+    The walk stops once the core has at most ``stop_order`` modes.
+
+    Only one plan covers a given mode count (:meth:`PairingPlan.default`),
+    so ``first_pairing`` is validated, not followed.  The arguments are
+    checked on the call, not on the first level.
+    """
+    if stop_order not in (2, 3):
+        raise ValueError("stop_order must be 2 or 3")
+    if first_pairing is not None and first_pairing.mode_count != t.ndim:
+        raise ValueError(f"pairing plan {first_pairing} does not cover an order-{t.ndim} tensor")
+
+    def levels(cur):
+        while cur.ndim > stop_order:
+            plan = PairingPlan.default(cur.ndim)
+            h = hosvd(rescale(cur, plan))
+            core = h.truncated_core()
+            yield plan, cur.shape, h, core
+            cur = core
+
+    return levels(t)
+
+
 def concentrate(state, stop_order: int = 3, first_pairing: PairingPlan | None = None) -> ConcentrationTree:
     """Recursively rescale and factor ``state`` until the core has <= ``stop_order`` modes.
 
-    Levels are recorded outermost-first.  ``first_pairing`` overrides the
-    grouping of the first level only; deeper levels pair adjacent modes.
+    Levels are recorded outermost-first.  ``first_pairing`` must cover the
+    state's modes; see :func:`walk`.
     """
     t = as_tensor(state)
-    if stop_order not in (2, 3):
-        raise ValueError("stop_order must be 2 or 3")
     if t.ndim < 2:
         raise ValueError("need at least two modes")
     if tensor_norm(t) == 0.0:
         raise ValueError("cannot concentrate the zero tensor")
     levels = []
-    cur = t
-    pending = first_pairing
-    while cur.ndim > stop_order:
-        plan = pending if pending is not None else PairingPlan.default(cur.ndim)
-        pending = None
-        if plan.mode_count != cur.ndim:
-            raise ValueError(f"pairing plan {plan} does not cover an order-{cur.ndim} tensor")
-        h = hosvd(rescale(cur, plan))
-        extracts = extract_tripartites(h, plan.pair_dims(cur.shape))
-        core = h.truncated_core()
+    core = t
+    for plan, input_dims, h, core in walk(t, stop_order, first_pairing):
+        extracts = extract_tripartites(h, plan.pair_dims(input_dims))
         levels.append(
-            ConcentrationLevel(plan, cur.shape, extracts, tuple(h.local_ranks), tensor_norm(core))
+            ConcentrationLevel(plan, input_dims, extracts, tuple(h.local_ranks), tensor_norm(core))
         )
-        cur = core
-    return ConcentrationTree(t.shape, levels, cur, stop_order)
+    return ConcentrationTree(t.shape, levels, core, stop_order)
 
 
 def reconstruct(tree: ConcentrationTree) -> np.ndarray:

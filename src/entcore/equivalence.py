@@ -33,17 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .decompose import RANK_RTOL, hosvd
+from .decompose import cutoff_rank, walk
 from .states import apply_local
-from .tensor_ops import (
-    PairingPlan,
-    as_tensor,
-    mode_multiply,
-    realign,
-    rescale,
-    unfold,
-    wrap,
-)
+from .tensor_ops import PairingPlan, as_tensor, mode_multiply, realign, unfold, wrap
 
 __all__ = [
     "EQUIVALENT",
@@ -100,11 +92,14 @@ def _polar(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _numerical_rank(m: np.ndarray) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+def _block_upper(p: np.ndarray, y: np.ndarray, p_bar: np.ndarray) -> np.ndarray:
+    """Assemble ``[[P, Y], [0, P_bar]]``."""
+    r = p.shape[0]
+    out = np.zeros((r + p_bar.shape[0],) * 2, dtype=np.complex128)
+    out[:r, :r] = p
+    out[:r, r:] = y
+    out[r:, r:] = p_bar
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,14 +164,7 @@ class CertificateLevel:
 
     def p_tilde(self, k: int) -> np.ndarray:
         """Assembled block upper triangular matrix for mode ``k``."""
-        p, y, pbar = self.p_blocks[k], self.y_blocks[k], self.p_bar_blocks[k]
-        r = p.shape[0]
-        j = r + pbar.shape[0]
-        out = np.zeros((j, j), dtype=np.complex128)
-        out[:r, :r] = p
-        out[:r, r:] = y
-        out[r:, r:] = pbar
-        return out
+        return _block_upper(self.p_blocks[k], self.y_blocks[k], self.p_bar_blocks[k])
 
 
 @dataclass(eq=False)
@@ -210,8 +198,8 @@ def derive_certificate(
     ``R^{-1} X`` into its blocks at the local rank.  The inverted ``P``
     blocks become the next level's local operators.
 
-    Raises ``ValueError`` when the premise does not hold to ``tol`` or a QR
-    factor is numerically singular.
+    Raises ``ValueError`` when ``stop_order`` is not 2 or 3, the premise does
+    not hold to ``tol`` or a QR factor is numerically singular.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
@@ -224,15 +212,10 @@ def derive_certificate(
         raise ValueError(
             f"states are not related by the supplied operators (residual {premise:.3e} > {tol:.1e})"
         )
+    hierarchy = zip(walk(psi, stop_order, first_pairing), walk(psip, stop_order, first_pairing))
     ops_level = list(operators.ops)
     levels: list[CertificateLevel] = []
-    cur, curp = psi, psip
-    pending = first_pairing
-    while cur.ndim > stop_order:
-        plan = pending if pending is not None else PairingPlan.default(cur.ndim)
-        pending = None
-        h = hosvd(rescale(cur, plan))
-        hp = hosvd(rescale(curp, plan))
+    for (plan, _, h, _), (_, _, hp, _) in hierarchy:
         if h.local_ranks != hp.local_ranks:
             raise ValueError(
                 f"local ranks differ ({h.local_ranks} vs {hp.local_ranks}); "
@@ -253,7 +236,6 @@ def derive_certificate(
             next_ops.append(np.linalg.inv(p_tilde[:r, :r]))
         levels.append(CertificateLevel(plan, tuple(h.local_ranks), p_blocks, y_blocks, pbar_blocks))
         ops_level = next_ops
-        cur, curp = h.truncated_core(), hp.truncated_core()
     return EquivalenceCertificate(operators.mode, operators, levels, stop_order)
 
 
@@ -286,16 +268,12 @@ def verify_certificate(
             defect = _unitarity_defect(a)
             if defect > tol:
                 failures.append(f"operator {i} unitarity defect {defect:.3e}")
+    hierarchy = zip(cert.levels, walk(psi, cert.stop_order), walk(psip, cert.stop_order))
     ops_level = list(cert.operators.ops)
-    cur, curp = psi, psip
-    for li, clevel in enumerate(cert.levels):
-        if cur.ndim <= cert.stop_order:
-            raise ValueError("certificate has more levels than the concentration hierarchy")
-        plan = clevel.plan
-        if plan.mode_count != cur.ndim:
-            raise ValueError(f"level {li}: plan {plan} does not cover an order-{cur.ndim} tensor")
-        h = hosvd(rescale(cur, plan))
-        hp = hosvd(rescale(curp, plan))
+    core_t = psi
+    for li, (clevel, (plan, _, h, core_t), (_, _, hp, core_p)) in enumerate(hierarchy):
+        if clevel.plan != plan:
+            raise ValueError(f"level {li}: certificate plan {clevel.plan} is not the hierarchy's {plan}")
         if tuple(h.local_ranks) != tuple(clevel.ranks) or tuple(hp.local_ranks) != tuple(clevel.ranks):
             raise ValueError(
                 f"level {li}: certificate ranks {clevel.ranks} do not match "
@@ -322,8 +300,6 @@ def verify_certificate(
                 level_res["y_norm"].append(ynorm)
                 if ynorm > tol:
                     failures.append(f"level {li} mode {k}: Y-block norm {ynorm:.3e}")
-        core_t = h.truncated_core()
-        core_p = hp.truncated_core()
         predicted_core = core_p
         for k in range(core_p.ndim):
             predicted_core = mode_multiply(predicted_core, clevel.p_blocks[k], k)
@@ -333,8 +309,9 @@ def verify_certificate(
             failures.append(f"level {li}: core relation residual {core_res:.3e}")
         residuals["levels"].append(level_res)
         ops_level = [np.linalg.inv(p) for p in clevel.p_blocks]
-        cur, curp = core_t, core_p
-    if cur.ndim > cert.stop_order:
+    if len(residuals["levels"]) < len(cert.levels):
+        raise ValueError("certificate has more levels than the concentration hierarchy")
+    if core_t.ndim > cert.stop_order:
         raise ValueError("certificate does not reach the terminal order of the hierarchy")
     if failures:
         return EquivalenceVerdict(INCONCLUSIVE, "; ".join(failures[:4]), residuals)
@@ -424,9 +401,7 @@ class SpectralFunctional:
         # Singular values below the rank cutoff count as exact zeros; the
         # sqrt functional would otherwise amplify float noise to sqrt(eps).
         s = np.linalg.svd(np.asarray(matrix, dtype=np.complex128), compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0.0
-        s = s[s > RANK_RTOL * s[0]]
+        s = s[: cutoff_rank(s)]
         if self.kind == "rank":
             return float(s.size)
         if self.kind == "singular-value-sum":
@@ -482,14 +457,11 @@ def spectral_preservation_check(
         a = np.ascontiguousarray(m).reshape(-1)
         w_in = _pair_matrix(a, i1, i2)
         w_out = _pair_matrix(phi @ a, i1, i2)
-        if functional.is_rank:
-            if _numerical_rank(w_out) != _numerical_rank(w_in):
-                return False
-        else:
-            f_in = functional.evaluate(w_in)
-            f_out = functional.evaluate(w_out)
-            if abs(f_out - f_in) > tol * max(1.0, abs(f_in)):
-                return False
+        f_in = functional.evaluate(w_in)
+        f_out = functional.evaluate(w_out)
+        slack = 0.0 if functional.is_rank else tol * max(1.0, abs(f_in))
+        if abs(f_out - f_in) > slack:
+            return False
     return True
 
 
@@ -517,8 +489,7 @@ def invariant_filter(psi, psi_prime, mode: str, tol: float = EQUIV_RTOL) -> Equi
     def _compare(label: str, sa: np.ndarray, sb: np.ndarray):
         nonlocal worst, checked
         checked += 1
-        ra = int(np.count_nonzero(sa > RANK_RTOL * sa[0])) if sa.size and sa[0] > 0 else 0
-        rb = int(np.count_nonzero(sb > RANK_RTOL * sb[0])) if sb.size and sb[0] > 0 else 0
+        ra, rb = cutoff_rank(sa), cutoff_rank(sb)
         if ra != rb:
             return f"{label}: local rank {ra} vs {rb}"
         if mode == LU:
@@ -538,18 +509,12 @@ def invariant_filter(psi, psi_prime, mode: str, tol: float = EQUIV_RTOL) -> Equi
         if witness:
             return EquivalenceVerdict(INEQUIVALENT, witness, {"max_spectrum_deviation": worst})
 
-    cur, curp = psi, psip
-    level = 1
-    while cur.ndim > 2:
-        plan = PairingPlan.default(cur.ndim)
-        h = hosvd(rescale(cur, plan))
-        hp = hosvd(rescale(curp, plan))
-        for k in range(len(plan.groups)):
-            witness = _compare(f"level {level} mode {k}", h.mode_spectra[k], hp.mode_spectra[k])
+    hierarchy = zip(walk(psi, 2), walk(psip, 2))
+    for level, ((_, _, h, _), (_, _, hp, _)) in enumerate(hierarchy, start=1):
+        for k, (sa, sb) in enumerate(zip(h.mode_spectra, hp.mode_spectra)):
+            witness = _compare(f"level {level} mode {k}", sa, sb)
             if witness:
                 return EquivalenceVerdict(INEQUIVALENT, witness, {"max_spectrum_deviation": worst})
-        cur, curp = h.truncated_core(), hp.truncated_core()
-        level += 1
     return EquivalenceVerdict(
         INCONCLUSIVE,
         "all compared invariants match",
@@ -568,13 +533,7 @@ class SearchResult:
     restart_index: int
 
     def p_tilde(self) -> np.ndarray:
-        r = self.p.shape[0]
-        j = r + self.p_bar.shape[0]
-        out = np.zeros((j, j), dtype=np.complex128)
-        out[:r, :r] = self.p
-        out[:r, r:] = self.y
-        out[r:, r:] = self.p_bar
-        return out
+        return _block_upper(self.p, self.y, self.p_bar)
 
 
 def _seed_entropy(seed) -> tuple:
@@ -911,14 +870,13 @@ def search_equivalence(
     psip = as_tensor(psi_prime)
     if psi.shape != psip.shape:
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
-    if psi.ndim == 2:
+    effective_stop = stop_order if psi.ndim > stop_order else 2
+    first_level = next(zip(walk(psi, effective_stop), walk(psip, effective_stop)), None)
+    if first_level is None:
         return EquivalenceVerdict(
             INCONCLUSIVE, "no search surface for bipartite states", {"searched_modes": 0}
         )
-    effective_stop = stop_order if psi.ndim > stop_order else 2
-    plan = PairingPlan.default(psi.ndim)
-    h = hosvd(rescale(psi, plan))
-    hp = hosvd(rescale(psip, plan))
+    (plan, _, h, _), (_, _, hp, _) = first_level
     if h.local_ranks != hp.local_ranks:
         return EquivalenceVerdict(
             INCONCLUSIVE,

@@ -53,9 +53,14 @@ def _require(doc, key, path):
     return doc[key]
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, and True == 1; documents must spell integers as integers
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_version(doc, path):
     version = _require(doc, "format_version", path)
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported format_version {version!r}")
 
 
@@ -83,11 +88,7 @@ def _array_from_pairs(pairs, count, path, what) -> np.ndarray:
 
 def _read_dims(doc, key, path):
     dims = _require(doc, key, path)
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
-    ):
+    if not isinstance(dims, list) or not dims or not all(_is_int(d) and d >= 1 for d in dims):
         raise FileFormatError(f"{path}: {key} must be a non-empty list of integers >= 1")
     return tuple(dims)
 
@@ -169,7 +170,7 @@ def read_tree(path) -> ConcentrationTree:
     _check_version(doc, path)
     original_dims = _read_dims(doc, "original_dims", path)
     stop_order = _require(doc, "stop_order", path)
-    if stop_order not in (2, 3):
+    if not _is_int(stop_order) or stop_order not in (2, 3):
         raise FileFormatError(f"{path}: stop_order must be 2 or 3")
     terminal_doc = _require(doc, "terminal", path)
     term_dims = _read_dims(terminal_doc, "dims", path)
@@ -197,7 +198,7 @@ def read_tree(path) -> ConcentrationTree:
             ia = _require(mode_doc, "rows", path)
             ib = _require(mode_doc, "cols", path)
             for name, v in (("rank", r), ("rows", ia), ("cols", ib)):
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                if not _is_int(v) or v < 0:
                     raise FileFormatError(f"{path}: level {li} mode {k}: bad {name} {v!r}")
             slices_doc = _require(mode_doc, "slices", path)
             comp_doc = _require(mode_doc, "complement", path)
@@ -245,7 +246,7 @@ def read_operators(path) -> list[np.ndarray]:
     out = []
     for i, op_doc in enumerate(ops_doc):
         d = _require(op_doc, "dim", path)
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        if not _is_int(d) or d < 1:
             raise FileFormatError(f"{path}: operator {i} has bad dim {d!r}")
         out.append(_matrix_from_json(_require(op_doc, "entries", path), (d, d), path, f"operator {i}"))
     return out

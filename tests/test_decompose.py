@@ -11,6 +11,13 @@ from entcore.decompose import (
     level_tripartite_parameters,
     reconstruct,
 )
+from entcore.equivalence import (
+    LU,
+    EquivalenceCertificate,
+    LocalOperatorSet,
+    derive_certificate,
+    verify_certificate,
+)
 from entcore.states import (
     apply_local,
     ghz_state,
@@ -226,6 +233,16 @@ class TestConcentrate:
     def test_stop_order_validation(self):
         with pytest.raises(ValueError):
             concentrate(random_state((2, 2, 2), seed=11), stop_order=4)
+        # certificates share the walker's validation: an LU orbit pair must not
+        # yield a misleading mode-count error (1) or an empty certificate (5)
+        psi = random_state((2, 2, 2, 2), seed=11)
+        ops = LocalOperatorSet(tuple(haar_unitary(2, seed=40 + i) for i in range(4)), LU)
+        psip = apply_local(psi, ops)
+        for stop_order in (1, 5):
+            with pytest.raises(ValueError, match="stop_order must be 2 or 3"):
+                derive_certificate(psi, psip, ops, stop_order=stop_order)
+        with pytest.raises(ValueError, match="stop_order must be 2 or 3"):
+            verify_certificate(psi, psip, EquivalenceCertificate(LU, ops, [], stop_order=5))
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):

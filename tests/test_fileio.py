@@ -52,9 +52,11 @@ class TestTensorFile:
         with pytest.raises(FileFormatError):
             read_tensor(path)
 
-    def test_unknown_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [9, True, 1.0])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        # True and 1.0 compare equal to 1 in Python but are not the integer 1
         path = tmp_path / "v.json"
-        path.write_text(json.dumps({"format_version": 9, "dims": [2], "coeffs": [[1, 0], [0, 0]]}))
+        path.write_text(json.dumps({"format_version": version, "dims": [2], "coeffs": [[1, 0], [0, 0]]}))
         with pytest.raises(FileFormatError):
             read_tensor(path)
 
@@ -115,6 +117,15 @@ class TestTreeFile:
         doc["levels"][0]["modes"][0]["slices"].pop()
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError):
+            read_tree(path)
+
+    def test_non_integer_stop_order_rejected(self, tmp_path):
+        path = tmp_path / "tree.json"
+        write_tree(path, concentrate(random_state((2, 2, 2, 2), seed=7)))
+        doc = json.loads(path.read_text())
+        doc["stop_order"] = 2.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="stop_order"):
             read_tree(path)
 
     def test_bad_pairing_rejected(self, tmp_path):
