@@ -38,7 +38,9 @@ def _pairing_flag(text: str) -> PairingPlan:
 
 def _cmd_concentrate(args) -> int:
     state = read_tensor(args.input)
-    tree = concentrate(state, stop_order=args.stop_order, first_pairing=args.pairing)
+    if args.pairing is not None and args.pairing.mode_count != state.ndim:
+        raise ValueError(f"pairing plan {args.pairing} does not cover an order-{state.ndim} state")
+    tree = concentrate(state, stop_order=args.stop_order)
     write_tree(args.output, tree)
     print(f"state dims {tuple(state.shape)}  norm {_fmt(tensor_norm(state))}")
     print("level  pairing  ranks  core-norm")
@@ -97,6 +99,8 @@ def _cmd_check(args) -> int:
     if args.ops:
         mats = read_operators(args.ops)
         operators = eq.LocalOperatorSet(tuple(mats), args.mode)
+        if operators.dims != a.shape:
+            raise ValueError(f"operator dims {operators.dims} do not match state dims {a.shape}")
         try:
             cert = eq.derive_certificate(a, b, operators)
             verdict = eq.verify_certificate(a, b, cert)

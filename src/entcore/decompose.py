@@ -224,22 +224,18 @@ class ConcentrationTree:
         return sum(1 for level in self.levels for e in level.extracts if e.is_tripartite)
 
 
-def walk(t, stop_order: int, first_pairing: PairingPlan | None = None) -> Iterator[tuple]:
+def walk(t, stop_order: int) -> Iterator[tuple]:
     """Lazily yield the concentration hierarchy of ``t``, outermost level first.
 
-    Each level is ``(plan, input_dims, h, core)``: the pairing of the level's
-    input of shape ``input_dims``, the :func:`hosvd` of its rescaling, and
-    the core truncated to the local ranks, which is the next level's input.
-    The walk stops once the core has at most ``stop_order`` modes.
-
-    Only one plan covers a given mode count (:meth:`PairingPlan.default`),
-    so ``first_pairing`` is validated, not followed.  The arguments are
-    checked on the call, not on the first level.
+    Each level is ``(plan, input_dims, h, core)``: the adjacent pairing
+    (:meth:`PairingPlan.default`) of the level's input of shape
+    ``input_dims``, the :func:`hosvd` of its rescaling, and the core truncated
+    to the local ranks, which is the next level's input.  Everything follows
+    from the input's dims; the walk stops once the core has at most
+    ``stop_order`` modes, which is checked on the call, not on the first level.
     """
     if stop_order not in (2, 3):
         raise ValueError("stop_order must be 2 or 3")
-    if first_pairing is not None and first_pairing.mode_count != t.ndim:
-        raise ValueError(f"pairing plan {first_pairing} does not cover an order-{t.ndim} tensor")
 
     def levels(cur):
         while cur.ndim > stop_order:
@@ -252,11 +248,10 @@ def walk(t, stop_order: int, first_pairing: PairingPlan | None = None) -> Iterat
     return levels(t)
 
 
-def concentrate(state, stop_order: int = 3, first_pairing: PairingPlan | None = None) -> ConcentrationTree:
+def concentrate(state, stop_order: int = 3) -> ConcentrationTree:
     """Recursively rescale and factor ``state`` until the core has <= ``stop_order`` modes.
 
-    Levels are recorded outermost-first.  ``first_pairing`` must cover the
-    state's modes; see :func:`walk`.
+    Levels are recorded outermost-first; see :func:`walk`.
     """
     t = as_tensor(state)
     if t.ndim < 2:
@@ -265,7 +260,7 @@ def concentrate(state, stop_order: int = 3, first_pairing: PairingPlan | None = 
         raise ValueError("cannot concentrate the zero tensor")
     levels = []
     core = t
-    for plan, input_dims, h, core in walk(t, stop_order, first_pairing):
+    for plan, input_dims, h, core in walk(t, stop_order):
         extracts = extract_tripartites(h, plan.pair_dims(input_dims))
         levels.append(
             ConcentrationLevel(plan, input_dims, extracts, tuple(h.local_ranks), tensor_norm(core))

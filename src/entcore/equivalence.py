@@ -6,7 +6,7 @@ every level, each composite mode carries a block upper triangular matrix
 ``[[P, Y], [0, P_bar]]`` linking the two factor bases, and the truncated
 cores are connected by the ``P`` blocks alone.  ``derive_certificate``
 computes those blocks from known local operators via QR factorization;
-``verify_certificate`` re-checks every level against stated tolerances.
+``verify_certificate`` re-checks every level at the module tolerances.
 
 For single composite modes the Kronecker structure of the connecting matrix
 is detected through the realignment rank-one criterion
@@ -75,6 +75,8 @@ EQUIV_RTOL = 1e-8
 UNITARY_ATOL = 1e-10
 # Condition-number barrier for SLOCC search candidates.
 COND_LIMIT = 1e6
+# Condition number above which a matrix counts as numerically singular.
+SINGULAR_COND = 1e12
 
 
 def _rel_err(actual, target) -> float:
@@ -85,6 +87,12 @@ def _rel_err(actual, target) -> float:
 def _unitarity_defect(a: np.ndarray) -> float:
     d = a.shape[0]
     return float(np.linalg.norm(a.conj().T @ a - np.eye(d)))
+
+
+def _condition(a: np.ndarray) -> float:
+    """2-norm condition number of ``a``; ``inf`` when its smallest singular value is zero."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
 
 
 def _polar(a: np.ndarray) -> np.ndarray:
@@ -123,10 +131,8 @@ class LocalOperatorSet:
                 defect = _unitarity_defect(a)
                 if defect > UNITARY_ATOL:
                     raise ValueError(f"operator {i} is not unitary (defect {defect:.3e})")
-            else:
-                s = np.linalg.svd(a, compute_uv=False)
-                if s[-1] <= 0.0 or s[0] / s[-1] > 1e12:
-                    raise ValueError(f"operator {i} is numerically singular")
+            elif _condition(a) > SINGULAR_COND:
+                raise ValueError(f"operator {i} is numerically singular")
             mats.append(a)
         object.__setattr__(self, "ops", tuple(mats))
 
@@ -136,11 +142,7 @@ class LocalOperatorSet:
 
     @property
     def condition_numbers(self) -> tuple[float, ...]:
-        out = []
-        for a in self.ops:
-            s = np.linalg.svd(a, compute_uv=False)
-            out.append(float(s[0] / s[-1]))
-        return tuple(out)
+        return tuple(_condition(a) for a in self.ops)
 
 
 @dataclass
@@ -183,23 +185,20 @@ def _composite_operator(ops, group) -> np.ndarray:
 
 
 def derive_certificate(
-    psi,
-    psi_prime,
-    operators: LocalOperatorSet,
-    stop_order: int = 3,
-    first_pairing: PairingPlan | None = None,
-    tol: float = EQUIV_RTOL,
+    psi, psi_prime, operators: LocalOperatorSet, stop_order: int = 3
 ) -> EquivalenceCertificate:
     """Compute certificate blocks for a pair known to satisfy
     ``psi_prime = (ops[0] x ... x ops[N-1]) psi``.
 
-    Per level and composite mode: QR-factor the transported basis
-    ``(A_a x A_b) U`` as ``Q R``, set ``X = Q* U'`` and split
-    ``R^{-1} X`` into its blocks at the local rank.  The inverted ``P``
-    blocks become the next level's local operators.
+    Both hierarchies come from :func:`~entcore.decompose.walk`, so every
+    level's pairing is the adjacent one of its mode count.  Per level and
+    composite mode: QR-factor the transported basis ``(A_a x A_b) U`` as
+    ``Q R``, set ``X = Q* U'`` and split ``R^{-1} X`` into its blocks at the
+    local rank.  The inverted ``P`` blocks become the next level's local
+    operators.
 
     Raises ``ValueError`` when ``stop_order`` is not 2 or 3, the premise does
-    not hold to ``tol`` or a QR factor is numerically singular.
+    not hold to ``EQUIV_RTOL`` or a QR factor is numerically singular.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
@@ -208,11 +207,11 @@ def derive_certificate(
     if operators.dims != psi.shape:
         raise ValueError(f"operator dims {operators.dims} do not match state dims {psi.shape}")
     premise = _rel_err(apply_local(psi, operators), psip)
-    if premise > tol:
+    if premise > EQUIV_RTOL:
         raise ValueError(
-            f"states are not related by the supplied operators (residual {premise:.3e} > {tol:.1e})"
+            f"states are not related by the supplied operators (residual {premise:.3e} > {EQUIV_RTOL:.1e})"
         )
-    hierarchy = zip(walk(psi, stop_order, first_pairing), walk(psip, stop_order, first_pairing))
+    hierarchy = zip(walk(psi, stop_order), walk(psip, stop_order))
     ops_level = list(operators.ops)
     levels: list[CertificateLevel] = []
     for (plan, _, h, _), (_, _, hp, _) in hierarchy:
@@ -239,10 +238,8 @@ def derive_certificate(
     return EquivalenceCertificate(operators.mode, operators, levels, stop_order)
 
 
-def verify_certificate(
-    psi, psi_prime, cert: EquivalenceCertificate, tol: float = EQUIV_RTOL
-) -> EquivalenceVerdict:
-    """Re-check a certificate level by level at relative Frobenius tolerance ``tol``.
+def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> EquivalenceVerdict:
+    """Re-check a certificate level by level at relative Frobenius tolerance ``EQUIV_RTOL``.
 
     Per level ``l`` and mode ``k`` the leading factor columns must satisfy
     ``U'_1 = (A_a x A_b) U_1 P`` and the truncated cores
@@ -261,12 +258,12 @@ def verify_certificate(
     failures: list[str] = []
     premise = _rel_err(apply_local(psi, cert.operators), psip)
     residuals: dict = {"reassembly": premise, "levels": []}
-    if premise > tol:
+    if premise > EQUIV_RTOL:
         failures.append(f"reassembly residual {premise:.3e}")
     if cert.mode == LU:
         for i, a in enumerate(cert.operators.ops):
             defect = _unitarity_defect(a)
-            if defect > tol:
+            if defect > EQUIV_RTOL:
                 failures.append(f"operator {i} unitarity defect {defect:.3e}")
     hierarchy = zip(cert.levels, walk(psi, cert.stop_order), walk(psip, cert.stop_order))
     ops_level = list(cert.operators.ops)
@@ -286,7 +283,7 @@ def verify_certificate(
             predicted = b @ h.factors[k][:, :r] @ clevel.p_blocks[k]
             res = _rel_err(predicted, hp.factors[k][:, :r])
             level_res["tripartite"].append(res)
-            if res > tol:
+            if res > EQUIV_RTOL:
                 failures.append(f"level {li} mode {k}: tripartite relation residual {res:.3e}")
             if cert.mode == LU:
                 for name, blk in (("P", clevel.p_blocks[k]), ("P_bar", clevel.p_bar_blocks[k])):
@@ -294,18 +291,18 @@ def verify_certificate(
                         continue
                     defect = _unitarity_defect(blk)
                     level_res["unitarity"].append(defect)
-                    if defect > tol:
+                    if defect > EQUIV_RTOL:
                         failures.append(f"level {li} mode {k}: {name} unitarity defect {defect:.3e}")
                 ynorm = float(np.linalg.norm(clevel.y_blocks[k]))
                 level_res["y_norm"].append(ynorm)
-                if ynorm > tol:
+                if ynorm > EQUIV_RTOL:
                     failures.append(f"level {li} mode {k}: Y-block norm {ynorm:.3e}")
         predicted_core = core_p
         for k in range(core_p.ndim):
             predicted_core = mode_multiply(predicted_core, clevel.p_blocks[k], k)
         core_res = _rel_err(predicted_core, core_t)
         level_res["core"] = core_res
-        if core_res > tol:
+        if core_res > EQUIV_RTOL:
             failures.append(f"level {li}: core relation residual {core_res:.3e}")
         residuals["levels"].append(level_res)
         ops_level = [np.linalg.inv(p) for p in clevel.p_blocks]
@@ -318,7 +315,7 @@ def verify_certificate(
     return EquivalenceVerdict(EQUIVALENT, cert, residuals)
 
 
-def kron_factorize(phi, i1: int, i2: int, tol: float = EQUIV_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def kron_factorize(phi, i1: int, i2: int) -> tuple[np.ndarray, np.ndarray]:
     """Recover ``(A_1, A_2)`` with ``phi = kron(A_1, A_2)`` from a rank-one realignment.
 
     The factors come from the dominant singular triple of the realignment, with
@@ -329,7 +326,7 @@ def kron_factorize(phi, i1: int, i2: int, tol: float = EQUIV_RTOL) -> tuple[np.n
     phi = np.asarray(phi, dtype=np.complex128)
     r = realign(phi, i1, i2)
     u, s, vh = np.linalg.svd(r)
-    if s.size > 1 and s[1] > tol * s[0]:
+    if s.size > 1 and s[1] > EQUIV_RTOL * s[0]:
         raise ValueError(f"realignment is not rank one (sigma2/sigma1 = {s[1] / s[0]:.3e})")
     root = np.sqrt(s[0])
     a1 = wrap(u[:, 0], i1, i1) * root
@@ -339,15 +336,7 @@ def kron_factorize(phi, i1: int, i2: int, tol: float = EQUIV_RTOL) -> tuple[np.n
     return a1 * np.conj(phase), a2 * phase
 
 
-def realign_rank1_check(
-    u,
-    u_prime,
-    p_tilde,
-    i1: int,
-    i2: int,
-    mode: str = SLOCC,
-    tol: float = EQUIV_RTOL,
-):
+def realign_rank1_check(u, u_prime, p_tilde, i1: int, i2: int, mode: str = SLOCC):
     """Test ``rank(realign(U P~ U'^{-1})) == 1`` and recover the Kronecker factors.
 
     Returns ``(passed, factors)`` where ``factors`` is the ``(A_1, A_2)``
@@ -361,20 +350,17 @@ def realign_rank1_check(
     for name, m in (("u", u), ("u_prime", up), ("p_tilde", pt)):
         if m.shape != (side, side):
             raise ValueError(f"{name} must be {side}x{side}, got {m.shape}")
-    s_up = np.linalg.svd(up, compute_uv=False)
-    if s_up[-1] <= 0.0 or s_up[0] / s_up[-1] > 1e12:
+    if _condition(up) > SINGULAR_COND:
         raise ValueError("u_prime is numerically singular")
     phi = u @ pt @ np.linalg.inv(up)
-    s_phi = np.linalg.svd(phi, compute_uv=False)
-    invertible = s_phi[-1] > 0.0 and s_phi[0] / s_phi[-1] < 1e12
     s = np.linalg.svd(realign(phi, i1, i2), compute_uv=False)
     ratio = float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
-    passed = bool(ratio <= tol and invertible)
+    passed = bool(ratio <= EQUIV_RTOL and _condition(phi) < SINGULAR_COND)
     if mode == LU and passed:
-        passed = _unitarity_defect(phi) <= tol
+        passed = _unitarity_defect(phi) <= EQUIV_RTOL
     if not passed:
         return False, None
-    return True, kron_factorize(phi, i1, i2, tol)
+    return True, kron_factorize(phi, i1, i2)
 
 
 @dataclass(frozen=True)
@@ -465,7 +451,7 @@ def spectral_preservation_check(
     return True
 
 
-def invariant_filter(psi, psi_prime, mode: str, tol: float = EQUIV_RTOL) -> EquivalenceVerdict:
+def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
     """Sound necessary conditions: local ranks (SLOCC) and spectra (LU).
 
     Compares every particle's unfolding, then every composite mode of every
@@ -495,7 +481,7 @@ def invariant_filter(psi, psi_prime, mode: str, tol: float = EQUIV_RTOL) -> Equi
         if mode == LU:
             dev = float(np.max(np.abs(sa - sb))) if sa.size else 0.0
             worst = max(worst, dev)
-            if dev > tol:
+            if dev > EQUIV_RTOL:
                 return (
                     f"{label}: singular values differ by {dev:.3e} "
                     f"({np.array2string(sa, precision=6)} vs {np.array2string(sb, precision=6)})"
@@ -745,7 +731,6 @@ def search_p_tilde(
     mode: str = SLOCC,
     budget: int = 50,
     seed=0,
-    tol: float = EQUIV_RTOL,
 ):
     """Multi-start search for block upper triangular ``P~`` with rank-one realignment.
 
@@ -759,7 +744,7 @@ def search_p_tilde(
     least-squares solve of the zero-block condition.  Restart 0 is
     deterministic; later restarts are seeded from ``(seed, restart)``.
     Returns the best :class:`SearchResult` when its objective is below
-    ``tol``, else ``None`` (never a proof of inequivalence).
+    ``EQUIV_RTOL``, else ``None`` (never a proof of inequivalence).
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -789,8 +774,7 @@ def search_p_tilde(
             y = np.zeros_like(y)
         cand = SearchResult(p.copy(), y.copy(), pbar.copy(), np.inf, restart)
         pt = cand.p_tilde()
-        s_pt = np.linalg.svd(pt, compute_uv=False)
-        if s_pt[-1] <= 0.0 or s_pt[0] / s_pt[-1] > COND_LIMIT:
+        if _condition(pt) > COND_LIMIT:
             return  # degenerate-minimizer barrier
         s = np.linalg.svd(realign(u @ pt @ up_inv, i1, i2), compute_uv=False)
         cand.objective = float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
@@ -844,20 +828,12 @@ def search_p_tilde(
             consider_pair(a1, a2, restart)
         if best is not None and best.objective < 1e-13:
             break
-    if best is not None and best.objective <= tol:
+    if best is not None and best.objective <= EQUIV_RTOL:
         return best
     return None
 
 
-def search_equivalence(
-    psi,
-    psi_prime,
-    mode: str,
-    budget: int = 50,
-    seed=0,
-    stop_order: int = 3,
-    tol: float = EQUIV_RTOL,
-) -> EquivalenceVerdict:
+def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> EquivalenceVerdict:
     """Best-effort equivalence proof without known operators.
 
     Runs a per-mode :func:`search_p_tilde` on the first concentration level,
@@ -870,7 +846,7 @@ def search_equivalence(
     psip = as_tensor(psi_prime)
     if psi.shape != psip.shape:
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
-    effective_stop = stop_order if psi.ndim > stop_order else 2
+    effective_stop = 3 if psi.ndim > 3 else 2
     first_level = next(zip(walk(psi, effective_stop), walk(psip, effective_stop)), None)
     if first_level is None:
         return EquivalenceVerdict(
@@ -899,7 +875,7 @@ def search_equivalence(
                 candidate = _polar(candidate)
             recovered.append(candidate)
             continue
-        found = search_p_tilde(uk, upk, h.local_ranks[k], ia, ib, mode, budget, (seed, k), tol)
+        found = search_p_tilde(uk, upk, h.local_ranks[k], ia, ib, mode, budget, (seed, k))
         if found is None:
             return EquivalenceVerdict(
                 INCONCLUSIVE,
@@ -909,7 +885,7 @@ def search_equivalence(
         objectives.append(found.objective)
         phi = uk @ found.p_tilde() @ np.linalg.inv(upk)
         try:
-            g1, g2 = kron_factorize(phi, ia, ib, tol)
+            g1, g2 = kron_factorize(phi, ia, ib)
         except ValueError as exc:
             return EquivalenceVerdict(
                 INCONCLUSIVE, f"mode {k}: {exc}", {"searched_modes": k, "objectives": objectives}
@@ -921,13 +897,13 @@ def search_equivalence(
     try:
         ops = LocalOperatorSet(tuple(recovered), mode)
         premise = _rel_err(apply_local(psi, ops), psip)
-        if premise > tol:
+        if premise > EQUIV_RTOL:
             return EquivalenceVerdict(
                 INCONCLUSIVE,
                 f"recovered operators do not reproduce the partner state (residual {premise:.3e})",
                 {"objectives": objectives, "premise": premise},
             )
         cert = derive_certificate(psi, psip, ops, stop_order=effective_stop)
-        return verify_certificate(psi, psip, cert, tol)
+        return verify_certificate(psi, psip, cert)
     except ValueError as exc:
         return EquivalenceVerdict(INCONCLUSIVE, str(exc), {"objectives": objectives})

@@ -3,7 +3,8 @@
 Floats are written with Python's shortest round-trip rendering, so
 write-then-read is bit-exact for finite doubles.  All documents carry a
 ``format_version`` field; readers reject anything they do not understand
-with :class:`FileFormatError`.
+with :class:`FileFormatError`.  State and operator files are version 1; tree
+files are version 2, which drops version 1's derivable shape fields.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+TREE_FORMAT_VERSION = 2
 
 
 class FileFormatError(Exception):
@@ -58,9 +60,9 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_version(doc, path):
+def _check_version(doc, path, supported=(FORMAT_VERSION,)):
     version = _require(doc, "format_version", path)
-    if not _is_int(version) or version != FORMAT_VERSION:
+    if not _is_int(version) or version not in supported:
         raise FileFormatError(f"{path}: unsupported format_version {version!r}")
 
 
@@ -129,30 +131,22 @@ def _matrix_from_json(rows, shape, path, what) -> np.ndarray:
 
 
 def write_tree(path, tree: ConcentrationTree) -> None:
-    levels = []
-    for level in tree.levels:
-        modes = []
-        for ext in level.extracts:
-            r, ia, ib = ext.dims
-            modes.append(
+    levels = [
+        {
+            "modes": [
                 {
-                    "rank": r,
-                    "rows": ia,
-                    "cols": ib,
+                    "rank": ext.dims[0],
                     "slices": [_matrix_to_json(s) for s in ext.slices],
                     "complement": [_matrix_to_json(s) for s in ext.complement_slices],
                 }
-            )
-        levels.append(
-            {
-                "pairing": [list(g) for g in level.plan.groups],
-                "input_dims": list(level.input_dims),
-                "modes": modes,
-            }
-        )
+                for ext in level.extracts
+            ]
+        }
+        for level in tree.levels
+    ]
     _dump(
         {
-            "format_version": FORMAT_VERSION,
+            "format_version": TREE_FORMAT_VERSION,
             "original_dims": list(tree.original_shape),
             "stop_order": tree.stop_order,
             "levels": levels,
@@ -166,8 +160,17 @@ def write_tree(path, tree: ConcentrationTree) -> None:
 
 
 def read_tree(path) -> ConcentrationTree:
+    """Read a tree file of format version 1 or 2 through one code path.
+
+    Every level's shape is derived, not read: its input dims are
+    ``original_dims`` and then the previous level's ranks, its plan is the
+    adjacent pairing of that mode count, and each slice is ``I_a x I_b`` from
+    the plan's pair dims.  Every stored matrix must have the derived shape.
+    Version 1's ``pairing``, ``input_dims``, ``rows`` and ``cols`` fields are
+    ignored.
+    """
     doc = _load(path)
-    _check_version(doc, path)
+    _check_version(doc, path, (FORMAT_VERSION, TREE_FORMAT_VERSION))
     original_dims = _read_dims(doc, "original_dims", path)
     stop_order = _require(doc, "stop_order", path)
     if not _is_int(stop_order) or stop_order not in (2, 3):
@@ -181,25 +184,18 @@ def read_tree(path) -> ConcentrationTree:
     if not isinstance(levels_doc, list):
         raise FileFormatError(f"{path}: levels must be a list")
     levels = []
+    input_dims = original_dims
     for li, level_doc in enumerate(levels_doc):
-        groups = _require(level_doc, "pairing", path)
-        try:
-            plan = PairingPlan(tuple(tuple(g) for g in groups))
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"{path}: level {li} pairing invalid: {exc}") from None
-        input_dims = _read_dims(level_doc, "input_dims", path)
+        plan = PairingPlan.default(len(input_dims))
+        pair_dims = plan.pair_dims(input_dims)
         modes_doc = _require(level_doc, "modes", path)
-        if not isinstance(modes_doc, list) or len(modes_doc) != len(plan.groups):
-            raise FileFormatError(f"{path}: level {li} must describe {len(plan.groups)} modes")
+        if not isinstance(modes_doc, list) or len(modes_doc) != len(pair_dims):
+            raise FileFormatError(f"{path}: level {li} must describe {len(pair_dims)} modes")
         extracts = []
-        ranks = []
-        for k, mode_doc in enumerate(modes_doc):
+        for k, (mode_doc, (ia, ib)) in enumerate(zip(modes_doc, pair_dims)):
             r = _require(mode_doc, "rank", path)
-            ia = _require(mode_doc, "rows", path)
-            ib = _require(mode_doc, "cols", path)
-            for name, v in (("rank", r), ("rows", ia), ("cols", ib)):
-                if not _is_int(v) or v < 0:
-                    raise FileFormatError(f"{path}: level {li} mode {k}: bad {name} {v!r}")
+            if not _is_int(r) or not 1 <= r <= ia * ib:
+                raise FileFormatError(f"{path}: level {li} mode {k}: bad rank {r!r}")
             slices_doc = _require(mode_doc, "slices", path)
             comp_doc = _require(mode_doc, "complement", path)
             if not isinstance(slices_doc, list) or len(slices_doc) != r:
@@ -217,10 +213,9 @@ def read_tree(path) -> ConcentrationTree:
                 for i, s in enumerate(comp_doc)
             ]
             extracts.append(TripartiteExtract(k, slices, complement, (r, ia, ib)))
-            ranks.append(r)
-        levels.append(
-            ConcentrationLevel(plan, input_dims, extracts, tuple(ranks), tensor_norm(term))
-        )
+        ranks = tuple(ext.dims[0] for ext in extracts)
+        levels.append(ConcentrationLevel(plan, input_dims, extracts, ranks, tensor_norm(term)))
+        input_dims = ranks
     return ConcentrationTree(original_dims, levels, term, stop_order)
 
 

@@ -118,13 +118,19 @@ def mode_multiply(t, a, k: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, 0, k))
 
 
+def _adjacent_groups(n: int) -> tuple[tuple[int, ...], ...]:
+    """Consecutive pairs in mode order, with a trailing singleton when ``n`` is odd."""
+    return tuple(tuple(range(i, min(i + 2, n))) for i in range(0, n, 2))
+
+
 @dataclass(frozen=True)
 class PairingPlan:
     """Grouping of ``N`` modes into ``ceil(N/2)`` composite modes.
 
     Groups are consecutive pairs in ascending mode order; when ``N`` is odd
-    the final group is the lone last mode.  The composite index of a pair
-    ``(a, b)`` is ``i_a * I_b + i_b``.
+    the final group is the lone last mode.  That is the only admissible
+    grouping, so a plan is determined by its mode count.  The composite index
+    of a pair ``(a, b)`` is ``i_a * I_b + i_b``.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -132,29 +138,16 @@ class PairingPlan:
     def __post_init__(self):
         groups = tuple(tuple(int(i) for i in g) for g in self.groups)
         object.__setattr__(self, "groups", groups)
-        if not groups:
-            raise ValueError("pairing plan needs at least one group")
-        flat = [i for g in groups for i in g]
-        n = len(flat)
-        if flat != list(range(n)):
-            raise ValueError(f"groups {groups} do not cover modes 0..{n - 1} in ascending order")
-        if any(len(g) not in (1, 2) for g in groups):
-            raise ValueError("groups must have size 1 or 2")
-        singles = [g for g in groups if len(g) == 1]
-        if len(singles) > 1:
-            raise ValueError("at most one singleton group is allowed")
-        if singles and (len(groups[-1]) != 1 or n % 2 == 0):
-            raise ValueError("a singleton group is only allowed last, for an odd mode count")
+        n = sum(len(g) for g in groups)
+        if n < 1 or groups != _adjacent_groups(n):
+            raise ValueError(f"groups {groups} are not the adjacent pairing of {n} modes")
 
     @classmethod
     def default(cls, n: int) -> "PairingPlan":
-        """Adjacent pairs in mode order, with a trailing singleton when odd."""
+        """The adjacent pairing of ``n`` modes."""
         if n < 1:
             raise ValueError("mode count must be >= 1")
-        groups = [(i, i + 1) for i in range(0, n - 1, 2)]
-        if n % 2:
-            groups.append((n - 1,))
-        return cls(tuple(groups))
+        return cls(_adjacent_groups(n))
 
     @classmethod
     def parse(cls, text: str) -> "PairingPlan":

@@ -79,6 +79,20 @@ class TestConcentrateReconstruct:
         assert code == 0
         assert "(0-1)(2-3)(4)" in out
 
+    @pytest.mark.parametrize(
+        "spec, expected", [("0-1,2-3", 3), ("0-2,1-3", 2)], ids=["wrong-mode-count", "non-adjacent"]
+    )
+    def test_pairing_flag_rejects_other_plans(self, tmp_path, capsys, spec, expected):
+        # a well-formed plan for the wrong mode count is a dimension error (3);
+        # a non-adjacent plan is a malformed spec that argparse rejects (2)
+        src = tmp_path / "s.json"
+        write_tensor(src, random_state((2,) * 5, seed=5))
+        try:
+            code = run(capsys, "concentrate", src, tmp_path / "t.json", "--pairing", spec)[0]
+        except SystemExit as exc:
+            code = exc.code
+        assert code == expected
+
     def test_malformed_coeff_count_exit_2(self, tmp_path, capsys):
         src = tmp_path / "bad.json"
         src.write_text(json.dumps({"format_version": 1, "dims": [2, 2], "coeffs": [[1.0, 0.0]]}))
@@ -141,6 +155,25 @@ class TestCheck:
         write_operators(ops_path, [haar_unitary(2, seed=90 + i) for i in range(4)])
         code, out, _ = run(capsys, "check", a, b, "--mode", "lu", "--ops", ops_path)
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [haar_unitary(2, seed=90 + i) for i in range(3)],
+            [haar_unitary(3, seed=90)] + [haar_unitary(2, seed=91 + i) for i in range(3)],
+        ],
+        ids=["three-operators", "qutrit-operator"],
+    )
+    def test_mis_sized_ops_exit_3(self, tmp_path, capsys, ops):
+        a, b, ops_path = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ops.json"
+        psi = random_state((2, 2, 2, 2), seed=10)
+        write_tensor(a, psi)
+        write_tensor(b, apply_local(psi, [haar_unitary(2, seed=80 + i) for i in range(4)]))
+        write_operators(ops_path, ops)
+        code, out, err = run(capsys, "check", a, b, "--mode", "lu", "--ops", ops_path)
+        assert code == 3
+        assert "verdict" not in out
+        assert "operator dims" in err
 
     def test_dimension_mismatch_exit_3(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

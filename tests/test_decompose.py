@@ -248,10 +248,6 @@ class TestConcentrate:
         with pytest.raises(ValueError):
             concentrate(np.zeros((2, 2, 2)))
 
-    def test_custom_first_pairing_must_cover(self):
-        with pytest.raises(ValueError):
-            concentrate(random_state((2, 2, 2, 2), seed=12), first_pairing=PairingPlan.default(6))
-
     def test_norm_conserved_at_every_level(self):
         state = random_state((2,) * 8, seed=13)
         tree = concentrate(state, stop_order=2)

@@ -128,14 +128,34 @@ class TestTreeFile:
         with pytest.raises(FileFormatError, match="stop_order"):
             read_tree(path)
 
-    def test_bad_pairing_rejected(self, tmp_path):
+    def test_version_1_tree_still_reads(self, tmp_path):
+        # version 1 also stored each level's pairing and input dims and each
+        # mode's rows and cols; the reader derives them instead
         path = tmp_path / "tree.json"
-        tree = concentrate(random_state((2, 2, 2, 2), seed=6))
+        state = random_state((2,) * 6, seed=6)
+        tree = concentrate(state, stop_order=2)
         write_tree(path, tree)
         doc = json.loads(path.read_text())
-        doc["levels"][0]["pairing"] = [[0, 2], [1, 3]]
+        doc["format_version"] = 1
+        for level_doc, level in zip(doc["levels"], tree.levels):
+            level_doc["pairing"] = [list(g) for g in level.plan.groups]
+            level_doc["input_dims"] = list(level.input_dims)
+            for mode_doc, ext in zip(level_doc["modes"], level.extracts):
+                mode_doc["rows"], mode_doc["cols"] = ext.dims[1:]
         path.write_text(json.dumps(doc))
-        with pytest.raises(FileFormatError):
+        assert np.linalg.norm(reconstruct(read_tree(path)) - state) < 1e-10
+
+    def test_slice_shape_must_match_pairing(self, tmp_path):
+        # a 2x2 slice reflowed to 1x4 must not be read with the stored shape
+        path = tmp_path / "tree.json"
+        write_tree(path, concentrate(random_state((2,) * 5, seed=3)))
+        doc = json.loads(path.read_text())
+        mode_doc = doc["levels"][0]["modes"][0]
+        mode_doc["rows"], mode_doc["cols"] = 1, 4
+        for key in ("slices", "complement"):
+            mode_doc[key] = [[[pair for row in m for pair in row]] for m in mode_doc[key]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="slice 0 must have 2 rows"):
             read_tree(path)
 
 
