@@ -2,15 +2,18 @@
 
 :func:`walk` is the one definition of the concentration hierarchy.  It
 repeats three steps until the residual core has at most ``stop_order``
-modes: pair-rescale, factor every composite mode with a full SVD of its
-unfolding (:func:`hosvd`), then recurse on the core truncated to the local
-ranks.  :func:`concentrate` and the equivalence machinery (certificates,
-verification, the invariant filter and the search) all consume that walk.
+modes: pair-rescale, factor every composite mode with a thin SVD of its
+unfolding (:func:`hosvd`, left singular vectors only), then recurse on the
+core truncated to the local ranks.  :func:`concentrate` and the equivalence
+machinery (certificates, verification, the invariant filter and the search)
+all consume that walk.
 
 :func:`concentrate` records one extract per composite mode and level,
-holding the wrapped leading singular vectors (the slices) and the wrapped
-trailing ones (the complement).  The tree of extracts plus the terminal core
-reproduces the input state exactly up to floating-point error.
+holding the wrapped leading singular vectors (the slices).  Where a square
+basis is needed, the slices are completed by :func:`complete_basis`, the one
+completion rule; the complement is never stored.  The tree of extracts plus
+the terminal core reproduces the input state exactly up to floating-point
+error.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "TripartiteExtract",
     "RANK_RTOL",
     "check_all_orthogonal",
+    "complete_basis",
     "concentrate",
     "count_parameters",
     "count_tree_parameters",
@@ -65,20 +69,34 @@ def cutoff_rank(s) -> int:
 
 
 def _gauge_fix_columns(u: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above ``GAUGE_EPS`` is real positive."""
+    """Rotate each column so its first component above ``GAUGE_EPS`` is real positive.
+
+    Columns with no such component are left unchanged.
+    """
+    big = np.abs(u) > GAUGE_EPS
+    cols = np.flatnonzero(big.any(axis=0))
+    pivots = u[big.argmax(axis=0)[cols], cols]
     u = u.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.flatnonzero(np.abs(col) > GAUGE_EPS)
-        if nz.size:
-            pivot = col[nz[0]]
-            u[:, j] = col * (abs(pivot) / pivot)
+    u[:, cols] *= np.abs(pivots) / pivots
     return u
+
+
+def complete_basis(u: np.ndarray) -> np.ndarray:
+    """Square unitary whose leading columns are the orthonormal columns of ``u``.
+
+    The trailing columns are those of ``np.linalg.qr(u, mode="complete")``, so
+    equal inputs give equal bases.  A square ``u`` is returned as it is.
+    """
+    j, r = u.shape
+    if r == j:
+        return u
+    q, _ = np.linalg.qr(u, mode="complete")
+    return np.concatenate([u, q[:, r:]], axis=1)
 
 
 @dataclass(eq=False)
 class HosvdResult:
-    """Per-mode unitary factors, the all-orthogonal core and rank data."""
+    """Per-mode thin factors, the all-orthogonal core and rank data."""
 
     factors: list[np.ndarray]
     core: np.ndarray
@@ -91,20 +109,23 @@ class HosvdResult:
 
 
 def hosvd(t) -> HosvdResult:
-    """Factor every mode of ``t`` with a full SVD of its unfolding.
+    """Factor every mode of ``t`` with a thin SVD of its unfolding.
 
-    Factor ``k`` holds the left singular vectors of ``unfold(t, k)`` by
-    descending singular value, phase-fixed so the result is deterministic for
-    non-degenerate spectra.  The core is ``t`` multiplied by each conjugate
-    transpose, and ``local_ranks[k]`` counts singular values above
-    ``RANK_RTOL`` relative to the mode's largest.
+    Factor ``k`` is the ``J_k x min(J_k, W_k)`` matrix of left singular
+    vectors of the ``J_k x W_k`` unfolding ``unfold(t, k)``, by descending
+    singular value, phase-fixed so the result is deterministic for
+    non-degenerate spectra.  Neither the right singular vectors nor a
+    completion of the left ones are built (see :func:`complete_basis`).  The
+    core is ``t`` multiplied by each factor's conjugate transpose, so it
+    covers ``min(J_k, W_k)`` indices of mode ``k``; ``local_ranks[k]`` counts
+    singular values above ``RANK_RTOL`` relative to the mode's largest.
     """
     t = np.asarray(t, dtype=np.complex128)
     if t.ndim < 2:
         raise ValueError("need at least two modes")
     factors, spectra, ranks = [], [], []
     for k in range(t.ndim):
-        u, s, _ = np.linalg.svd(unfold(t, k), full_matrices=True)
+        u, s, _ = np.linalg.svd(unfold(t, k), full_matrices=False)
         factors.append(_gauge_fix_columns(u))
         spectra.append(s)
         ranks.append(cutoff_rank(s))
@@ -152,16 +173,16 @@ def check_all_orthogonal(core, tol: float = 1e-10) -> OrthogonalityReport:
 
 @dataclass(eq=False)
 class TripartiteExtract:
-    """Wrapped singular vectors of one composite mode.
+    """Wrapped leading singular vectors of one composite mode.
 
-    ``slices`` holds the ``r`` leading wrapped vectors (each ``I_a x I_b``)
-    and ``complement_slices`` the remaining ``J - r``.  Together their
-    vectorizations form the columns of a ``J x J`` unitary.
+    ``slices`` holds the ``r`` leading wrapped vectors (each ``I_a x I_b``).
+    The ``J - r`` complement slices are derived, not stored: together with
+    the slices their vectorizations are the columns of the ``J x J`` unitary
+    :func:`complete_basis` builds from :attr:`basis_matrix`.
     """
 
     mode: int
     slices: list[np.ndarray]
-    complement_slices: list[np.ndarray]
     dims: tuple[int, int, int]  # (r, I_a, I_b)
 
     @property
@@ -179,13 +200,18 @@ class TripartiteExtract:
 
     @property
     def full_matrix(self) -> np.ndarray:
-        """``J x J`` matrix from slices followed by complement slices."""
-        cols = [vectorize(s) for s in self.slices] + [vectorize(s) for s in self.complement_slices]
-        return np.column_stack(cols)
+        """``J x J`` unitary: the basis matrix completed by :func:`complete_basis`."""
+        return complete_basis(self.basis_matrix)
+
+    @property
+    def complement_slices(self) -> list[np.ndarray]:
+        """The ``J - r`` trailing columns of :attr:`full_matrix`, wrapped."""
+        r, ia, ib = self.dims
+        return [wrap(c, ia, ib) for c in self.full_matrix[:, r:].T]
 
 
 def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
-    """Wrap each factor's columns into slices split at the local rank."""
+    """Wrap each factor's leading columns, up to the local rank, into slices."""
     pair_dims = tuple(tuple(p) for p in pair_dims)
     if len(pair_dims) != len(h.factors):
         raise ValueError(f"{len(pair_dims)} pair dims for {len(h.factors)} modes")
@@ -196,8 +222,7 @@ def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
             raise ValueError(f"mode {k}: composite dimension {jk} does not factor as {ia}x{ib}")
         r = h.local_ranks[k]
         slices = [wrap(u[:, i], ia, ib) for i in range(r)]
-        complement = [wrap(u[:, i], ia, ib) for i in range(r, jk)]
-        out.append(TripartiteExtract(k, slices, complement, (r, ia, ib)))
+        out.append(TripartiteExtract(k, slices, (r, ia, ib)))
     return out
 
 

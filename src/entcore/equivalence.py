@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .decompose import cutoff_rank, walk
+from .decompose import complete_basis, cutoff_rank, walk
 from .states import apply_local
 from .tensor_ops import PairingPlan, as_tensor, mode_multiply, realign, unfold, wrap
 
@@ -192,9 +191,11 @@ def derive_certificate(
 
     Both hierarchies come from :func:`~entcore.decompose.walk`, so every
     level's pairing is the adjacent one of its mode count.  Per level and
-    composite mode: QR-factor the transported basis ``(A_a x A_b) U`` as
+    composite mode, ``U`` and ``U'`` are the ``r`` leading factor columns
+    completed by :func:`~entcore.decompose.complete_basis`, as in a tree's
+    ``full_matrix``: QR-factor the transported basis ``(A_a x A_b) U`` as
     ``Q R``, set ``X = Q* U'`` and split ``R^{-1} X`` into its blocks at the
-    local rank.  The inverted ``P`` blocks become the next level's local
+    local rank ``r``.  The inverted ``P`` blocks become the next level's local
     operators.
 
     Raises ``ValueError`` when ``stop_order`` is not 2 or 3, the premise does
@@ -223,12 +224,14 @@ def derive_certificate(
         p_blocks, y_blocks, pbar_blocks, next_ops = [], [], [], []
         for k, group in enumerate(plan.groups):
             b = _composite_operator(ops_level, group)
-            q, rmat = np.linalg.qr(b @ h.factors[k])
+            r = h.local_ranks[k]
+            q, rmat = np.linalg.qr(b @ complete_basis(h.factors[k][:, :r]))
             if np.min(np.abs(np.diag(rmat))) < 1e-13 * np.max(np.abs(np.diag(rmat))):
                 raise ValueError(f"mode {k}: QR factor is numerically singular")
-            x = q.conj().T @ hp.factors[k]
-            p_tilde = scipy.linalg.solve_triangular(rmat, x, lower=False)
-            r = h.local_ranks[k]
+            x = q.conj().T @ complete_basis(hp.factors[k][:, :r])
+            # rmat is upper triangular with a nonzero diagonal, so partial
+            # pivoting swaps no rows and this is a back-substitution
+            p_tilde = np.linalg.solve(rmat, x)
             p_blocks.append(np.ascontiguousarray(p_tilde[:r, :r]))
             y_blocks.append(np.ascontiguousarray(p_tilde[:r, r:]))
             pbar_blocks.append(np.ascontiguousarray(p_tilde[r:, r:]))
@@ -671,6 +674,8 @@ def _pencil_phase_candidates(t, i1, i2, entropy):
     # With one factor of size two, gauge its phases to (1, zeta); the
     # zero-block condition becomes (M0 + zeta*M1) w = 0, so the admissible
     # zeta are generalized eigenvalues of randomly compressed pencils.
+    import scipy.linalg  # here, not at module level: it adds ~0.25 s to `import entcore`
+
     swapped = i1 != 2
     if swapped:
         t = np.transpose(t, (1, 0, 2, 3))
@@ -863,7 +868,8 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     recovered = []
     objectives = []
     for k, group in enumerate(plan.groups):
-        uk, upk = h.factors[k], hp.factors[k]
+        r = h.local_ranks[k]
+        uk, upk = complete_basis(h.factors[k][:, :r]), complete_basis(hp.factors[k][:, :r])
         ia, ib = pair_dims[k]
         if ib == 1:
             # Singleton mode: the connecting operator is the inverse of the
@@ -875,7 +881,7 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
                 candidate = _polar(candidate)
             recovered.append(candidate)
             continue
-        found = search_p_tilde(uk, upk, h.local_ranks[k], ia, ib, mode, budget, (seed, k))
+        found = search_p_tilde(uk, upk, r, ia, ib, mode, budget, (seed, k))
         if found is None:
             return EquivalenceVerdict(
                 INCONCLUSIVE,

@@ -4,7 +4,8 @@ Floats are written with Python's shortest round-trip rendering, so
 write-then-read is bit-exact for finite doubles.  All documents carry a
 ``format_version`` field; readers reject anything they do not understand
 with :class:`FileFormatError`.  State and operator files are version 1; tree
-files are version 2, which drops version 1's derivable shape fields.
+files are version 3.  Version 2 dropped version 1's derivable shape fields,
+and version 3 drops the complement slices, which follow from the slices.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-TREE_FORMAT_VERSION = 2
+TREE_FORMAT_VERSION = 3
 
 
 class FileFormatError(Exception):
@@ -137,7 +138,6 @@ def write_tree(path, tree: ConcentrationTree) -> None:
                 {
                     "rank": ext.dims[0],
                     "slices": [_matrix_to_json(s) for s in ext.slices],
-                    "complement": [_matrix_to_json(s) for s in ext.complement_slices],
                 }
                 for ext in level.extracts
             ]
@@ -160,17 +160,18 @@ def write_tree(path, tree: ConcentrationTree) -> None:
 
 
 def read_tree(path) -> ConcentrationTree:
-    """Read a tree file of format version 1 or 2 through one code path.
+    """Read a tree file of format version 1, 2 or 3 through one code path.
 
     Every level's shape is derived, not read: its input dims are
     ``original_dims`` and then the previous level's ranks, its plan is the
     adjacent pairing of that mode count, and each slice is ``I_a x I_b`` from
-    the plan's pair dims.  Every stored matrix must have the derived shape.
-    Version 1's ``pairing``, ``input_dims``, ``rows`` and ``cols`` fields are
-    ignored.
+    the plan's pair dims.  Every stored slice must have the derived shape.
+    Version 1's ``pairing``, ``input_dims``, ``rows`` and ``cols`` fields and
+    the ``complement`` of versions 1 and 2 are ignored; the complement is
+    derived from the slices (:attr:`TripartiteExtract.complement_slices`).
     """
     doc = _load(path)
-    _check_version(doc, path, (FORMAT_VERSION, TREE_FORMAT_VERSION))
+    _check_version(doc, path, (1, 2, TREE_FORMAT_VERSION))
     original_dims = _read_dims(doc, "original_dims", path)
     stop_order = _require(doc, "stop_order", path)
     if not _is_int(stop_order) or stop_order not in (2, 3):
@@ -197,22 +198,13 @@ def read_tree(path) -> ConcentrationTree:
             if not _is_int(r) or not 1 <= r <= ia * ib:
                 raise FileFormatError(f"{path}: level {li} mode {k}: bad rank {r!r}")
             slices_doc = _require(mode_doc, "slices", path)
-            comp_doc = _require(mode_doc, "complement", path)
             if not isinstance(slices_doc, list) or len(slices_doc) != r:
                 raise FileFormatError(f"{path}: level {li} mode {k}: expected {r} slices")
-            if not isinstance(comp_doc, list) or len(comp_doc) != ia * ib - r:
-                raise FileFormatError(
-                    f"{path}: level {li} mode {k}: expected {ia * ib - r} complement slices"
-                )
             slices = [
                 _matrix_from_json(s, (ia, ib), path, f"level {li} mode {k} slice {i}")
                 for i, s in enumerate(slices_doc)
             ]
-            complement = [
-                _matrix_from_json(s, (ia, ib), path, f"level {li} mode {k} complement {i}")
-                for i, s in enumerate(comp_doc)
-            ]
-            extracts.append(TripartiteExtract(k, slices, complement, (r, ia, ib)))
+            extracts.append(TripartiteExtract(k, slices, (r, ia, ib)))
         ranks = tuple(ext.dims[0] for ext in extracts)
         levels.append(ConcentrationLevel(plan, input_dims, extracts, ranks, tensor_norm(term)))
         input_dims = ranks

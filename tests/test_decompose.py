@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from entcore import decompose
 from entcore.decompose import (
+    GAUGE_EPS,
     check_all_orthogonal,
+    complete_basis,
     concentrate,
     count_parameters,
     count_tree_parameters,
@@ -112,6 +115,60 @@ class TestHosvd:
     def test_order_one_rejected(self):
         with pytest.raises(ValueError):
             hosvd(np.ones(3))
+
+    def test_tall_unfolding_gets_a_thin_factor(self):
+        # mode 2 unfolds to 12 x 6: twelve rows, but only six singular vectors
+        t = random_state((2, 3, 12), seed=12)
+        h = hosvd(t)
+        assert [u.shape for u in h.factors] == [(2, 2), (3, 3), (12, 6)]
+        assert h.core.shape == (2, 3, 6)
+        for k, u in enumerate(h.factors):
+            assert np.allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-12)
+            s = np.linalg.svd(unfold(t, k), compute_uv=False)
+            assert np.allclose(h.mode_spectra[k], s, rtol=0, atol=1e-14)
+        back = h.truncated_core()
+        for k, u in enumerate(h.factors):
+            back = mode_multiply(back, u[:, : h.local_ranks[k]], k)
+        assert np.linalg.norm(back - t) < 1e-12
+
+    def test_gauge_fix_pivots_on_first_entry_above_eps(self):
+        u = np.zeros((4, 4), dtype=complex)  # column 0 is zero: left alone
+        u[:, 1] = [0.5 * GAUGE_EPS, -0.5 * GAUGE_EPS, 1j, 1.0]  # pivot is row 2
+        u[:, 2] = [-0.6, 0.8j, 0.0, 0.0]  # pivot is row 0
+        u[0, 3] = 0.5 * GAUGE_EPS * 1j  # all below GAUGE_EPS: left alone
+        fixed = decompose._gauge_fix_columns(u)
+        assert np.array_equal(fixed[:, [0, 3]], u[:, [0, 3]])
+        assert np.allclose(fixed[:, 1], -1j * u[:, 1], rtol=0, atol=1e-15)
+        assert np.allclose(fixed[:, 2], -u[:, 2], rtol=0, atol=1e-15)
+        assert fixed[2, 1] == 1.0 and fixed[0, 2] == 0.6
+        assert u[2, 1] == 1j  # the input is not modified
+
+    def test_gauge_fix_matches_per_column_loop(self):
+        # the per-column rule as a loop; array and scalar complex division may
+        # round differently, by one ulp
+        u = np.linalg.svd(random_state((6, 6), seed=15))[0]
+        u[:2, 1] = 0.0
+        u[:, 3] = 0.5 * GAUGE_EPS
+        want = u.copy()
+        for j in range(u.shape[1]):
+            nz = np.flatnonzero(np.abs(u[:, j]) > GAUGE_EPS)
+            if nz.size:
+                want[:, j] = u[:, j] * (abs(u[nz[0], j]) / u[nz[0], j])
+        assert np.allclose(decompose._gauge_fix_columns(u), want, rtol=0, atol=4e-16)
+
+
+class TestCompleteBasis:
+    def test_leading_columns_kept_and_result_unitary(self):
+        u = np.linalg.qr(random_state((6, 2), seed=13))[0]
+        full = complete_basis(u)
+        assert full.shape == (6, 6)
+        assert np.array_equal(full[:, :2], u)
+        assert np.allclose(full.conj().T @ full, np.eye(6), atol=1e-12)
+        assert np.array_equal(complete_basis(u.copy()), full)
+
+    def test_square_input_returned_as_is(self):
+        u = haar_unitary(3, seed=14)
+        assert complete_basis(u) is u
 
 
 class TestAllOrthogonality:

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from entcore.decompose import concentrate
+import entcore
+from entcore.decompose import concentrate, reconstruct
 from entcore.equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -75,6 +80,18 @@ class TestDeriveAndVerify:
                 pt = level.p_tilde(k)
                 assert np.allclose(pt, np.eye(pt.shape[0]), atol=1e-12)
         assert verify_certificate(psi, psi, cert).status == EQUIVALENT
+
+    def test_sixteen_qubit_lu_orbit(self):
+        # the 2^14-wide unfoldings of the first level are factored without
+        # their right singular bases
+        dims = (2,) * 16
+        psi = random_state(dims, seed=16)
+        ops = lu_ops(dims, seed=1600)
+        psip = apply_local(psi, ops)
+        assert np.linalg.norm(reconstruct(concentrate(psi, stop_order=2)) - psi) < 1e-10
+        assert invariant_filter(psi, psip, LU).status == INCONCLUSIVE
+        cert = derive_certificate(psi, psip, ops)
+        assert verify_certificate(psi, psip, cert).status == EQUIVALENT
 
     def test_lu_orbit_roundtrip(self):
         psi = random_state((2, 2, 2, 2), seed=1)
@@ -386,3 +403,11 @@ class TestSearchEquivalence:
     def test_bipartite_states_have_no_search_surface(self):
         verdict = search_equivalence(ghz_state(2), ghz_state(2), SLOCC, budget=4, seed=0)
         assert verdict.status == INCONCLUSIVE
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported only where the phase pencil needs it
+    src = os.path.dirname(os.path.dirname(entcore.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import entcore; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
