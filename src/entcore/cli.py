@@ -16,7 +16,7 @@ from . import equivalence as eq
 from .decompose import concentrate, count_parameters, reconstruct
 from .fileio import FileFormatError, read_operators, read_tensor, read_tree, write_tensor, write_tree
 from .states import StateSpec, make_state
-from .tensor_ops import PairingPlan, tensor_norm
+from .tensor_ops import tensor_norm
 
 EXIT_OK = 0
 EXIT_INEQUIVALENT = 1
@@ -29,23 +29,40 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _pairing_flag(text: str) -> PairingPlan:
+def _adjacent_groups(n: int) -> list[list[int]]:
+    """Mode indices of the adjacent pairing of ``n`` modes, the only pairing."""
+    return [list(range(i, min(i + 2, n))) for i in range(0, n, 2)]
+
+
+def _pairing_label(n: int) -> str:
+    return "".join("(" + "-".join(map(str, g)) + ")" for g in _adjacent_groups(n))
+
+
+def _pairing_flag(text: str) -> int:
+    """Mode count of a spec like ``"0-1,2-3,4"``, which must spell an adjacent pairing."""
     try:
-        return PairingPlan.parse(text)
+        groups = [[int(p) for p in chunk.split("-")] for chunk in text.split(",")]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"bad pairing spec {text!r}: {exc}") from None
+    n = sum(len(g) for g in groups)
+    if groups != _adjacent_groups(n):
+        raise argparse.ArgumentTypeError(f"{text!r} is not the adjacent pairing of {n} modes")
+    return n
 
 
 def _cmd_concentrate(args) -> int:
     state = read_tensor(args.input)
-    if args.pairing is not None and args.pairing.mode_count != state.ndim:
-        raise ValueError(f"pairing plan {args.pairing} does not cover an order-{state.ndim} state")
+    if args.pairing is not None and args.pairing != state.ndim:
+        raise ValueError(
+            f"pairing plan {_pairing_label(args.pairing)} does not cover an order-{state.ndim} state"
+        )
     tree = concentrate(state, stop_order=args.stop_order)
     write_tree(args.output, tree)
     print(f"state dims {tuple(state.shape)}  norm {_fmt(tensor_norm(state))}")
     print("level  pairing  ranks  core-norm")
     for i, level in enumerate(tree.levels, start=1):
-        print(f"{i}  {level.plan}  {tuple(level.ranks)}  {_fmt(level.core_norm)}")
+        pairing = _pairing_label(len(level.input_dims))
+        print(f"{i}  {pairing}  {tuple(level.ranks)}  {_fmt(level.core_norm)}")
     print(
         f"terminal order {tree.terminal.ndim}  dims {tuple(tree.terminal.shape)}  "
         f"norm {_fmt(tensor_norm(tree.terminal))}"

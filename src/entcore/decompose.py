@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor_ops import (
-    PairingPlan,
     as_tensor,
     mode_multiply,
+    pair_dims,
     rescale,
     tensor_norm,
     unfold,
@@ -228,7 +228,6 @@ def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
 
 @dataclass(eq=False)
 class ConcentrationLevel:
-    plan: PairingPlan
     input_dims: tuple[int, ...]
     extracts: list[TripartiteExtract]
     ranks: tuple[int, ...]
@@ -252,11 +251,11 @@ class ConcentrationTree:
 def walk(t, stop_order: int) -> Iterator[tuple]:
     """Lazily yield the concentration hierarchy of ``t``, outermost level first.
 
-    Each level is ``(plan, input_dims, h, core)``: the adjacent pairing
-    (:meth:`PairingPlan.default`) of the level's input of shape
-    ``input_dims``, the :func:`hosvd` of its rescaling, and the core truncated
-    to the local ranks, which is the next level's input.  Everything follows
-    from the input's dims; the walk stops once the core has at most
+    Each level is ``(input_dims, h, core)``: the shape of the level's input,
+    the :func:`hosvd` of its rescaling under the adjacent pairing
+    (:func:`~entcore.tensor_ops.pair_dims` of ``input_dims``), and the core
+    truncated to the local ranks, which is the next level's input.  Everything
+    follows from the input's dims; the walk stops once the core has at most
     ``stop_order`` modes, which is checked on the call, not on the first level.
     """
     if stop_order not in (2, 3):
@@ -264,10 +263,9 @@ def walk(t, stop_order: int) -> Iterator[tuple]:
 
     def levels(cur):
         while cur.ndim > stop_order:
-            plan = PairingPlan.default(cur.ndim)
-            h = hosvd(rescale(cur, plan))
+            h = hosvd(rescale(cur))
             core = h.truncated_core()
-            yield plan, cur.shape, h, core
+            yield cur.shape, h, core
             cur = core
 
     return levels(t)
@@ -285,11 +283,9 @@ def concentrate(state, stop_order: int = 3) -> ConcentrationTree:
         raise ValueError("cannot concentrate the zero tensor")
     levels = []
     core = t
-    for plan, input_dims, h, core in walk(t, stop_order):
-        extracts = extract_tripartites(h, plan.pair_dims(input_dims))
-        levels.append(
-            ConcentrationLevel(plan, input_dims, extracts, tuple(h.local_ranks), tensor_norm(core))
-        )
+    for input_dims, h, core in walk(t, stop_order):
+        extracts = extract_tripartites(h, pair_dims(input_dims))
+        levels.append(ConcentrationLevel(input_dims, extracts, tuple(h.local_ranks), tensor_norm(core)))
     return ConcentrationTree(t.shape, levels, core, stop_order)
 
 
@@ -299,16 +295,14 @@ def reconstruct(tree: ConcentrationTree) -> np.ndarray:
     for level in reversed(tree.levels):
         if cur.shape != tuple(level.ranks):
             raise ValueError(f"core shape {cur.shape} does not match level ranks {level.ranks}")
-        pair_dims = level.plan.pair_dims(level.input_dims)
-        for k, ext in enumerate(level.extracts):
+        for k, (ext, (ia, ib)) in enumerate(zip(level.extracts, pair_dims(level.input_dims))):
             basis = ext.basis_matrix
-            ia, ib = pair_dims[k]
             if basis.shape != (ia * ib, level.ranks[k]):
                 raise ValueError(
                     f"mode {k}: slice basis is {basis.shape}, expected {(ia * ib, level.ranks[k])}"
                 )
             cur = mode_multiply(cur, basis, k)
-        cur = unrescale(cur, level.plan, level.input_dims)
+        cur = unrescale(cur, level.input_dims)
     if cur.shape != tuple(tree.original_shape):
         raise ValueError(f"reconstructed shape {cur.shape} != original {tree.original_shape}")
     return cur
@@ -354,8 +348,7 @@ def count_tree_parameters(tree: ConcentrationTree) -> ParameterCount:
     """
     per_level = []
     for level in tree.levels:
-        pair_dims = level.plan.pair_dims(level.input_dims)
-        n3 = level_tripartite_parameters(pair_dims, level.ranks)
+        n3 = level_tripartite_parameters(pair_dims(level.input_dims), level.ranks)
         nm = count_parameters(level.ranks)
         per_level.append((n3, nm))
     total = sum(n3 for n3, _ in per_level) + count_parameters(tree.terminal.shape)

@@ -20,7 +20,7 @@ always ``inconclusive``.
 
 Kronecker convention: a pair operator ``A ⊗ B`` acting on a composite index
 ``j = p*I_b + q`` is ``numpy.kron(A, B)``, matching the composite index map of
-:class:`~entcore.tensor_ops.PairingPlan`.  The spectral sampler therefore
+:func:`~entcore.tensor_ops.pair_dims`.  The spectral sampler therefore
 matricizes vectors row-major (``a.reshape(I_a, I_b)``), under which
 ``kron(A, B) a`` acts as the congruence ``A W B^T``; this is deliberately the
 pair convention, not the column-major presentation wrap.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .decompose import complete_basis, cutoff_rank, walk
 from .states import apply_local
-from .tensor_ops import PairingPlan, as_tensor, mode_multiply, realign, unfold, wrap
+from .tensor_ops import as_tensor, mode_multiply, pair_dims, realign, unfold, wrap
 
 __all__ = [
     "EQUIVALENT",
@@ -157,7 +157,6 @@ class EquivalenceVerdict:
 class CertificateLevel:
     """Per-mode blocks of one concentration level."""
 
-    plan: PairingPlan
     ranks: tuple[int, ...]
     p_blocks: list[np.ndarray]
     y_blocks: list[np.ndarray]
@@ -176,11 +175,9 @@ class EquivalenceCertificate:
     stop_order: int = 3
 
 
-def _composite_operator(ops, group) -> np.ndarray:
-    out = np.asarray(ops[group[0]], dtype=np.complex128)
-    for idx in group[1:]:
-        out = np.kron(out, ops[idx])
-    return out
+def _pair_operators(ops) -> list[np.ndarray]:
+    """The composite operator of each adjacent pair, ``kron(A_a, A_b)``; an odd last one as it is."""
+    return [np.kron(*ops[i : i + 2]) if i + 1 < len(ops) else ops[i] for i in range(0, len(ops), 2)]
 
 
 def derive_certificate(
@@ -215,15 +212,14 @@ def derive_certificate(
     hierarchy = zip(walk(psi, stop_order), walk(psip, stop_order))
     ops_level = list(operators.ops)
     levels: list[CertificateLevel] = []
-    for (plan, _, h, _), (_, _, hp, _) in hierarchy:
+    for (_, h, _), (_, hp, _) in hierarchy:
         if h.local_ranks != hp.local_ranks:
             raise ValueError(
                 f"local ranks differ ({h.local_ranks} vs {hp.local_ranks}); "
                 "the states cannot be related by invertible local operators"
             )
         p_blocks, y_blocks, pbar_blocks, next_ops = [], [], [], []
-        for k, group in enumerate(plan.groups):
-            b = _composite_operator(ops_level, group)
+        for k, b in enumerate(_pair_operators(ops_level)):
             r = h.local_ranks[k]
             q, rmat = np.linalg.qr(b @ complete_basis(h.factors[k][:, :r]))
             if np.min(np.abs(np.diag(rmat))) < 1e-13 * np.max(np.abs(np.diag(rmat))):
@@ -236,7 +232,7 @@ def derive_certificate(
             y_blocks.append(np.ascontiguousarray(p_tilde[:r, r:]))
             pbar_blocks.append(np.ascontiguousarray(p_tilde[r:, r:]))
             next_ops.append(np.linalg.inv(p_tilde[:r, :r]))
-        levels.append(CertificateLevel(plan, tuple(h.local_ranks), p_blocks, y_blocks, pbar_blocks))
+        levels.append(CertificateLevel(tuple(h.local_ranks), p_blocks, y_blocks, pbar_blocks))
         ops_level = next_ops
     return EquivalenceCertificate(operators.mode, operators, levels, stop_order)
 
@@ -271,17 +267,14 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     hierarchy = zip(cert.levels, walk(psi, cert.stop_order), walk(psip, cert.stop_order))
     ops_level = list(cert.operators.ops)
     core_t = psi
-    for li, (clevel, (plan, _, h, core_t), (_, _, hp, core_p)) in enumerate(hierarchy):
-        if clevel.plan != plan:
-            raise ValueError(f"level {li}: certificate plan {clevel.plan} is not the hierarchy's {plan}")
+    for li, (clevel, (_, h, core_t), (_, hp, core_p)) in enumerate(hierarchy):
         if tuple(h.local_ranks) != tuple(clevel.ranks) or tuple(hp.local_ranks) != tuple(clevel.ranks):
             raise ValueError(
                 f"level {li}: certificate ranks {clevel.ranks} do not match "
                 f"{tuple(h.local_ranks)} / {tuple(hp.local_ranks)}"
             )
         level_res = {"tripartite": [], "core": None, "unitarity": [], "y_norm": []}
-        for k, group in enumerate(plan.groups):
-            b = _composite_operator(ops_level, group)
+        for k, b in enumerate(_pair_operators(ops_level)):
             r = clevel.ranks[k]
             predicted = b @ h.factors[k][:, :r] @ clevel.p_blocks[k]
             res = _rel_err(predicted, hp.factors[k][:, :r])
@@ -458,8 +451,13 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
     """Sound necessary conditions: local ranks (SLOCC) and spectra (LU).
 
     Compares every particle's unfolding, then every composite mode of every
-    concentration level, walking both hierarchies in lockstep.  Any mismatch
-    is a proof of inequivalence; agreement is only ``inconclusive``.
+    concentration level, walking both hierarchies in lockstep down to the
+    stop order 3 that certificates use.  Walking on to order 2 would add
+    nothing: the one more level factors a 3-mode core as ``(0-1)(2)``, and
+    both of its spectra equal that core's mode-2 spectrum, which the level
+    above (or, for a 3-party state, the particle loop) has already compared.
+    Any mismatch is a proof of inequivalence; agreement is only
+    ``inconclusive``.
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -498,8 +496,8 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
         if witness:
             return EquivalenceVerdict(INEQUIVALENT, witness, {"max_spectrum_deviation": worst})
 
-    hierarchy = zip(walk(psi, 2), walk(psip, 2))
-    for level, ((_, _, h, _), (_, _, hp, _)) in enumerate(hierarchy, start=1):
+    hierarchy = zip(walk(psi, 3), walk(psip, 3))
+    for level, ((_, h, _), (_, hp, _)) in enumerate(hierarchy, start=1):
         for k, (sa, sb) in enumerate(zip(h.mode_spectra, hp.mode_spectra)):
             witness = _compare(f"level {level} mode {k}", sa, sb)
             if witness:
@@ -857,20 +855,18 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
         return EquivalenceVerdict(
             INCONCLUSIVE, "no search surface for bipartite states", {"searched_modes": 0}
         )
-    (plan, _, h, _), (_, _, hp, _) = first_level
+    (_, h, _), (_, hp, _) = first_level
     if h.local_ranks != hp.local_ranks:
         return EquivalenceVerdict(
             INCONCLUSIVE,
             f"local ranks differ: {h.local_ranks} vs {hp.local_ranks}",
             {"searched_modes": 0},
         )
-    pair_dims = plan.pair_dims(psi.shape)
     recovered = []
     objectives = []
-    for k, group in enumerate(plan.groups):
+    for k, (ia, ib) in enumerate(pair_dims(psi.shape)):
         r = h.local_ranks[k]
         uk, upk = complete_basis(h.factors[k][:, :r]), complete_basis(hp.factors[k][:, :r])
-        ia, ib = pair_dims[k]
         if ib == 1:
             # Singleton mode: the connecting operator is the inverse of the
             # single local operator, so any invertible choice is formally

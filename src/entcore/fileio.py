@@ -3,19 +3,22 @@
 Floats are written with Python's shortest round-trip rendering, so
 write-then-read is bit-exact for finite doubles.  All documents carry a
 ``format_version`` field; readers reject anything they do not understand
-with :class:`FileFormatError`.  State and operator files are version 1; tree
-files are version 3.  Version 2 dropped version 1's derivable shape fields,
-and version 3 drops the complement slices, which follow from the slices.
+with :class:`FileFormatError`, as they do a number that is not an integer or
+a float, or that does not fit a finite double.  State and operator files are
+version 1; tree files are version 3.  Version 2 dropped version 1's derivable
+shape fields, and version 3 drops the complement slices, which follow from
+the slices.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .decompose import ConcentrationLevel, ConcentrationTree, TripartiteExtract
-from .tensor_ops import PairingPlan, tensor_norm
+from .tensor_ops import pair_dims, tensor_norm
 
 __all__ = [
     "FORMAT_VERSION",
@@ -67,26 +70,36 @@ def _check_version(doc, path, supported=(FORMAT_VERSION,)):
         raise FileFormatError(f"{path}: unsupported format_version {version!r}")
 
 
-def _pairs_from_array(arr: np.ndarray) -> list:
-    flat = np.ravel(arr)
-    return [[float(c.real), float(c.imag)] for c in flat]
+def _encode(a) -> list:
+    """Nested lists of ``[re, im]`` pairs in the shape of ``a``."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _array_from_pairs(pairs, count, path, what) -> np.ndarray:
-    if not isinstance(pairs, list) or len(pairs) != count:
-        raise FileFormatError(f"{path}: {what} must list exactly {count} [re, im] pairs")
-    out = np.empty(count, dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise FileFormatError(f"{path}: {what} entry {i} is not a [re, im] pair")
-        out[i] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(out)):
+def _decode(doc, shape, path, what) -> np.ndarray:
+    """Complex array of ``shape`` (one or two axes) from nested lists of ``[re, im]`` pairs.
+
+    Every number must be an integer or a float, not a bool, and must convert
+    to a finite double.
+    """
+    arr = np.array(doc, dtype=object)
+    if arr.shape != shape + (2,):
+        if arr.shape[:1] != shape[:1]:
+            if len(shape) == 2:
+                raise FileFormatError(f"{path}: {what} must have {shape[0]} rows")
+            raise FileFormatError(f"{path}: {what} must list exactly {shape[0]} [re, im] pairs")
+        if len(shape) == 2 and arr.shape[1:2] != shape[1:]:
+            raise FileFormatError(f"{path}: each row of {what} must list exactly {shape[1]} [re, im] pairs")
+        raise FileFormatError(f"{path}: {what} holds an entry that is not a [re, im] pair")
+    if not set(map(type, arr.flat)) <= {int, float}:
+        raise FileFormatError(f"{path}: {what} holds a value that is not a number")
+    try:
+        values = arr.astype(np.float64)
+    except OverflowError:
+        raise FileFormatError(f"{path}: {what} holds a number too large for a double") from None
+    if not np.all(np.isfinite(values)):
         raise FileFormatError(f"{path}: {what} contains non-finite values")
-    return out
+    return values.view(np.complex128)[..., 0]
 
 
 def _read_dims(doc, key, path):
@@ -102,7 +115,7 @@ def write_tensor(path, tensor) -> None:
         {
             "format_version": FORMAT_VERSION,
             "dims": list(tensor.shape),
-            "coeffs": _pairs_from_array(np.ascontiguousarray(tensor)),
+            "coeffs": _encode(tensor.ravel()),
         },
         path,
     )
@@ -112,23 +125,8 @@ def read_tensor(path) -> np.ndarray:
     doc = _load(path)
     _check_version(doc, path)
     dims = _read_dims(doc, "dims", path)
-    count = int(np.prod(dims))
-    flat = _array_from_pairs(_require(doc, "coeffs", path), count, path, "coeffs")
+    flat = _decode(_require(doc, "coeffs", path), (math.prod(dims),), path, "coeffs")
     return flat.reshape(dims)
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
-
-
-def _matrix_from_json(rows, shape, path, what) -> np.ndarray:
-    nrows, ncols = shape
-    if not isinstance(rows, list) or len(rows) != nrows:
-        raise FileFormatError(f"{path}: {what} must have {nrows} rows")
-    out = np.empty(shape, dtype=np.complex128)
-    for i, row in enumerate(rows):
-        out[i] = _array_from_pairs(row, ncols, path, f"{what} row {i}")
-    return out
 
 
 def write_tree(path, tree: ConcentrationTree) -> None:
@@ -137,7 +135,7 @@ def write_tree(path, tree: ConcentrationTree) -> None:
             "modes": [
                 {
                     "rank": ext.dims[0],
-                    "slices": [_matrix_to_json(s) for s in ext.slices],
+                    "slices": [_encode(s) for s in ext.slices],
                 }
                 for ext in level.extracts
             ]
@@ -152,7 +150,7 @@ def write_tree(path, tree: ConcentrationTree) -> None:
             "levels": levels,
             "terminal": {
                 "dims": list(tree.terminal.shape),
-                "coeffs": _pairs_from_array(np.ascontiguousarray(tree.terminal)),
+                "coeffs": _encode(tree.terminal.ravel()),
             },
         },
         path,
@@ -163,12 +161,12 @@ def read_tree(path) -> ConcentrationTree:
     """Read a tree file of format version 1, 2 or 3 through one code path.
 
     Every level's shape is derived, not read: its input dims are
-    ``original_dims`` and then the previous level's ranks, its plan is the
-    adjacent pairing of that mode count, and each slice is ``I_a x I_b`` from
-    the plan's pair dims.  Every stored slice must have the derived shape.
-    Version 1's ``pairing``, ``input_dims``, ``rows`` and ``cols`` fields and
-    the ``complement`` of versions 1 and 2 are ignored; the complement is
-    derived from the slices (:attr:`TripartiteExtract.complement_slices`).
+    ``original_dims`` and then the previous level's ranks, and each slice is
+    ``I_a x I_b`` for its pair in :func:`~entcore.tensor_ops.pair_dims` of
+    those dims.  Every stored slice must have the derived shape.  Version 1's
+    ``pairing``, ``input_dims``, ``rows`` and ``cols`` fields and the
+    ``complement`` of versions 1 and 2 are ignored; the complement is derived
+    from the slices (:attr:`TripartiteExtract.complement_slices`).
     """
     doc = _load(path)
     _check_version(doc, path, (1, 2, TREE_FORMAT_VERSION))
@@ -178,8 +176,8 @@ def read_tree(path) -> ConcentrationTree:
         raise FileFormatError(f"{path}: stop_order must be 2 or 3")
     terminal_doc = _require(doc, "terminal", path)
     term_dims = _read_dims(terminal_doc, "dims", path)
-    term = _array_from_pairs(
-        _require(terminal_doc, "coeffs", path), int(np.prod(term_dims)), path, "terminal coeffs"
+    term = _decode(
+        _require(terminal_doc, "coeffs", path), (math.prod(term_dims),), path, "terminal coeffs"
     ).reshape(term_dims)
     levels_doc = _require(doc, "levels", path)
     if not isinstance(levels_doc, list):
@@ -187,13 +185,12 @@ def read_tree(path) -> ConcentrationTree:
     levels = []
     input_dims = original_dims
     for li, level_doc in enumerate(levels_doc):
-        plan = PairingPlan.default(len(input_dims))
-        pair_dims = plan.pair_dims(input_dims)
+        pairs = pair_dims(input_dims)
         modes_doc = _require(level_doc, "modes", path)
-        if not isinstance(modes_doc, list) or len(modes_doc) != len(pair_dims):
-            raise FileFormatError(f"{path}: level {li} must describe {len(pair_dims)} modes")
+        if not isinstance(modes_doc, list) or len(modes_doc) != len(pairs):
+            raise FileFormatError(f"{path}: level {li} must describe {len(pairs)} modes")
         extracts = []
-        for k, (mode_doc, (ia, ib)) in enumerate(zip(modes_doc, pair_dims)):
+        for k, (mode_doc, (ia, ib)) in enumerate(zip(modes_doc, pairs)):
             r = _require(mode_doc, "rank", path)
             if not _is_int(r) or not 1 <= r <= ia * ib:
                 raise FileFormatError(f"{path}: level {li} mode {k}: bad rank {r!r}")
@@ -201,12 +198,12 @@ def read_tree(path) -> ConcentrationTree:
             if not isinstance(slices_doc, list) or len(slices_doc) != r:
                 raise FileFormatError(f"{path}: level {li} mode {k}: expected {r} slices")
             slices = [
-                _matrix_from_json(s, (ia, ib), path, f"level {li} mode {k} slice {i}")
+                _decode(s, (ia, ib), path, f"level {li} mode {k} slice {i}")
                 for i, s in enumerate(slices_doc)
             ]
             extracts.append(TripartiteExtract(k, slices, (r, ia, ib)))
         ranks = tuple(ext.dims[0] for ext in extracts)
-        levels.append(ConcentrationLevel(plan, input_dims, extracts, ranks, tensor_norm(term)))
+        levels.append(ConcentrationLevel(input_dims, extracts, ranks, tensor_norm(term)))
         input_dims = ranks
     return ConcentrationTree(original_dims, levels, term, stop_order)
 
@@ -217,7 +214,7 @@ def write_operators(path, operators) -> None:
         {
             "format_version": FORMAT_VERSION,
             "operators": [
-                {"dim": int(a.shape[0]), "entries": _matrix_to_json(a)} for a in mats
+                {"dim": int(a.shape[0]), "entries": _encode(a)} for a in mats
             ],
         },
         path,
@@ -235,5 +232,5 @@ def read_operators(path) -> list[np.ndarray]:
         d = _require(op_doc, "dim", path)
         if not _is_int(d) or d < 1:
             raise FileFormatError(f"{path}: operator {i} has bad dim {d!r}")
-        out.append(_matrix_from_json(_require(op_doc, "entries", path), (d, d), path, f"operator {i}"))
+        out.append(_decode(_require(op_doc, "entries", path), (d, d), path, f"operator {i}"))
     return out

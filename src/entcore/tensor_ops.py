@@ -10,8 +10,10 @@ Conventions used throughout the package:
   matrix whose column index runs cyclically over the remaining modes with
   ``j_{k+1}`` slowest and ``j_{k-1}`` fastest.
 * Pair-rescaling merges consecutive modes ``(2k, 2k+1)`` into one composite
-  index ``j = i_{2k} * I_{2k+1} + i_{2k+1}`` (second member fastest).  For the
-  C layout this is a plain reshape, so it is an exact relabelling.
+  index ``j = i_{2k} * I_{2k+1} + i_{2k+1}`` (second member fastest); an odd
+  last mode stays alone.  This adjacent pairing is the only one, so it is a
+  function of the dims (:func:`pair_dims`).  For the C layout rescaling is a
+  plain reshape, so it is an exact relabelling.
 * ``wrap`` turns a length ``I1*I2`` vector into an ``I1 x I2`` matrix
   **column-major** (first matrix index fastest); ``vectorize`` is its exact
   inverse.  Note this deliberately differs from the row-major composite index
@@ -23,16 +25,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PairingPlan",
     "as_tensor",
     "fold",
     "inner_product",
     "mode_multiply",
+    "pair_dims",
     "realign",
     "rescale",
     "tensor_norm",
@@ -118,88 +118,27 @@ def mode_multiply(t, a, k: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, 0, k))
 
 
-def _adjacent_groups(n: int) -> tuple[tuple[int, ...], ...]:
-    """Consecutive pairs in mode order, with a trailing singleton when ``n`` is odd."""
-    return tuple(tuple(range(i, min(i + 2, n))) for i in range(0, n, 2))
+def pair_dims(dims) -> tuple[tuple[int, int], ...]:
+    """The adjacent pairing of ``dims``: ``(I_0, I_1), (I_2, I_3), ...``.
 
-
-@dataclass(frozen=True)
-class PairingPlan:
-    """Grouping of ``N`` modes into ``ceil(N/2)`` composite modes.
-
-    Groups are consecutive pairs in ascending mode order; when ``N`` is odd
-    the final group is the lone last mode.  That is the only admissible
-    grouping, so a plan is determined by its mode count.  The composite index
-    of a pair ``(a, b)`` is ``i_a * I_b + i_b``.
+    When the mode count is odd the last mode pairs with a unit dimension,
+    ``(I_{N-1}, 1)``.  The composite index of a pair is ``i_a * I_b + i_b``.
     """
-
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        n = sum(len(g) for g in groups)
-        if n < 1 or groups != _adjacent_groups(n):
-            raise ValueError(f"groups {groups} are not the adjacent pairing of {n} modes")
-
-    @classmethod
-    def default(cls, n: int) -> "PairingPlan":
-        """The adjacent pairing of ``n`` modes."""
-        if n < 1:
-            raise ValueError("mode count must be >= 1")
-        return cls(_adjacent_groups(n))
-
-    @classmethod
-    def parse(cls, text: str) -> "PairingPlan":
-        """Parse a spec like ``"0-1,2-3,4"``."""
-        groups = []
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                raise ValueError(f"empty group in pairing spec {text!r}")
-            try:
-                members = tuple(int(p) for p in chunk.split("-"))
-            except ValueError as exc:
-                raise ValueError(f"bad pairing spec {text!r}: {exc}") from None
-            groups.append(members)
-        return cls(tuple(groups))
-
-    @property
-    def mode_count(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    def rescaled_dims(self, dims) -> tuple[int, ...]:
-        dims = tuple(dims)
-        if len(dims) != self.mode_count:
-            raise ValueError(f"plan covers {self.mode_count} modes, tensor has {len(dims)}")
-        return tuple(int(np.prod([dims[i] for i in g])) for g in self.groups)
-
-    def pair_dims(self, dims) -> tuple[tuple[int, int], ...]:
-        """Per group ``(I_a, I_b)``; singleton groups report ``(I_a, 1)``."""
-        dims = tuple(dims)
-        out = []
-        for g in self.groups:
-            if len(g) == 2:
-                out.append((dims[g[0]], dims[g[1]]))
-            else:
-                out.append((dims[g[0]], 1))
-        return tuple(out)
-
-    def __str__(self) -> str:
-        return "".join("(" + "-".join(str(i) for i in g) + ")" for g in self.groups)
+    dims = tuple(int(d) for d in dims)
+    return tuple((dims[i], dims[i + 1] if i + 1 < len(dims) else 1) for i in range(0, len(dims), 2))
 
 
-def rescale(t, plan: PairingPlan) -> np.ndarray:
-    """Merge paired modes into composite ones; an exact relabelling (reshape)."""
+def rescale(t) -> np.ndarray:
+    """Merge each adjacent pair of modes into one composite mode; an exact relabelling (reshape)."""
     t = np.asarray(t)
-    return t.reshape(plan.rescaled_dims(t.shape))
+    return t.reshape(tuple(ia * ib for ia, ib in pair_dims(t.shape)))
 
 
-def unrescale(t, plan: PairingPlan, dims) -> np.ndarray:
+def unrescale(t, dims) -> np.ndarray:
     """Split composite modes back into the original ``dims``."""
     t = np.asarray(t)
     dims = tuple(int(d) for d in dims)
-    expected = plan.rescaled_dims(dims)
+    expected = tuple(ia * ib for ia, ib in pair_dims(dims))
     if t.shape != expected:
         raise ValueError(f"tensor shape {t.shape} does not match rescaled dims {expected}")
     return t.reshape(dims)

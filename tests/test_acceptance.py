@@ -40,7 +40,7 @@ from entcore.states import (
     random_state,
     w_state,
 )
-from entcore.tensor_ops import PairingPlan, realign, unfold
+from entcore.tensor_ops import pair_dims, realign, unfold
 
 
 def _report(number, detail):
@@ -188,10 +188,9 @@ def test_criterion_6_worst_case_parameter_identity():
     for _ in range(50):
         n = int(rng.integers(2, 10))
         dims = tuple(int(d) for d in rng.integers(1, 6, size=n))
-        plan = PairingPlan.default(n)
-        pair_dims = plan.pair_dims(dims)
-        worst_ranks = [ia * ib for ia, ib in pair_dims]
-        n3 = level_tripartite_parameters(pair_dims, worst_ranks)
+        pairs = pair_dims(dims)
+        worst_ranks = [ia * ib for ia, ib in pairs]
+        n3 = level_tripartite_parameters(pairs, worst_ranks)
         nm = count_parameters(worst_ranks)
         assert n3 + nm == count_parameters(dims)
     _report(6, "N3 + NM equals the flat parameter count at full ranks for 50 random "

@@ -80,11 +80,29 @@ class TestConcentrateReconstruct:
         assert "(0-1)(2-3)(4)" in out
 
     @pytest.mark.parametrize(
-        "spec, expected", [("0-1,2-3", 3), ("0-2,1-3", 2)], ids=["wrong-mode-count", "non-adjacent"]
+        "spec, expected",
+        [
+            ("0-1,2-3", 3),
+            ("0-2,1-3", 2),
+            ("0,1-2", 2),
+            ("0-1,2,3", 2),
+            ("0-1,2,3-4", 2),
+            ("0-1-2", 2),
+            ("0-1,,2", 2),
+        ],
+        ids=[
+            "wrong-mode-count",
+            "non-adjacent",
+            "singleton-first",
+            "two-singletons",
+            "singleton-in-the-middle",
+            "oversized-group",
+            "empty-group",
+        ],
     )
     def test_pairing_flag_rejects_other_plans(self, tmp_path, capsys, spec, expected):
-        # a well-formed plan for the wrong mode count is a dimension error (3);
-        # a non-adjacent plan is a malformed spec that argparse rejects (2)
+        # the adjacent plan of the wrong mode count is a dimension error (3);
+        # any other spec is malformed and argparse rejects it (2)
         src = tmp_path / "s.json"
         write_tensor(src, random_state((2,) * 5, seed=5))
         try:
@@ -181,6 +199,47 @@ class TestCheck:
         write_tensor(b, random_state((2, 2, 2), seed=12))
         code, _, err = run(capsys, "check", a, b, "--mode", "lu")
         assert code == 3
+
+
+class TestHugeNumbers:
+    """A number too large for a double is a format error (exit 2), not a crash."""
+
+    @pytest.mark.parametrize(
+        "target, where, argv",
+        [
+            ("b.json", ("coeffs", 0, 0), ("check", "a.json", "b.json", "--mode", "lu")),
+            (
+                "ops.json",
+                ("operators", 0, "entries", 0, 0, 0),
+                ("check", "a.json", "b.json", "--mode", "lu", "--ops", "ops.json"),
+            ),
+            (
+                "t.json",
+                ("levels", 0, "modes", 0, "slices", 0, 0, 0, 0),
+                ("reconstruct", "t.json", "back.json"),
+            ),
+        ],
+        ids=["state", "operators", "tree"],
+    )
+    def test_401_digit_coefficient_exit_2(self, tmp_path, capsys, target, where, argv):
+        psi = random_state((2, 2, 2, 2), seed=13)
+        ops = [haar_unitary(2, seed=130 + i) for i in range(4)]
+        write_tensor(tmp_path / "a.json", psi)
+        write_tensor(tmp_path / "b.json", apply_local(psi, ops))
+        write_operators(tmp_path / "ops.json", ops)
+        assert run(capsys, "concentrate", tmp_path / "a.json", tmp_path / "t.json")[0] == 0
+        path = tmp_path / target
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = 10**400
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *(tmp_path / a if a.endswith(".json") else a for a in argv))
+        assert code == 2
+        assert "verdict" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too large" in err
 
 
 class TestParams:

@@ -29,7 +29,7 @@ from entcore.states import (
     paper6_state,
     random_state,
 )
-from entcore.tensor_ops import PairingPlan, mode_multiply, rescale, tensor_norm, unfold
+from entcore.tensor_ops import mode_multiply, pair_dims, rescale, tensor_norm, unfold
 
 
 def sorted_four_qubit_params(rng):
@@ -46,7 +46,7 @@ def sorted_four_qubit_params(rng):
 def test_four_qubit_family_rescales_to_reference_matrix():
     a = np.array([0.4, 0.5, 0.3, 0.2])
     a /= np.linalg.norm(a)
-    t = rescale(paper4_state(a), PairingPlan.default(4))
+    t = rescale(paper4_state(a))
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1], expected[0, 2] = a[0], a[1]
     expected[1, 0], expected[2, 0] = a[2], a[3]
@@ -70,7 +70,7 @@ class TestHosvd:
     def test_four_qubit_singular_values(self):
         a = np.array([0.4, 0.5, 0.3, 0.2])
         a /= np.linalg.norm(a)
-        t = rescale(paper4_state(a), PairingPlan.default(4))
+        t = rescale(paper4_state(a))
         h = hosvd(t)
         expected = sorted([np.hypot(a[0], a[1]), np.hypot(a[2], a[3])], reverse=True)
         for spectrum in h.mode_spectra:
@@ -81,7 +81,7 @@ class TestHosvd:
     def test_six_qubit_superdiagonal_core(self):
         b = np.array([0.8, 0.45, 0.35, 0.2])
         b /= np.linalg.norm(b)
-        t = rescale(paper6_state(b), PairingPlan.default(6))
+        t = rescale(paper6_state(b))
         h = hosvd(t)
         assert h.local_ranks == [4, 4, 4]
         expected = np.zeros((4, 4, 4))
@@ -187,7 +187,7 @@ class TestAllOrthogonality:
     def test_six_qubit_core_norms_are_sorted_amplitudes(self):
         b = np.array([0.7, 0.5, 0.4, 0.3])
         b /= np.linalg.norm(b)
-        core = hosvd(rescale(paper6_state(b), PairingPlan.default(6))).core
+        core = hosvd(rescale(paper6_state(b))).core
         report = check_all_orthogonal(core)
         assert report.passed
         for norms in report.mode_norms:
@@ -234,7 +234,7 @@ class TestExtracts:
                 assert np.allclose(got, want, atol=1e-12)
 
     def test_full_rank_extract_has_empty_complement(self):
-        h = hosvd(rescale(random_state((2, 2, 2, 2), seed=6), PairingPlan.default(4)))
+        h = hosvd(rescale(random_state((2, 2, 2, 2), seed=6)))
         extracts = extract_tripartites(h, ((2, 2), (2, 2)))
         for ext in extracts:
             assert ext.dims[0] == 4
@@ -251,7 +251,7 @@ class TestExtracts:
             assert np.allclose(full.conj().T @ full, np.eye(4), atol=1e-10)
 
     def test_pair_dims_must_factor_composite(self):
-        h = hosvd(rescale(random_state((2, 2, 2, 2), seed=8), PairingPlan.default(4)))
+        h = hosvd(rescale(random_state((2, 2, 2, 2), seed=8)))
         with pytest.raises(ValueError):
             extract_tripartites(h, ((3, 2), (2, 2)))
 
@@ -363,10 +363,9 @@ class TestParameterCounts:
         for _ in range(50):
             n = int(rng.integers(2, 9))
             dims = tuple(int(d) for d in rng.integers(1, 5, size=n))
-            plan = PairingPlan.default(n)
-            pair_dims = plan.pair_dims(dims)
-            worst_ranks = [ia * ib for ia, ib in pair_dims]
-            n3 = level_tripartite_parameters(pair_dims, worst_ranks)
+            pairs = pair_dims(dims)
+            worst_ranks = [ia * ib for ia, ib in pairs]
+            n3 = level_tripartite_parameters(pairs, worst_ranks)
             nm = count_parameters(worst_ranks)
             assert n3 + nm == count_parameters(dims)
 

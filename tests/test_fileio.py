@@ -1,7 +1,12 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entcore.decompose import concentrate, reconstruct
 from entcore.fileio import (
@@ -66,6 +71,13 @@ class TestTensorFile:
             json.dumps({"format_version": 1, "dims": [2], "coeffs": [[1.0, 0.0], [1e999, 0.0]]})
         )
         with pytest.raises(FileFormatError):
+            read_tensor(path)
+
+    def test_coefficient_count_is_exact_for_huge_dims(self, tmp_path):
+        # 2**32 * 2**32 wraps to 0 in a 64-bit integer
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"format_version": 1, "dims": [2**32, 2**32], "coeffs": []}))
+        with pytest.raises(FileFormatError, match=f"exactly {2**64} "):
             read_tensor(path)
 
     def test_bad_dims_rejected(self, tmp_path):
@@ -141,7 +153,8 @@ class TestTreeFile:
         doc["format_version"] = version
         for level_doc, level in zip(doc["levels"], tree.levels):
             if version == 1:
-                level_doc["pairing"] = [list(g) for g in level.plan.groups]
+                n = len(level.input_dims)
+                level_doc["pairing"] = [list(range(i, min(i + 2, n))) for i in range(0, n, 2)]
                 level_doc["input_dims"] = list(level.input_dims)
             for mode_doc, ext in zip(level_doc["modes"], level.extracts):
                 if version == 1:
@@ -186,3 +199,71 @@ class TestOperatorFile:
         path.write_text(json.dumps({"format_version": 1, "operators": [{"dim": 2}]}))
         with pytest.raises(FileFormatError):
             read_operators(path)
+
+
+# Every finite double, with the edge cases drawn often: signed zeros,
+# subnormals, the smallest normal and the largest magnitudes.
+DOUBLES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def complex_arrays(shape):
+    n = 2 * math.prod(shape)
+    return st.lists(DOUBLES, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.float64).view(np.complex128).reshape(shape)
+    )
+
+
+def bit_equal(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), dims=st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    def test_state_file_is_bit_exact(self, data, dims):
+        state = data.draw(complex_arrays(tuple(dims)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.json"
+            write_tensor(path, state)
+            assert bit_equal(read_tensor(path), state)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), dims=st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    def test_operator_file_is_bit_exact(self, data, dims):
+        ops = [data.draw(complex_arrays((d, d))) for d in dims]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ops.json"
+            write_operators(path, ops)
+            back = read_operators(path)
+        assert len(back) == len(ops)
+        assert all(bit_equal(a, b) for a, b in zip(back, ops))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dims=st.lists(st.sampled_from((1, 2, 3)), min_size=2, max_size=7).filter(
+            lambda d: math.prod(d) <= 2**8
+        ),
+        stop_order=st.sampled_from((2, 3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tree_file_is_bit_exact(self, dims, stop_order, seed):
+        tree = concentrate(random_state(tuple(dims), seed=seed), stop_order=stop_order)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tree.json"
+            write_tree(path, tree)
+            back = read_tree(path)
+        assert back.original_shape == tree.original_shape
+        assert back.stop_order == stop_order
+        assert bit_equal(back.terminal, tree.terminal)
+        assert len(back.levels) == len(tree.levels)
+        for lvl_a, lvl_b in zip(tree.levels, back.levels):
+            assert lvl_b.input_dims == lvl_a.input_dims
+            assert lvl_b.ranks == lvl_a.ranks
+            for ext_a, ext_b in zip(lvl_a.extracts, lvl_b.extracts, strict=True):
+                assert ext_b.dims == ext_a.dims
+                assert all(bit_equal(a, b) for a, b in zip(ext_a.slices, ext_b.slices, strict=True))

@@ -53,14 +53,19 @@ def test_tree_and_certificate_share_the_hierarchy(dims, stop_order, seed):
     assert np.linalg.norm(reconstruct(tree) - psi) < 1e-10
     cert = derive_certificate(psi, psip, ops, stop_order=stop_order)
     assert verify_certificate(psi, psip, cert).status == EQUIVALENT
-    assert [(lvl.plan, lvl.ranks) for lvl in cert.levels] == [
-        (lvl.plan, lvl.ranks) for lvl in tree.levels
-    ]
+    # each level's pairing follows from its input dims, which the ranks above fix
+    assert [lvl.ranks for lvl in cert.levels] == [lvl.ranks for lvl in tree.levels]
 
 
 @pytest.mark.parametrize("order", [6, 9])
 @pytest.mark.parametrize("stop_order", [2, 3])
 def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
+    """Concentration walks to ``stop_order``, derive and verify walk both states to it.
+
+    The filter walks both states to stop order 3, the certificates' default,
+    whatever ``stop_order`` is: one more level to order 2 would factor a
+    3-mode core, whose spectra the filter has already compared one level up.
+    """
     calls = []
     real_hosvd = decompose.hosvd
 
@@ -87,4 +92,4 @@ def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
     assert count == 2 * n_levels
     count, verdict = hosvd_calls(invariant_filter, psi, psip, LU)
     assert verdict.status == INCONCLUSIVE
-    assert count == 2 * levels_to(order, 2)
+    assert count == 2 * levels_to(order, 3)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from entcore.tensor_ops import (
-    PairingPlan,
     as_tensor,
     fold,
     inner_product,
     mode_multiply,
+    pair_dims,
     realign,
     rescale,
     tensor_norm,
@@ -142,38 +142,22 @@ class TestModeMultiply:
 
 
 class TestPairingPlan:
+    """The adjacent pairing plan, which :func:`pair_dims` derives from the dims alone."""
+
     def test_default_even(self):
-        assert PairingPlan.default(6).groups == ((0, 1), (2, 3), (4, 5))
+        assert pair_dims((2, 3, 4, 5, 6, 7)) == ((2, 3), (4, 5), (6, 7))
 
     def test_default_odd_has_trailing_singleton(self):
-        assert PairingPlan.default(5).groups == ((0, 1), (2, 3), (4,))
-
-    def test_parse(self):
-        plan = PairingPlan.parse("0-1,2-3,4")
-        assert plan.groups == ((0, 1), (2, 3), (4,))
-        assert str(plan) == "(0-1)(2-3)(4)"
-
-    @pytest.mark.parametrize(
-        "groups",
-        [
-            ((0, 2), (1, 3)),  # not ascending coverage
-            ((0,), (1, 2)),  # singleton not last
-            ((0, 1), (2,), (3,)),  # two singletons
-            ((0, 1), (2,), (3, 4)),  # singleton not last
-            ((0, 1, 2),),  # oversized group
-        ],
-    )
-    def test_invalid_groups_rejected(self, groups):
-        with pytest.raises(ValueError):
-            PairingPlan(groups)
+        assert pair_dims((2, 3, 4, 5, 6)) == ((2, 3), (4, 5), (6, 1))
 
     def test_trailing_singleton_is_valid_for_odd_count(self):
-        assert PairingPlan(((0, 1), (2,))).pair_dims((2, 3, 4)) == ((2, 3), (4, 1))
+        assert pair_dims((2, 3, 4)) == ((2, 3), (4, 1))
+        assert pair_dims((5,)) == ((5, 1),)
 
     def test_pair_dims_and_rescaled_dims(self):
-        plan = PairingPlan.default(5)
-        assert plan.rescaled_dims((2, 3, 4, 5, 6)) == (6, 20, 6)
-        assert plan.pair_dims((2, 3, 4, 5, 6)) == ((2, 3), (4, 5), (6, 1))
+        t = np.zeros((2, 3, 4, 5, 6))
+        assert pair_dims(t.shape) == ((2, 3), (4, 5), (6, 1))
+        assert rescale(t).shape == (6, 20, 6)
 
 
 class TestRescale:
@@ -181,7 +165,7 @@ class TestRescale:
         # |0001> maps to composite basis (0, 1), per the second-member-fastest pair index
         t = np.zeros((2, 2, 2, 2), dtype=complex)
         t[0, 0, 0, 1] = 1.0
-        r = rescale(t, PairingPlan.default(4))
+        r = rescale(t)
         assert r.shape == (4, 4)
         assert r[0, 1] == 1.0
         assert np.count_nonzero(r) == 1
@@ -189,7 +173,7 @@ class TestRescale:
     def test_six_qubit_basis_ket(self):
         t = np.zeros((2,) * 6, dtype=complex)
         t[0, 1, 0, 1, 0, 1] = 1.0
-        r = rescale(t, PairingPlan.default(6))
+        r = rescale(t)
         assert r.shape == (4, 4, 4)
         assert r[1, 1, 1] == 1.0
         assert np.count_nonzero(r) == 1
@@ -198,19 +182,18 @@ class TestRescale:
         rng = np.random.default_rng(9)
         a = random_tensor(rng, (2, 3, 2, 2))
         b = random_tensor(rng, (2, 3, 2, 2))
-        plan = PairingPlan.default(4)
-        assert tensor_norm(rescale(a, plan)) == tensor_norm(a)
-        assert inner_product(rescale(a, plan), rescale(b, plan)) == inner_product(a, b)
+        assert tensor_norm(rescale(a)) == tensor_norm(a)
+        assert inner_product(rescale(a), rescale(b)) == inner_product(a, b)
 
     def test_unrescale_inverts(self):
         rng = np.random.default_rng(10)
         t = random_tensor(rng, (2, 3, 4, 5, 2))
-        plan = PairingPlan.default(5)
-        assert np.array_equal(unrescale(rescale(t, plan), plan, t.shape), t)
+        assert np.array_equal(unrescale(rescale(t), t.shape), t)
 
     def test_plan_must_cover_tensor(self):
+        # the plan of the four target dims makes a (4, 4) tensor, not a (4, 2) one
         with pytest.raises(ValueError):
-            rescale(np.zeros((2, 2, 2)), PairingPlan.default(4))
+            unrescale(np.zeros((4, 2)), (2, 2, 2, 2))
 
 
 class TestWrapVectorize:
