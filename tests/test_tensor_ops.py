@@ -1,6 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
 
+from entcore.cli import _pairing_flag, _pairing_label
 from entcore.tensor_ops import (
     as_tensor,
     fold,
@@ -142,13 +145,33 @@ class TestModeMultiply:
 
 
 class TestPairingPlan:
-    """The adjacent pairing plan, which :func:`pair_dims` derives from the dims alone."""
+    """The adjacent pairing plan: :func:`pair_dims` derives it from the dims, the CLI parses its spec."""
 
     def test_default_even(self):
         assert pair_dims((2, 3, 4, 5, 6, 7)) == ((2, 3), (4, 5), (6, 7))
 
     def test_default_odd_has_trailing_singleton(self):
         assert pair_dims((2, 3, 4, 5, 6)) == ((2, 3), (4, 5), (6, 1))
+
+    def test_parse(self):
+        # a spec names the adjacent pairing of its mode count, labelled as in the CLI column
+        assert _pairing_flag("0-1,2-3,4") == 5
+        assert _pairing_label(5) == "(0-1)(2-3)(4)"
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            ((0, 2), (1, 3)),  # not ascending coverage
+            ((0,), (1, 2)),  # singleton not last
+            ((0, 1), (2,), (3,)),  # two singletons
+            ((0, 1), (2,), (3, 4)),  # singleton not last
+            ((0, 1, 2),),  # oversized group
+        ],
+    )
+    def test_invalid_groups_rejected(self, groups):
+        spec = ",".join("-".join(map(str, g)) for g in groups)
+        with pytest.raises(argparse.ArgumentTypeError):
+            _pairing_flag(spec)
 
     def test_trailing_singleton_is_valid_for_odd_count(self):
         assert pair_dims((2, 3, 4)) == ((2, 3), (4, 1))
