@@ -2,9 +2,12 @@
 
 :func:`walk` is the one definition of the concentration hierarchy.  It
 repeats three steps until the residual core has at most ``stop_order``
-modes: pair-rescale, factor every composite mode with a thin SVD of its
-unfolding (:func:`hosvd`, left singular vectors only), then recurse on the
-core truncated to the local ranks.  :func:`concentrate` and the equivalence
+modes: pair-rescale, factor every composite mode through the left singular
+vectors of its unfolding (:func:`hosvd`), then recurse on the core truncated
+to the local ranks.  :func:`left_svd` is the one SVD rule: a wide unfolding
+is first reduced to the small triangular factor of its QR decomposition,
+so no right basis of the long side is ever built; a two-mode tensor takes
+one SVD for both of its modes.  :func:`concentrate` and the equivalence
 machinery (certificates, verification, the invariant filter and the search)
 all consume that walk.
 
@@ -31,8 +34,6 @@ from .tensor_ops import (
     tensor_norm,
     unfold,
     unrescale,
-    vectorize,
-    wrap,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "cutoff_rank",
     "extract_tripartites",
     "hosvd",
+    "left_svd",
     "reconstruct",
     "walk",
 ]
@@ -59,6 +61,8 @@ __all__ = [
 RANK_RTOL = 1e-10
 # Threshold below which a vector component does not qualify as the phase pivot.
 GAUGE_EPS = 1e-12
+# Smallest wide matrix that left_svd reduces through its R factor first.
+_QR_MIN_ENTRIES = 512
 
 
 def cutoff_rank(s) -> int:
@@ -66,6 +70,27 @@ def cutoff_rank(s) -> int:
     if len(s) == 0 or not s[0] > 0:
         return 0
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+
+
+def left_svd(m) -> tuple[np.ndarray, np.ndarray]:
+    """Thin left singular vectors and descending singular values of the matrix ``m``.
+
+    A ``J x W`` matrix wider than tall (``W > J``) with at least 512 entries
+    is first reduced to ``J x J``: with ``m.T = Q R`` (``R`` from
+    ``np.linalg.qr(m.T, mode="r")``), ``m = R^T Q^T`` and ``Q^T`` has
+    orthonormal rows, so ``R^T`` has the left singular vectors and the
+    singular values of ``m``.  QR and the small SVD are both backward stable,
+    so unlike an eigensolver on the Gram matrix ``m m^H`` this does not square
+    the condition number, and neither ``Q`` nor a right basis is formed.
+    Smaller or non-wide matrices take the thin SVD directly: below the floor
+    the extra LAPACK call costs more than the smaller SVD saves.
+    """
+    m = np.asarray(m)
+    j, w = m.shape
+    if w > j and m.size >= _QR_MIN_ENTRIES:
+        m = np.linalg.qr(m.T, mode="r").T
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u, s
 
 
 def _gauge_fix_columns(u: np.ndarray) -> np.ndarray:
@@ -109,30 +134,34 @@ class HosvdResult:
 
 
 def hosvd(t) -> HosvdResult:
-    """Factor every mode of ``t`` with a thin SVD of its unfolding.
+    """Factor every mode of ``t`` through the left singular vectors of its unfolding.
 
     Factor ``k`` is the ``J_k x min(J_k, W_k)`` matrix of left singular
-    vectors of the ``J_k x W_k`` unfolding ``unfold(t, k)``, by descending
-    singular value, phase-fixed so the result is deterministic for
-    non-degenerate spectra.  Neither the right singular vectors nor a
-    completion of the left ones are built (see :func:`complete_basis`).  The
-    core is ``t`` multiplied by each factor's conjugate transpose, so it
-    covers ``min(J_k, W_k)`` indices of mode ``k``; ``local_ranks[k]`` counts
-    singular values above ``RANK_RTOL`` relative to the mode's largest.
+    vectors of the ``J_k x W_k`` unfolding ``unfold(t, k)``, from
+    :func:`left_svd`, by descending singular value, phase-fixed so the result
+    is deterministic for non-degenerate spectra.  A two-mode ``t`` takes one
+    thin SVD ``t = U S V^H``: mode 1 unfolds to ``t.T = conj(V) S U^T``, so
+    its factor is ``conj(V)`` with the same spectrum, and the core is
+    diagonal.  Neither a right basis nor a completion of the left
+    one is built (see :func:`complete_basis`).  The core is ``t`` multiplied
+    by each factor's conjugate transpose, so it covers ``min(J_k, W_k)``
+    indices of mode ``k``; ``local_ranks[k]`` counts singular values above
+    ``RANK_RTOL`` relative to the mode's largest.
     """
     t = np.asarray(t, dtype=np.complex128)
     if t.ndim < 2:
         raise ValueError("need at least two modes")
-    factors, spectra, ranks = [], [], []
-    for k in range(t.ndim):
-        u, s, _ = np.linalg.svd(unfold(t, k), full_matrices=False)
-        factors.append(_gauge_fix_columns(u))
-        spectra.append(s)
-        ranks.append(cutoff_rank(s))
+    if t.ndim == 2:
+        u, s, vh = np.linalg.svd(t, full_matrices=False)
+        bases, spectra = [u, vh.T], [s, s]
+    else:
+        bases, spectra = zip(*(left_svd(unfold(t, k)) for k in range(t.ndim)))
+    factors = [_gauge_fix_columns(u) for u in bases]
+    ranks = [cutoff_rank(s) for s in spectra]
     core = t
     for k, u in enumerate(factors):
         core = mode_multiply(core, u.conj().T, k)
-    return HosvdResult(factors, core, ranks, spectra)
+    return HosvdResult(factors, core, ranks, list(spectra))
 
 
 @dataclass
@@ -196,7 +225,7 @@ class TripartiteExtract:
         _, ia, ib = self.dims
         if not self.slices:
             return np.zeros((ia * ib, 0), dtype=np.complex128)
-        return np.column_stack([vectorize(s) for s in self.slices])
+        return np.stack(self.slices).transpose(0, 2, 1).reshape(-1, ia * ib).T
 
     @property
     def full_matrix(self) -> np.ndarray:
@@ -207,7 +236,12 @@ class TripartiteExtract:
     def complement_slices(self) -> list[np.ndarray]:
         """The ``J - r`` trailing columns of :attr:`full_matrix`, wrapped."""
         r, ia, ib = self.dims
-        return [wrap(c, ia, ib) for c in self.full_matrix[:, r:].T]
+        return _wrap_columns(self.full_matrix[:, r:], ia, ib)
+
+
+def _wrap_columns(m: np.ndarray, ia: int, ib: int) -> list[np.ndarray]:
+    """Each column of ``m`` wrapped to ``ia x ib`` (as by ``wrap``), in one reshape."""
+    return list(np.ascontiguousarray(m.T.reshape(-1, ib, ia).transpose(0, 2, 1)))
 
 
 def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
@@ -221,8 +255,7 @@ def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
         if ia * ib != jk:
             raise ValueError(f"mode {k}: composite dimension {jk} does not factor as {ia}x{ib}")
         r = h.local_ranks[k]
-        slices = [wrap(u[:, i], ia, ib) for i in range(r)]
-        out.append(TripartiteExtract(k, slices, (r, ia, ib)))
+        out.append(TripartiteExtract(k, _wrap_columns(u[:, :r], ia, ib), (r, ia, ib)))
     return out
 
 

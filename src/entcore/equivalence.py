@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import complete_basis, cutoff_rank, walk
+from .decompose import complete_basis, cutoff_rank, left_svd, walk
 from .states import apply_local
 from .tensor_ops import as_tensor, mode_multiply, pair_dims, realign, unfold, wrap
 
@@ -450,9 +450,11 @@ def spectral_preservation_check(
 def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
     """Sound necessary conditions: local ranks (SLOCC) and spectra (LU).
 
-    Compares every particle's unfolding, then every composite mode of every
-    concentration level, walking both hierarchies in lockstep down to the
-    stop order 3 that certificates use.  Walking on to order 2 would add
+    Compares every particle's unfolding (its spectrum from
+    :func:`~entcore.decompose.left_svd`, which reduces a wide unfolding
+    through its R factor), then every composite mode of every concentration
+    level, walking both hierarchies in lockstep down to the stop order 3 that
+    certificates use.  Walking on to order 2 would add
     nothing: the one more level factors a 3-mode core as ``(0-1)(2)``, and
     both of its spectra equal that core's mode-2 spectrum, which the level
     above (or, for a 3-party state, the particle loop) has already compared.
@@ -490,8 +492,8 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
         return None
 
     for k in range(psi.ndim):
-        sa = np.linalg.svd(unfold(psi, k), compute_uv=False)
-        sb = np.linalg.svd(unfold(psip, k), compute_uv=False)
+        sa = left_svd(unfold(psi, k))[1]
+        sb = left_svd(unfold(psip, k))[1]
         witness = _compare(f"particle {k}", sa, sb)
         if witness:
             return EquivalenceVerdict(INEQUIVALENT, witness, {"max_spectrum_deviation": worst})
@@ -867,10 +869,11 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     for k, (ia, ib) in enumerate(pair_dims(psi.shape)):
         r = h.local_ranks[k]
         uk, upk = complete_basis(h.factors[k][:, :r]), complete_basis(hp.factors[k][:, :r])
-        if ib == 1:
-            # Singleton mode: the connecting operator is the inverse of the
-            # single local operator, so any invertible choice is formally
-            # admissible; take the direct basis change.
+        if 2 * k + 1 == psi.ndim:
+            # The odd trailing mode, alone in its pair (a (2, 1) pair
+            # elsewhere still holds two parties): the connecting operator is
+            # the inverse of the single local operator, so any invertible
+            # choice is formally admissible; take the direct basis change.
             phi = uk @ np.linalg.inv(upk)
             candidate = np.linalg.inv(phi)
             if mode == LU:

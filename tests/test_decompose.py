@@ -4,13 +4,16 @@ import pytest
 from entcore import decompose
 from entcore.decompose import (
     GAUGE_EPS,
+    TripartiteExtract,
     check_all_orthogonal,
     complete_basis,
     concentrate,
     count_parameters,
     count_tree_parameters,
     extract_tripartites,
+    cutoff_rank,
     hosvd,
+    left_svd,
     level_tripartite_parameters,
     reconstruct,
 )
@@ -28,8 +31,17 @@ from entcore.states import (
     paper4_state,
     paper6_state,
     random_state,
+    w_state,
 )
-from entcore.tensor_ops import mode_multiply, pair_dims, rescale, tensor_norm, unfold
+from entcore.tensor_ops import (
+    mode_multiply,
+    pair_dims,
+    rescale,
+    tensor_norm,
+    unfold,
+    vectorize,
+    wrap,
+)
 
 
 def sorted_four_qubit_params(rng):
@@ -157,6 +169,65 @@ class TestHosvd:
         assert np.allclose(decompose._gauge_fix_columns(u), want, rtol=0, atol=4e-16)
 
 
+LEFT_SVD_CASES = {
+    "2x8": lambda: random_state((2, 8), seed=20),
+    "4x128": lambda: random_state((4, 128), seed=21),
+    "9x729": lambda: random_state((9, 729), seed=22),
+    "4x4096": lambda: random_state((4, 4096), seed=23),
+    "256x64": lambda: random_state((256, 64), seed=24),
+    "81x81": lambda: random_state((81, 81), seed=25),
+    "ghz-4x1024": lambda: unfold(rescale(ghz_state(12)), 0),
+    "ghz-64x8": lambda: ghz_state(9).reshape(64, 8),
+    "w-16x256": lambda: unfold(rescale(rescale(w_state(12))), 0),
+    "w-1024x4": lambda: unfold(rescale(w_state(12)), 0).T,
+}
+
+
+class TestLeftSvd:
+    @pytest.mark.parametrize("name", LEFT_SVD_CASES)
+    def test_matches_full_svd(self, name, monkeypatch):
+        m = LEFT_SVD_CASES[name]()
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr_calls.append(a) or qr(*a, **kw))
+        u, s = left_svd(m)
+        monkeypatch.undo()
+        j, w = m.shape
+        # the R-factor route is taken exactly for wide matrices at or above the floor
+        assert len(qr_calls) == int(w > j and m.size >= decompose._QR_MIN_ENTRIES)
+        want = np.linalg.svd(m, compute_uv=False)
+        assert s.shape == want.shape and u.shape == (j, min(j, w))
+        assert np.allclose(s, want, rtol=0, atol=1e-14 * want[0])
+        assert np.allclose(u.conj().T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
+        assert np.linalg.norm(u @ (u.conj().T @ m) - m) < 1e-12
+        assert cutoff_rank(s) == cutoff_rank(want)
+
+    def test_floor_cases_sit_on_both_sides(self):
+        sizes = {name: LEFT_SVD_CASES[name]().size for name in ("2x8", "4x128", "9x729")}
+        assert sizes["2x8"] < decompose._QR_MIN_ENTRIES <= sizes["4x128"] < sizes["9x729"]
+
+    def test_rank_deficient_unfoldings_keep_their_rank(self):
+        for name in ("ghz-4x1024", "ghz-64x8", "w-16x256", "w-1024x4"):
+            assert cutoff_rank(left_svd(LEFT_SVD_CASES[name]())[1]) == 2
+
+
+class TestTwoModeHosvd:
+    @pytest.mark.parametrize("shape", [(5, 12), (12, 5), (6, 6)])
+    def test_one_svd_gives_both_modes(self, shape):
+        t = random_state(shape, seed=30)
+        h = hosvd(t)
+        assert np.array_equal(h.mode_spectra[0], h.mode_spectra[1])
+        r = min(shape)
+        assert [u.shape for u in h.factors] == [(shape[0], r), (shape[1], r)]
+        # mode 1 unfolds to t.T; its gauge-fixed left singular vectors are factor 1
+        want = decompose._gauge_fix_columns(np.linalg.svd(t.T, full_matrices=False)[0])
+        assert np.allclose(h.factors[1], want, rtol=0, atol=1e-12)
+        assert h.core.shape == (r, r)
+        off = h.core - np.diag(np.diag(h.core))
+        assert np.max(np.abs(off)) < 1e-12
+        assert np.linalg.norm(h.factors[0] @ h.core @ h.factors[1].T - t) < 1e-12
+
+
 class TestCompleteBasis:
     def test_leading_columns_kept_and_result_unitary(self):
         u = np.linalg.qr(random_state((6, 2), seed=13))[0]
@@ -249,6 +320,29 @@ class TestExtracts:
         for ext in tree.levels[0].extracts:
             full = ext.full_matrix
             assert np.allclose(full.conj().T @ full, np.eye(4), atol=1e-10)
+
+    def test_slices_are_one_reshape_of_the_factor_columns(self):
+        # mixed dims with an odd trailing (3, 1) pair, then a qutrit GHZ (rank 3 of 9)
+        psi = random_state((2, 3, 3, 2, 3), seed=9)
+        dims = pair_dims(psi.shape)
+        h = hosvd(rescale(psi))
+        extracts = extract_tripartites(h, dims)
+        h2 = hosvd(rescale(ghz_state(6, 3)))
+        extracts += extract_tripartites(h2, pair_dims((3,) * 6))
+        assert [e.dims for e in extracts] == [
+            (6, 2, 3), (6, 3, 2), (3, 3, 1), (3, 3, 3), (3, 3, 3), (3, 3, 3)
+        ]
+        for ext, u in zip(extracts, h.factors + h2.factors):
+            _, ia, ib = ext.dims
+            for i, got in enumerate(ext.slices):
+                assert np.array_equal(got, wrap(u[:, i], ia, ib))
+            want = np.column_stack([vectorize(s) for s in ext.slices])
+            assert np.array_equal(ext.basis_matrix, want)
+
+    def test_extract_without_slices_has_an_empty_basis(self):
+        ext = TripartiteExtract(0, [], (0, 2, 3))
+        assert ext.basis_matrix.shape == (6, 0)
+        assert ext.full_matrix.shape == (6, 6)
 
     def test_pair_dims_must_factor_composite(self):
         h = hosvd(rescale(random_state((2, 2, 2, 2), seed=8)))

@@ -400,6 +400,18 @@ class TestSearchEquivalence:
         verdict = search_equivalence(psi, phi, SLOCC, budget=8, seed=0)
         assert verdict.status == INCONCLUSIVE
 
+    @pytest.mark.parametrize("mode, ops", [(LU, lu_ops), (SLOCC, slocc_ops)])
+    def test_interior_unit_dimension_pair_is_searched(self, mode, ops):
+        # (2, 1) is a real pair, not the odd trailing mode: it needs two operators
+        dims = (2, 1, 2, 2)
+        psi = random_state(dims, seed=1)
+        psip = apply_local(psi, ops(dims, seed=5))
+        verdict = search_equivalence(psi, psip, mode)
+        assert "operators for an order-4 state" not in str(verdict.witness)
+        assert verdict.status != INEQUIVALENT
+        if verdict.status == EQUIVALENT:
+            assert verify_certificate(psi, psip, verdict.witness).status == EQUIVALENT
+
     def test_bipartite_states_have_no_search_surface(self):
         verdict = search_equivalence(ghz_state(2), ghz_state(2), SLOCC, budget=4, seed=0)
         assert verdict.status == INCONCLUSIVE
