@@ -1,19 +1,19 @@
 """Mode-wise SVD factorization, recursive state concentration and exact rebuild.
 
-:func:`walk` is the one definition of the concentration hierarchy.  It
-repeats three steps until the residual core has at most ``stop_order``
-modes: pair-rescale, factor every composite mode through the left singular
-vectors of its unfolding (:func:`hosvd`), then recurse on the core truncated
-to the local ranks.  :func:`left_svd` is the one SVD rule: a wide unfolding
-is first reduced to the small triangular factor of its QR decomposition,
-so no right basis of the long side is ever built; a two-mode tensor takes
-one SVD for both of its modes.  :func:`concentrate` and the equivalence
-machinery (certificates, verification, the invariant filter and the search)
-all consume that walk.
+:func:`walk` is the one definition of the concentration hierarchy: until
+the core has at most ``stop_order`` modes it pair-rescales, factors every
+composite mode through the leading left singular vectors of its unfolding,
+and recurses on the core.  :func:`hosvd` is the one place that cuts a level
+to its local ranks.  :func:`left_svd` is the one SVD rule: a wide unfolding
+is first reduced to the small triangular factor of its QR decomposition, so
+no right basis of the long side is ever built; a two-mode tensor takes one
+SVD for both of its modes.  :func:`concentrate` and the equivalence machinery
+(certificates, verification, the invariant filter and the search) all consume
+that walk.
 
 :func:`concentrate` records one extract per composite mode and level,
-holding the wrapped leading singular vectors (the slices).  Where a square
-basis is needed, the slices are completed by :func:`complete_basis`, the one
+holding the wrapped factor columns (the slices).  Where a square basis is
+needed, the slices are completed by :func:`complete_basis`, the one
 completion rule; the complement is never stored.  The tree of extracts plus
 the terminal core reproduces the input state exactly up to floating-point
 error.
@@ -63,6 +63,8 @@ RANK_RTOL = 1e-10
 GAUGE_EPS = 1e-12
 # Smallest wide matrix that left_svd reduces through its R factor first.
 _QR_MIN_ENTRIES = 512
+# Largest subtensor inner product that check_all_orthogonal accepts as zero.
+ORTHO_TOL = 1e-10
 
 
 def cutoff_rank(s) -> int:
@@ -121,32 +123,33 @@ def complete_basis(u: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class HosvdResult:
-    """Per-mode thin factors, the all-orthogonal core and rank data."""
+    """Per-mode factors cut to the local ranks, the all-orthogonal core and the full spectra."""
 
     factors: list[np.ndarray]
     core: np.ndarray
-    local_ranks: list[int]
     mode_spectra: list[np.ndarray]
 
-    def truncated_core(self) -> np.ndarray:
-        """Core restricted to the first ``r_k`` indices of every mode."""
-        return np.ascontiguousarray(self.core[tuple(slice(0, r) for r in self.local_ranks)])
+    @property
+    def local_ranks(self) -> list[int]:
+        """The core's shape: factor ``k`` has ``local_ranks[k]`` columns."""
+        return list(self.core.shape)
 
 
 def hosvd(t) -> HosvdResult:
-    """Factor every mode of ``t`` through the left singular vectors of its unfolding.
+    """Rank-truncated HOSVD of ``t``: each mode's leading left singular vectors and their core.
 
-    Factor ``k`` is the ``J_k x min(J_k, W_k)`` matrix of left singular
+    Factor ``k`` is the ``J_k x r_k`` matrix of the leading left singular
     vectors of the ``J_k x W_k`` unfolding ``unfold(t, k)``, from
     :func:`left_svd`, by descending singular value, phase-fixed so the result
-    is deterministic for non-degenerate spectra.  A two-mode ``t`` takes one
-    thin SVD ``t = U S V^H``: mode 1 unfolds to ``t.T = conj(V) S U^T``, so
-    its factor is ``conj(V)`` with the same spectrum, and the core is
-    diagonal.  Neither a right basis nor a completion of the left
-    one is built (see :func:`complete_basis`).  The core is ``t`` multiplied
-    by each factor's conjugate transpose, so it covers ``min(J_k, W_k)``
-    indices of mode ``k``; ``local_ranks[k]`` counts singular values above
-    ``RANK_RTOL`` relative to the mode's largest.
+    is deterministic for non-degenerate spectra.  The local rank ``r_k`` is
+    :func:`cutoff_rank` of the mode's spectrum: the singular values above
+    ``RANK_RTOL`` relative to the largest.  A two-mode ``t`` takes one thin SVD
+    ``t = U S V^H``: mode 1 unfolds to ``t.T = conj(V) S U^T``, so its factor
+    is ``conj(V)`` with the same spectrum, and the core is diagonal.  Neither a
+    right basis nor a completion of the left one is built (see
+    :func:`complete_basis`).  The core is ``t`` multiplied by each factor's
+    conjugate transpose, so its shape is the local ranks; ``mode_spectra``
+    keep every singular value.
     """
     t = np.asarray(t, dtype=np.complex128)
     if t.ndim < 2:
@@ -156,12 +159,11 @@ def hosvd(t) -> HosvdResult:
         bases, spectra = [u, vh.T], [s, s]
     else:
         bases, spectra = zip(*(left_svd(unfold(t, k)) for k in range(t.ndim)))
-    factors = [_gauge_fix_columns(u) for u in bases]
-    ranks = [cutoff_rank(s) for s in spectra]
+    factors = [_gauge_fix_columns(u[:, : cutoff_rank(s)]) for u, s in zip(bases, spectra)]
     core = t
     for k, u in enumerate(factors):
         core = mode_multiply(core, u.conj().T, k)
-    return HosvdResult(factors, core, ranks, list(spectra))
+    return HosvdResult(factors, core, list(spectra))
 
 
 @dataclass
@@ -174,8 +176,8 @@ class OrthogonalityReport:
     violations: list[str] = field(default_factory=list)
 
 
-def check_all_orthogonal(core, tol: float = 1e-10) -> OrthogonalityReport:
-    """Check that fixed-index subtensors are mutually orthogonal per mode.
+def check_all_orthogonal(core) -> OrthogonalityReport:
+    """Check that fixed-index subtensors are mutually orthogonal per mode, to ``ORTHO_TOL``.
 
     Subtensor norms are returned as they are (for an SVD-produced core they
     equal the mode singular values, in descending order); they are reported,
@@ -192,10 +194,10 @@ def check_all_orthogonal(core, tol: float = 1e-10) -> OrthogonalityReport:
         off = gram - np.diag(np.diag(gram))
         mode_worst = float(np.max(np.abs(off))) if off.size else 0.0
         worst = max(worst, mode_worst)
-        if mode_worst > tol:
+        if mode_worst > ORTHO_TOL:
             alpha, beta = np.unravel_index(np.argmax(np.abs(off)), off.shape)
             violations.append(
-                f"mode {k}: |<subtensor {alpha}, subtensor {beta}>| = {mode_worst:.3e} > {tol:.1e}"
+                f"mode {k}: |<subtensor {alpha}, subtensor {beta}>| = {mode_worst:.3e} > {ORTHO_TOL:.1e}"
             )
     return OrthogonalityReport(not violations, worst, norms, violations)
 
@@ -245,17 +247,16 @@ def _wrap_columns(m: np.ndarray, ia: int, ib: int) -> list[np.ndarray]:
 
 
 def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
-    """Wrap each factor's leading columns, up to the local rank, into slices."""
+    """Wrap each factor's columns into slices; the rank is the factor's width."""
     pair_dims = tuple(tuple(p) for p in pair_dims)
     if len(pair_dims) != len(h.factors):
         raise ValueError(f"{len(pair_dims)} pair dims for {len(h.factors)} modes")
     out = []
     for k, ((ia, ib), u) in enumerate(zip(pair_dims, h.factors)):
-        jk = u.shape[0]
+        jk, r = u.shape
         if ia * ib != jk:
             raise ValueError(f"mode {k}: composite dimension {jk} does not factor as {ia}x{ib}")
-        r = h.local_ranks[k]
-        out.append(TripartiteExtract(k, _wrap_columns(u[:, :r], ia, ib), (r, ia, ib)))
+        out.append(TripartiteExtract(k, _wrap_columns(u, ia, ib), (r, ia, ib)))
     return out
 
 
@@ -281,15 +282,14 @@ class ConcentrationTree:
         return sum(1 for level in self.levels for e in level.extracts if e.is_tripartite)
 
 
-def walk(t, stop_order: int) -> Iterator[tuple]:
+def walk(t, stop_order: int) -> Iterator[HosvdResult]:
     """Lazily yield the concentration hierarchy of ``t``, outermost level first.
 
-    Each level is ``(input_dims, h, core)``: the shape of the level's input,
-    the :func:`hosvd` of its rescaling under the adjacent pairing
-    (:func:`~entcore.tensor_ops.pair_dims` of ``input_dims``), and the core
-    truncated to the local ranks, which is the next level's input.  Everything
-    follows from the input's dims; the walk stops once the core has at most
-    ``stop_order`` modes, which is checked on the call, not on the first level.
+    Each level is the :func:`hosvd` of its input rescaled under the adjacent
+    pairing (:func:`~entcore.tensor_ops.pair_dims` of the input's dims); its
+    core, already cut to the local ranks, is the next level's input.  The walk
+    stops once the core has at most ``stop_order`` modes, which is checked on
+    the call, not on the first level.
     """
     if stop_order not in (2, 3):
         raise ValueError("stop_order must be 2 or 3")
@@ -297,9 +297,8 @@ def walk(t, stop_order: int) -> Iterator[tuple]:
     def levels(cur):
         while cur.ndim > stop_order:
             h = hosvd(rescale(cur))
-            core = h.truncated_core()
-            yield cur.shape, h, core
-            cur = core
+            yield h
+            cur = h.core
 
     return levels(t)
 
@@ -316,9 +315,10 @@ def concentrate(state, stop_order: int = 3) -> ConcentrationTree:
         raise ValueError("cannot concentrate the zero tensor")
     levels = []
     core = t
-    for input_dims, h, core in walk(t, stop_order):
-        extracts = extract_tripartites(h, pair_dims(input_dims))
-        levels.append(ConcentrationLevel(input_dims, extracts, tuple(h.local_ranks), tensor_norm(core)))
+    for h in walk(t, stop_order):
+        extracts = extract_tripartites(h, pair_dims(core.shape))
+        levels.append(ConcentrationLevel(core.shape, extracts, h.core.shape, tensor_norm(h.core)))
+        core = h.core
     return ConcentrationTree(t.shape, levels, core, stop_order)
 
 

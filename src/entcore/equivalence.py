@@ -76,6 +76,8 @@ UNITARY_ATOL = 1e-10
 COND_LIMIT = 1e6
 # Condition number above which a matrix counts as numerically singular.
 SINGULAR_COND = 1e12
+# Search objective below which search_p_tilde keeps its candidate and stops.
+_SOLVED = 1e-13
 
 
 def _rel_err(actual, target) -> float:
@@ -188,8 +190,8 @@ def derive_certificate(
 
     Both hierarchies come from :func:`~entcore.decompose.walk`, so every
     level's pairing is the adjacent one of its mode count.  Per level and
-    composite mode, ``U`` and ``U'`` are the ``r`` leading factor columns
-    completed by :func:`~entcore.decompose.complete_basis`, as in a tree's
+    composite mode, ``U`` and ``U'`` are the factors completed by
+    :func:`~entcore.decompose.complete_basis`, as in a tree's
     ``full_matrix``: QR-factor the transported basis ``(A_a x A_b) U`` as
     ``Q R``, set ``X = Q* U'`` and split ``R^{-1} X`` into its blocks at the
     local rank ``r``.  The inverted ``P`` blocks become the next level's local
@@ -212,19 +214,19 @@ def derive_certificate(
     hierarchy = zip(walk(psi, stop_order), walk(psip, stop_order))
     ops_level = list(operators.ops)
     levels: list[CertificateLevel] = []
-    for (_, h, _), (_, hp, _) in hierarchy:
-        if h.local_ranks != hp.local_ranks:
+    for h, hp in hierarchy:
+        if h.core.shape != hp.core.shape:
             raise ValueError(
                 f"local ranks differ ({h.local_ranks} vs {hp.local_ranks}); "
                 "the states cannot be related by invertible local operators"
             )
         p_blocks, y_blocks, pbar_blocks, next_ops = [], [], [], []
-        for k, b in enumerate(_pair_operators(ops_level)):
-            r = h.local_ranks[k]
-            q, rmat = np.linalg.qr(b @ complete_basis(h.factors[k][:, :r]))
+        for k, (b, u, up) in enumerate(zip(_pair_operators(ops_level), h.factors, hp.factors)):
+            r = u.shape[1]
+            q, rmat = np.linalg.qr(b @ complete_basis(u))
             if np.min(np.abs(np.diag(rmat))) < 1e-13 * np.max(np.abs(np.diag(rmat))):
                 raise ValueError(f"mode {k}: QR factor is numerically singular")
-            x = q.conj().T @ complete_basis(hp.factors[k][:, :r])
+            x = q.conj().T @ complete_basis(up)
             # rmat is upper triangular with a nonzero diagonal, so partial
             # pivoting swaps no rows and this is a back-substitution
             p_tilde = np.linalg.solve(rmat, x)
@@ -232,7 +234,7 @@ def derive_certificate(
             y_blocks.append(np.ascontiguousarray(p_tilde[:r, r:]))
             pbar_blocks.append(np.ascontiguousarray(p_tilde[r:, r:]))
             next_ops.append(np.linalg.inv(p_tilde[:r, :r]))
-        levels.append(CertificateLevel(tuple(h.local_ranks), p_blocks, y_blocks, pbar_blocks))
+        levels.append(CertificateLevel(h.core.shape, p_blocks, y_blocks, pbar_blocks))
         ops_level = next_ops
     return EquivalenceCertificate(operators.mode, operators, levels, stop_order)
 
@@ -240,8 +242,8 @@ def derive_certificate(
 def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> EquivalenceVerdict:
     """Re-check a certificate level by level at relative Frobenius tolerance ``EQUIV_RTOL``.
 
-    Per level ``l`` and mode ``k`` the leading factor columns must satisfy
-    ``U'_1 = (A_a x A_b) U_1 P`` and the truncated cores
+    Per level ``l`` and mode ``k`` the factors must satisfy
+    ``U' = (A_a x A_b) U P`` and the cores
     ``core = (P_1 x ... x P_M) core'``; in LU mode all blocks must in
     addition be unitary with a vanishing ``Y``.  The reassembly residual
     ``psi' vs (x A_i) psi`` is also included.  Status is ``equivalent`` only
@@ -267,17 +269,17 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     hierarchy = zip(cert.levels, walk(psi, cert.stop_order), walk(psip, cert.stop_order))
     ops_level = list(cert.operators.ops)
     core_t = psi
-    for li, (clevel, (_, h, core_t), (_, hp, core_p)) in enumerate(hierarchy):
-        if tuple(h.local_ranks) != tuple(clevel.ranks) or tuple(hp.local_ranks) != tuple(clevel.ranks):
+    for li, (clevel, h, hp) in enumerate(hierarchy):
+        core_t = h.core
+        if core_t.shape != tuple(clevel.ranks) or hp.core.shape != tuple(clevel.ranks):
             raise ValueError(
                 f"level {li}: certificate ranks {clevel.ranks} do not match "
-                f"{tuple(h.local_ranks)} / {tuple(hp.local_ranks)}"
+                f"{core_t.shape} / {hp.core.shape}"
             )
         level_res = {"tripartite": [], "core": None, "unitarity": [], "y_norm": []}
         for k, b in enumerate(_pair_operators(ops_level)):
-            r = clevel.ranks[k]
-            predicted = b @ h.factors[k][:, :r] @ clevel.p_blocks[k]
-            res = _rel_err(predicted, hp.factors[k][:, :r])
+            predicted = b @ h.factors[k] @ clevel.p_blocks[k]
+            res = _rel_err(predicted, hp.factors[k])
             level_res["tripartite"].append(res)
             if res > EQUIV_RTOL:
                 failures.append(f"level {li} mode {k}: tripartite relation residual {res:.3e}")
@@ -293,8 +295,8 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
                 level_res["y_norm"].append(ynorm)
                 if ynorm > EQUIV_RTOL:
                     failures.append(f"level {li} mode {k}: Y-block norm {ynorm:.3e}")
-        predicted_core = core_p
-        for k in range(core_p.ndim):
+        predicted_core = hp.core
+        for k in range(hp.core.ndim):
             predicted_core = mode_multiply(predicted_core, clevel.p_blocks[k], k)
         core_res = _rel_err(predicted_core, core_t)
         level_res["core"] = core_res
@@ -396,12 +398,6 @@ SINGULAR_VALUE_SUM = SpectralFunctional("singular-value-sum")
 SQRT_SINGULAR_VALUE_SUM = SpectralFunctional("sqrt-singular-value-sum")
 
 
-def _pair_matrix(vec: np.ndarray, i1: int, i2: int) -> np.ndarray:
-    # Row-major matricization matching the composite index convention, under
-    # which kron(A, B) acts as the congruence A W B^T.
-    return vec.reshape(i1, i2)
-
-
 def spectral_preservation_check(
     phi,
     functional: SpectralFunctional,
@@ -437,8 +433,10 @@ def spectral_preservation_check(
         else:
             m = _rand_vec(i1 * i2).reshape(i1, i2)
         a = np.ascontiguousarray(m).reshape(-1)
-        w_in = _pair_matrix(a, i1, i2)
-        w_out = _pair_matrix(phi @ a, i1, i2)
+        # Row-major matricization matching the composite index convention, under
+        # which kron(A, B) acts as the congruence A W B^T.
+        w_in = a.reshape(i1, i2)
+        w_out = (phi @ a).reshape(i1, i2)
         f_in = functional.evaluate(w_in)
         f_out = functional.evaluate(w_out)
         slack = 0.0 if functional.is_rank else tol * max(1.0, abs(f_in))
@@ -499,7 +497,7 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
             return EquivalenceVerdict(INEQUIVALENT, witness, {"max_spectrum_deviation": worst})
 
     hierarchy = zip(walk(psi, 3), walk(psip, 3))
-    for level, ((_, h, _), (_, hp, _)) in enumerate(hierarchy, start=1):
+    for level, (h, hp) in enumerate(hierarchy, start=1):
         for k, (sa, sb) in enumerate(zip(h.mode_spectra, hp.mode_spectra)):
             witness = _compare(f"level {level} mode {k}", sa, sb)
             if witness:
@@ -770,6 +768,8 @@ def search_p_tilde(
 
     def consider(pt_full, restart):
         nonlocal best
+        if best is not None and best.objective < _SOLVED:
+            return  # a later candidate could only win by float noise
         p = pt_full[:r, :r]
         y = pt_full[:r, r:]
         pbar = pt_full[r:, r:]
@@ -831,7 +831,7 @@ def search_p_tilde(
                 a2 /= np.linalg.norm(a2)
             a1, a2 = _als_kron_factors(u_rows, up_cols, a1, a2, i1, i2)
             consider_pair(a1, a2, restart)
-        if best is not None and best.objective < 1e-13:
+        if best is not None and best.objective < _SOLVED:
             break
     if best is not None and best.objective <= EQUIV_RTOL:
         return best
@@ -857,8 +857,8 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
         return EquivalenceVerdict(
             INCONCLUSIVE, "no search surface for bipartite states", {"searched_modes": 0}
         )
-    (_, h, _), (_, hp, _) = first_level
-    if h.local_ranks != hp.local_ranks:
+    h, hp = first_level
+    if h.core.shape != hp.core.shape:
         return EquivalenceVerdict(
             INCONCLUSIVE,
             f"local ranks differ: {h.local_ranks} vs {hp.local_ranks}",
@@ -866,9 +866,8 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
         )
     recovered = []
     objectives = []
-    for k, (ia, ib) in enumerate(pair_dims(psi.shape)):
-        r = h.local_ranks[k]
-        uk, upk = complete_basis(h.factors[k][:, :r]), complete_basis(hp.factors[k][:, :r])
+    for k, ((ia, ib), u, up) in enumerate(zip(pair_dims(psi.shape), h.factors, hp.factors)):
+        uk, upk = complete_basis(u), complete_basis(up)
         if 2 * k + 1 == psi.ndim:
             # The odd trailing mode, alone in its pair (a (2, 1) pair
             # elsewhere still holds two parties): the connecting operator is
@@ -880,7 +879,7 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
                 candidate = _polar(candidate)
             recovered.append(candidate)
             continue
-        found = search_p_tilde(uk, upk, r, ia, ib, mode, budget, (seed, k))
+        found = search_p_tilde(uk, upk, u.shape[1], ia, ib, mode, budget, (seed, k))
         if found is None:
             return EquivalenceVerdict(
                 INCONCLUSIVE,

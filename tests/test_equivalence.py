@@ -412,6 +412,27 @@ class TestSearchEquivalence:
         if verdict.status == EQUIVALENT:
             assert verify_certificate(psi, psip, verdict.witness).status == EQUIVALENT
 
+    IDENTICAL_PAIRS = [
+        *[(product_state, (2,) * 5, LU, s) for s in (0, 1, 2)],
+        *[(product_state, (2,) * 4, LU, s) for s in (1, 2)],
+        *[(random_state, (2, 2, 2), SLOCC, s) for s in (0, 1, 2)],
+        (random_state, (2, 3, 2), SLOCC, 0),
+    ]
+
+    @pytest.mark.parametrize(
+        "family, dims, mode, seed",
+        IDENTICAL_PAIRS,
+        ids=[f"{f.__name__}-{'x'.join(map(str, d))}-{m}-{s}" for f, d, m, s in IDENTICAL_PAIRS],
+    )
+    def test_identical_pair_is_certified(self, family, dims, mode, seed):
+        # the direct basis change solves each mode to ~1e-16 at restart 0; a
+        # later candidate (e.g. -I on one mode) that scores lower only by
+        # float noise must not replace it
+        psi = family(dims, seed=seed)
+        verdict = search_equivalence(psi, psi.copy(), mode, budget=50, seed=seed)
+        assert verdict.status == EQUIVALENT, verdict.witness
+        assert verify_certificate(psi, psi.copy(), verdict.witness).status == EQUIVALENT
+
     def test_bipartite_states_have_no_search_surface(self):
         verdict = search_equivalence(ghz_state(2), ghz_state(2), SLOCC, budget=4, seed=0)
         assert verdict.status == INCONCLUSIVE
