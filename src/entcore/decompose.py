@@ -4,12 +4,14 @@
 the core has at most ``stop_order`` modes it pair-rescales, factors every
 composite mode through the leading left singular vectors of its unfolding,
 and recurses on the core.  :func:`hosvd` is the one place that cuts a level
-to its local ranks.  :func:`left_svd` is the one SVD rule: a wide unfolding
-is first reduced to the small triangular factor of its QR decomposition, so
-no right basis of the long side is ever built; a two-mode tensor takes one
-SVD for both of its modes.  :func:`concentrate` and the equivalence machinery
-(certificates, verification, the invariant filter and the search) all consume
-that walk.
+to its local ranks; its core is one all-modes product
+(:func:`~entcore.tensor_ops.multiply_modes`) of the input with the factors'
+conjugate transposes.  :func:`left_svd` is the one SVD rule: a wide
+unfolding is first reduced to the small triangular factor of its QR
+decomposition, so no right basis of the long side is ever built; a two-mode
+tensor takes one SVD for both of its modes.  :func:`concentrate` and the
+equivalence machinery (certificates, verification, the invariant filter and
+the search) all consume that walk.
 
 :func:`concentrate` records one extract per composite mode and level,
 holding the wrapped factor columns (the slices).  Where a square basis is
@@ -28,7 +30,7 @@ import numpy as np
 
 from .tensor_ops import (
     as_tensor,
-    mode_multiply,
+    multiply_modes,
     pair_dims,
     rescale,
     tensor_norm,
@@ -147,9 +149,10 @@ def hosvd(t) -> HosvdResult:
     ``t = U S V^H``: mode 1 unfolds to ``t.T = conj(V) S U^T``, so its factor
     is ``conj(V)`` with the same spectrum, and the core is diagonal.  Neither a
     right basis nor a completion of the left one is built (see
-    :func:`complete_basis`).  The core is ``t`` multiplied by each factor's
-    conjugate transpose, so its shape is the local ranks; ``mode_spectra``
-    keep every singular value.
+    :func:`complete_basis`).  The core is ``t`` multiplied on every mode by
+    that factor's conjugate transpose, in one
+    :func:`~entcore.tensor_ops.multiply_modes` call, so its shape is the
+    local ranks; ``mode_spectra`` keep every singular value.
     """
     t = np.asarray(t, dtype=np.complex128)
     if t.ndim < 2:
@@ -160,9 +163,7 @@ def hosvd(t) -> HosvdResult:
     else:
         bases, spectra = zip(*(left_svd(unfold(t, k)) for k in range(t.ndim)))
     factors = [_gauge_fix_columns(u[:, : cutoff_rank(s)]) for u, s in zip(bases, spectra)]
-    core = t
-    for k, u in enumerate(factors):
-        core = mode_multiply(core, u.conj().T, k)
+    core = multiply_modes(t, [u.conj().T for u in factors])
     return HosvdResult(factors, core, list(spectra))
 
 
@@ -328,14 +329,15 @@ def reconstruct(tree: ConcentrationTree) -> np.ndarray:
     for level in reversed(tree.levels):
         if cur.shape != tuple(level.ranks):
             raise ValueError(f"core shape {cur.shape} does not match level ranks {level.ranks}")
+        bases = []
         for k, (ext, (ia, ib)) in enumerate(zip(level.extracts, pair_dims(level.input_dims))):
             basis = ext.basis_matrix
             if basis.shape != (ia * ib, level.ranks[k]):
                 raise ValueError(
                     f"mode {k}: slice basis is {basis.shape}, expected {(ia * ib, level.ranks[k])}"
                 )
-            cur = mode_multiply(cur, basis, k)
-        cur = unrescale(cur, level.input_dims)
+            bases.append(basis)
+        cur = unrescale(multiply_modes(cur, bases), level.input_dims)
     if cur.shape != tuple(tree.original_shape):
         raise ValueError(f"reconstructed shape {cur.shape} != original {tree.original_shape}")
     return cur

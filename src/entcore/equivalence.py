@@ -34,7 +34,7 @@ import numpy as np
 
 from .decompose import complete_basis, cutoff_rank, left_svd, walk
 from .states import apply_local
-from .tensor_ops import as_tensor, mode_multiply, pair_dims, realign, unfold, wrap
+from .tensor_ops import as_tensor, multiply_modes, pair_dims, realign, unfold, wrap
 
 __all__ = [
     "EQUIVALENT",
@@ -248,7 +248,13 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     addition be unitary with a vanishing ``Y``.  The reassembly residual
     ``psi' vs (x A_i) psi`` is also included.  Status is ``equivalent`` only
     if every check passes; a failed certificate is ``inconclusive`` (it never
-    proves inequivalence).
+    proves inequivalence).  That includes a certificate whose levels do not
+    fit the hierarchies: ranks that differ from a level's cores (checking
+    stops at that level), more levels than the hierarchy has, or too few to
+    reach its terminal order.
+
+    Raises ``ValueError`` only for caller errors: states of different shapes,
+    or operators whose dims do not match the states'.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
@@ -272,10 +278,11 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     for li, (clevel, h, hp) in enumerate(hierarchy):
         core_t = h.core
         if core_t.shape != tuple(clevel.ranks) or hp.core.shape != tuple(clevel.ranks):
-            raise ValueError(
-                f"level {li}: certificate ranks {clevel.ranks} do not match "
+            failures.append(
+                f"level {li}: certificate ranks {tuple(clevel.ranks)} do not match "
                 f"{core_t.shape} / {hp.core.shape}"
             )
+            break
         level_res = {"tripartite": [], "core": None, "unitarity": [], "y_norm": []}
         for k, b in enumerate(_pair_operators(ops_level)):
             predicted = b @ h.factors[k] @ clevel.p_blocks[k]
@@ -295,19 +302,18 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
                 level_res["y_norm"].append(ynorm)
                 if ynorm > EQUIV_RTOL:
                     failures.append(f"level {li} mode {k}: Y-block norm {ynorm:.3e}")
-        predicted_core = hp.core
-        for k in range(hp.core.ndim):
-            predicted_core = mode_multiply(predicted_core, clevel.p_blocks[k], k)
+        predicted_core = multiply_modes(hp.core, clevel.p_blocks)
         core_res = _rel_err(predicted_core, core_t)
         level_res["core"] = core_res
         if core_res > EQUIV_RTOL:
             failures.append(f"level {li}: core relation residual {core_res:.3e}")
         residuals["levels"].append(level_res)
         ops_level = [np.linalg.inv(p) for p in clevel.p_blocks]
-    if len(residuals["levels"]) < len(cert.levels):
-        raise ValueError("certificate has more levels than the concentration hierarchy")
-    if core_t.ndim > cert.stop_order:
-        raise ValueError("certificate does not reach the terminal order of the hierarchy")
+    else:
+        if len(residuals["levels"]) < len(cert.levels):
+            failures.append("certificate has more levels than the concentration hierarchy")
+        if core_t.ndim > cert.stop_order:
+            failures.append("certificate does not reach the terminal order of the hierarchy")
     if failures:
         return EquivalenceVerdict(INCONCLUSIVE, "; ".join(failures[:4]), residuals)
     return EquivalenceVerdict(EQUIVALENT, cert, residuals)

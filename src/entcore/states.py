@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import as_tensor, mode_multiply
+from .tensor_ops import as_tensor, multiply_modes
 
 __all__ = [
     "StateSpec",
@@ -196,9 +196,4 @@ def random_invertible(d: int, cond_max: float, seed: int | None = None) -> np.nd
 def apply_local(state, ops) -> np.ndarray:
     """Apply one operator per mode; no renormalization is performed."""
     t = np.asarray(state, dtype=np.complex128)
-    mats = list(getattr(ops, "ops", ops))
-    if len(mats) != t.ndim:
-        raise ValueError(f"{len(mats)} operators for an order-{t.ndim} state")
-    for k, a in enumerate(mats):
-        t = mode_multiply(t, a, k)
-    return t
+    return multiply_modes(t, getattr(ops, "ops", ops))

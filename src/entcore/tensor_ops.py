@@ -21,9 +21,15 @@ Conventions used throughout the package:
 * ``realign`` rearranges a square ``I1*I2 x I1*I2`` matrix into an
   ``I1^2 x I2^2`` matrix whose rows are the column-major vectorizations of its
   ``I2 x I2`` blocks; it has rank one exactly for Kronecker products.
+* The all-modes product ``t x_0 A_0 x_1 ... x_{M-1} A_{M-1}``
+  (:func:`multiply_modes`) rotates its layout: each step multiplies the
+  leading mode of the C-ordered tensor and leaves the result as the last one,
+  so after ``M`` steps the modes are back in order.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +38,7 @@ __all__ = [
     "fold",
     "inner_product",
     "mode_multiply",
+    "multiply_modes",
     "pair_dims",
     "realign",
     "rescale",
@@ -116,6 +123,34 @@ def mode_multiply(t, a, k: int) -> np.ndarray:
         raise ValueError(f"operator columns {a.shape[1]} do not match mode-{k} dimension {t.shape[k]}")
     out = np.tensordot(a, t, axes=(1, k))
     return np.ascontiguousarray(np.moveaxis(out, 0, k))
+
+
+def multiply_modes(t, mats) -> np.ndarray:
+    """All-modes product ``t x_0 mats[0] x_1 ... x_{M-1} mats[M-1]``, one GEMM per mode.
+
+    Equal to applying :func:`mode_multiply` once per mode.  Step ``k`` takes
+    the C-ordered tensor, whose leading mode is ``k``, as the matrix
+    ``J_k x (rest)`` and computes ``(rest) x R_k`` as ``m.T @ a.T``; that
+    product in C order is the tensor with mode ``k`` moved to the last
+    position.  After ``M`` steps the modes are back in order, and no
+    transposing copy of the tensor is made (an input not in C order is copied
+    once, by the first reshape).
+    """
+    t = np.asarray(t)
+    mats = [np.asarray(a) for a in mats]
+    if len(mats) != t.ndim:
+        raise ValueError(f"{len(mats)} operators for an order-{t.ndim} state")
+    for k, a in enumerate(mats):
+        if a.ndim != 2:
+            raise ValueError(f"mode-{k} operator must be a matrix, got shape {a.shape}")
+        if a.shape[1] != t.shape[k]:
+            raise ValueError(f"operator columns {a.shape[1]} do not match mode-{k} dimension {t.shape[k]}")
+    dims = list(t.shape)
+    for a in mats:
+        # explicit sizes, not -1: a zero-row operator leaves empty modes
+        t = t.reshape(dims[0], math.prod(dims[1:])).T @ a.T
+        dims = dims[1:] + [a.shape[0]]
+    return t.reshape(dims)
 
 
 def pair_dims(dims) -> tuple[tuple[int, int], ...]:

@@ -16,6 +16,7 @@ from entcore.equivalence import (
     MATRIX_RANK,
     SINGULAR_VALUE_SUM,
     SQRT_SINGULAR_VALUE_SUM,
+    EquivalenceCertificate,
     LocalOperatorSet,
     derive_certificate,
     invariant_filter,
@@ -160,6 +161,45 @@ class TestDeriveAndVerify:
         cert = derive_certificate(psi, psip, ops)
         assert cert.levels == []
         assert verify_certificate(psi, psip, cert).status == EQUIVALENT
+
+    def test_certificate_of_another_hierarchy_is_inconclusive(self):
+        # ranks (4, 4, 4) from a random orbit checked against GHZ's (2, 2, 2)
+        dims = (2,) * 6
+        psi = random_state(dims, seed=1)
+        ops = lu_ops(dims, seed=1000)
+        cert = derive_certificate(psi, apply_local(psi, ops), ops)
+        ghz = ghz_state(6)
+        verdict = verify_certificate(ghz, apply_local(ghz, ops), cert)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness == "level 0: certificate ranks (4, 4, 4) do not match (2, 2, 2) / (2, 2, 2)"
+
+    @pytest.mark.parametrize(
+        "derived_stop, checked_stop, reason",
+        [
+            (2, 3, "certificate has more levels than the concentration hierarchy"),
+            (3, 2, "certificate does not reach the terminal order of the hierarchy"),
+        ],
+    )
+    def test_certificate_of_another_depth_is_inconclusive(self, derived_stop, checked_stop, reason):
+        dims = (2,) * 6
+        psi = random_state(dims, seed=2)
+        ops = lu_ops(dims, seed=1100)
+        psip = apply_local(psi, ops)
+        cert = derive_certificate(psi, psip, ops, stop_order=derived_stop)
+        relabelled = EquivalenceCertificate(cert.mode, ops, cert.levels, stop_order=checked_stop)
+        verdict = verify_certificate(psi, psip, relabelled)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness == reason
+
+    def test_mismatched_shapes_still_raise(self):
+        psi = random_state((2,) * 4, seed=3)
+        ops = lu_ops((2,) * 4, seed=1200)
+        cert = derive_certificate(psi, apply_local(psi, ops), ops)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            verify_certificate(psi, random_state((2,) * 5, seed=4), cert)
+        other = random_state((3, 2, 2, 2), seed=5)
+        with pytest.raises(ValueError, match="operator dims"):
+            verify_certificate(other, other, cert)
 
     def test_passing_certificate_operators_rebuild_partner_state(self):
         # any passing certificate reproduces the partner state from its operators

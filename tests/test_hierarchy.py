@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entcore import decompose
+import entcore
+from entcore import decompose, equivalence, states, tensor_ops
 from entcore.decompose import concentrate, reconstruct
 from entcore.equivalence import (
     EQUIVALENT,
@@ -93,3 +94,26 @@ def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
     count, verdict = hosvd_calls(invariant_filter, psi, psip, LU)
     assert verdict.status == INCONCLUSIVE
     assert count == 2 * levels_to(order, 3)
+
+
+def test_all_modes_products_make_no_mode_multiply_call(monkeypatch):
+    """Cores, rebuilds, operator application and the core relation are all-modes
+    products through ``tensor_ops.multiply_modes``, never a ``mode_multiply`` loop."""
+    calls = []
+    real_mode_multiply = tensor_ops.mode_multiply
+
+    def counting_mode_multiply(t, a, k):
+        calls.append(k)
+        return real_mode_multiply(t, a, k)
+
+    # a module that imports the name holds its own reference: patch each one
+    for module in (entcore, tensor_ops, decompose, states, equivalence):
+        if hasattr(module, "mode_multiply"):
+            monkeypatch.setattr(module, "mode_multiply", counting_mode_multiply)
+    psi, psip, ops = lu_orbit((2,) * 6, seed=6)
+    tree = concentrate(psi, stop_order=2)
+    assert np.linalg.norm(reconstruct(tree) - psi) < 1e-10
+    assert np.linalg.norm(apply_local(psi, ops) - psip) < 1e-12
+    cert = derive_certificate(psi, psip, ops)
+    assert verify_certificate(psi, psip, cert).status == EQUIVALENT
+    assert calls == []

@@ -176,3 +176,8 @@ class TestApplyLocal:
     def test_operator_count_must_match(self):
         with pytest.raises(ValueError):
             apply_local(random_state((2, 2), seed=12), [np.eye(2)])
+
+    def test_operator_dims_must_match(self):
+        # each operator's columns must match its own mode, not another one
+        with pytest.raises(ValueError, match="do not match mode-0 dimension 2"):
+            apply_local(random_state((2, 3), seed=13), [np.eye(3), np.eye(2)])

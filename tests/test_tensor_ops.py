@@ -2,13 +2,17 @@ import argparse
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entcore.cli import _pairing_flag, _pairing_label
+from entcore.decompose import hosvd
 from entcore.tensor_ops import (
     as_tensor,
     fold,
     inner_product,
     mode_multiply,
+    multiply_modes,
     pair_dims,
     realign,
     rescale,
@@ -142,6 +146,59 @@ class TestModeMultiply:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mode_multiply(np.zeros((2, 3)), np.zeros((4, 4)), 1)
+
+
+@st.composite
+def all_modes_problems(draw):
+    """A tensor, possibly a transposed view, and one matrix per mode.
+
+    Matrices have 0-5 rows (square, widening, truncating or empty), and each
+    is real or complex.
+    """
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    rows = draw(st.lists(st.integers(0, 5), min_size=len(dims), max_size=len(dims)))
+    real = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+    perm = draw(st.permutations(range(len(dims))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stored = random_tensor(rng, tuple(dims[p] for p in np.argsort(perm)))
+    t = stored.transpose(perm)
+    mats = []
+    for r, d, is_real in zip(rows, dims, real):
+        a = rng.standard_normal((r, d))
+        mats.append(a if is_real else a + 1j * rng.standard_normal((r, d)))
+    return t, mats
+
+
+class TestMultiplyModes:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(all_modes_problems())
+    def test_equals_the_mode_multiply_loop(self, problem):
+        t, mats = problem
+        expected = t
+        for k, a in enumerate(mats):
+            expected = mode_multiply(expected, a, k)
+        out = multiply_modes(t, mats)
+        assert out.shape == expected.shape == tuple(a.shape[0] for a in mats)
+        assert out.dtype == expected.dtype
+        scale = max(np.linalg.norm(expected), np.finfo(float).tiny)
+        assert np.linalg.norm(out - expected) <= 1e-13 * scale
+
+    def test_zero_tensor_has_an_empty_core(self):
+        assert hosvd(np.zeros((2, 2, 2, 2))).core.shape == (0, 0, 0, 0)
+        assert multiply_modes(np.zeros((0, 0, 0, 0)), [np.zeros((2, 0))] * 4).shape == (2, 2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "mats, message",
+        [
+            ([np.eye(2)], "1 operators for an order-2 state"),
+            ([np.eye(2), np.ones(3)], "mode-1 operator must be a matrix"),
+            # the reshape alone would accept these: 3 * 2 entries either way
+            ([np.eye(3), np.eye(2)], "operator columns 3 do not match mode-0 dimension 2"),
+        ],
+    )
+    def test_rejects_operators_that_do_not_fit(self, mats, message):
+        with pytest.raises(ValueError, match=message):
+            multiply_modes(np.zeros((2, 3)), mats)
 
 
 class TestPairingPlan:
