@@ -11,8 +11,9 @@ computes those blocks from known local operators via QR factorization;
 For single composite modes the Kronecker structure of the connecting matrix
 is detected through the realignment rank-one criterion
 (:func:`realign_rank1_check`, :func:`kron_factorize`), refuted cheaply by the
-spectral sampler (:func:`spectral_preservation_check`), and searched for with
-a budgeted multi-start solver (:func:`search_p_tilde`).
+spectral sampler (:func:`spectral_preservation_check`), and searched for by
+:func:`search_p_tilde`, which scores one stream of candidates over budgeted
+restarts and stops at the first exact one.
 
 Verdicts are three-valued.  Only :func:`invariant_filter` may declare a pair
 ``inequivalent`` (from sound invariants); a failed search or certificate is
@@ -239,6 +240,20 @@ def derive_certificate(
     return EquivalenceCertificate(operators.mode, operators, levels, stop_order)
 
 
+def _malformed_blocks(clevel: CertificateLevel, factors) -> str | None:
+    """Why a level's blocks cannot connect ``J x r`` factors, or ``None`` when they can."""
+    blocks = {"P": clevel.p_blocks, "Y": clevel.y_blocks, "P_bar": clevel.p_bar_blocks}
+    if any(len(b) != len(factors) for b in blocks.values()):
+        return f"{[len(b) for b in blocks.values()]} P/Y/P_bar blocks for {len(factors)} modes"
+    for k, (j, r) in enumerate(f.shape for f in factors):
+        for (name, b), shape in zip(blocks.items(), ((r, r), (r, j - r), (j - r, j - r))):
+            if np.shape(b[k]) != shape or not np.all(np.isfinite(b[k])):
+                return f"mode {k}: {name} block of shape {np.shape(b[k])} is not a finite {shape} matrix"
+        if _condition(clevel.p_blocks[k]) > SINGULAR_COND:
+            return f"mode {k}: P block is numerically singular"
+    return None
+
+
 def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> EquivalenceVerdict:
     """Re-check a certificate level by level at relative Frobenius tolerance ``EQUIV_RTOL``.
 
@@ -249,9 +264,10 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     ``psi' vs (x A_i) psi`` is also included.  Status is ``equivalent`` only
     if every check passes; a failed certificate is ``inconclusive`` (it never
     proves inequivalence).  That includes a certificate whose levels do not
-    fit the hierarchies: ranks that differ from a level's cores (checking
-    stops at that level), more levels than the hierarchy has, or too few to
-    reach its terminal order.
+    fit the hierarchies: a level whose ranks differ from its cores, or that
+    lacks one finite ``r x r`` P, ``r x (J-r)`` Y and ``(J-r) x (J-r)`` P_bar
+    per mode, or has a singular P (checking stops there); more levels than
+    the hierarchy has, or too few to reach its terminal order.
 
     Raises ``ValueError`` only for caller errors: states of different shapes,
     or operators whose dims do not match the states'.
@@ -282,6 +298,10 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
                 f"level {li}: certificate ranks {tuple(clevel.ranks)} do not match "
                 f"{core_t.shape} / {hp.core.shape}"
             )
+            break
+        malformed = _malformed_blocks(clevel, h.factors)
+        if malformed:
+            failures.append(f"level {li}: {malformed}")
             break
         level_res = {"tripartite": [], "core": None, "unitarity": [], "y_norm": []}
         for k, b in enumerate(_pair_operators(ops_level)):
@@ -317,6 +337,12 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     if failures:
         return EquivalenceVerdict(INCONCLUSIVE, "; ".join(failures[:4]), residuals)
     return EquivalenceVerdict(EQUIVALENT, cert, residuals)
+
+
+def _realign_ratio(phi, i1: int, i2: int) -> float:
+    """``sigma2/sigma1`` of ``realign(phi)``; 0 when it has one singular value or none nonzero."""
+    s = np.linalg.svd(realign(phi, i1, i2), compute_uv=False)
+    return float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
 
 
 def kron_factorize(phi, i1: int, i2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -357,9 +383,7 @@ def realign_rank1_check(u, u_prime, p_tilde, i1: int, i2: int, mode: str = SLOCC
     if _condition(up) > SINGULAR_COND:
         raise ValueError("u_prime is numerically singular")
     phi = u @ pt @ np.linalg.inv(up)
-    s = np.linalg.svd(realign(phi, i1, i2), compute_uv=False)
-    ratio = float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
-    passed = bool(ratio <= EQUIV_RTOL and _condition(phi) < SINGULAR_COND)
+    passed = bool(_realign_ratio(phi, i1, i2) <= EQUIV_RTOL and _condition(phi) < SINGULAR_COND)
     if mode == LU and passed:
         passed = _unitarity_defect(phi) <= EQUIV_RTOL
     if not passed:
@@ -524,6 +548,7 @@ class SearchResult:
     p_bar: np.ndarray
     objective: float
     restart_index: int
+    strategy: str | None = None  # "direct", "matching", "pencil", "phase-als" or "als"
 
     def p_tilde(self) -> np.ndarray:
         return _block_upper(self.p, self.y, self.p_bar)
@@ -623,41 +648,27 @@ def _matching_candidates(u, u_prime):
     return out
 
 
-def _reduced_bases(u, u_prime, r, i1, i2, rng):
+def _reduced_bases(u, u_prime, r, i1, i2):
     # Eigenbases of the partial traces of the two rank-r projectors.  A
     # unitary pair operator conjugating one projector onto the other must be
     # block diagonal in these bases, leaving only per-eigenvector phases
-    # (plus arbitrary mixing inside degenerate eigenvalue blocks, randomized
-    # on restarts).  Returns None when the reduced spectra do not match.
+    # (inside a degenerate eigenvalue block the phase candidates try these
+    # eigenvectors only).  Returns None when the reduced spectra do not match.
     u1 = u[:, :r]
     u1p = u_prime[:, :r]
     proj = (u1 @ u1.conj().T).reshape(i1, i2, i1, i2)
     projp = (u1p @ u1p.conj().T).reshape(i1, i2, i1, i2)
     bases = []
-    randomized = False
-    for rho, rhop, d in (
-        (np.einsum("iqjq->ij", proj), np.einsum("iqjq->ij", projp), i1),
-        (np.einsum("aiaj->ij", proj), np.einsum("aiaj->ij", projp), i2),
+    for rho, rhop in (
+        (np.einsum("iqjq->ij", proj), np.einsum("iqjq->ij", projp)),
+        (np.einsum("aiaj->ij", proj), np.einsum("aiaj->ij", projp)),
     ):
         ev, vec = np.linalg.eigh(rho)
         evp, vecp = np.linalg.eigh(rhop)
-        ev, vec, evp, vecp = ev[::-1], vec[:, ::-1], evp[::-1], vecp[:, ::-1]
         if np.max(np.abs(ev - evp)) > 1e-6:
-            return None, False
-        if rng is not None:
-            start = 0
-            for i in range(1, d + 1):
-                if i == d or abs(ev[i] - ev[i - 1]) > 1e-8:
-                    if i - start > 1:
-                        g = rng.standard_normal((i - start,) * 2) + 1j * rng.standard_normal(
-                            (i - start,) * 2
-                        )
-                        vecp = vecp.copy()
-                        vecp[:, start:i] = vecp[:, start:i] @ _polar(g)
-                        randomized = True
-                    start = i
-        bases.append((vec, vecp))
-    return bases, randomized
+            return None
+        bases.append((vec[:, ::-1], vecp[:, ::-1]))
+    return bases
 
 
 def _phase_tensor(u_inv, u_prime, bases, r, i1, i2):
@@ -747,12 +758,15 @@ def search_p_tilde(
     structure fixed by ``r``: unitary blocks (with ``Y = 0``) in LU mode,
     unconstrained invertible with a condition-number barrier in SLOCC mode.
 
-    Each restart evaluates candidate pair operators from several strategies:
-    the direct basis change, exact product-vector matching (rank-2 qubit
-    pairs), reduced-basis phase pencils (unitary inputs), and an alternating
-    least-squares solve of the zero-block condition.  Restart 0 is
-    deterministic; later restarts are seeded from ``(seed, restart)``.
-    Returns the best :class:`SearchResult` when its objective is below
+    Candidates come as one stream over ``budget`` restarts.  Restart 0 opens
+    with the deterministic ones: the direct basis change, product-vector
+    matches (rank-2 qubit pairs), reduced-basis phase pencils (unitary bases
+    with a qubit factor).  Every restart then adds an alternating phase solve
+    (unitary bases) and an alternating least-squares solve of the zero-block
+    condition (SLOCC or non-unitary bases), from fixed starts on restart 0
+    and starts seeded by ``(seed, restart)`` later.  The stream stops at the
+    first candidate below ``1e-13``.  Returns the best :class:`SearchResult`
+    (``strategy`` names its source) when its objective is below
     ``EQUIV_RTOL``, else ``None`` (never a proof of inequivalence).
     """
     if mode not in (LU, SLOCC):
@@ -766,79 +780,63 @@ def search_p_tilde(
         raise ValueError(f"rank split {r} out of range 1..{side}")
     u_inv = np.linalg.inv(u)
     up_inv = np.linalg.inv(up)
-    u_rows = np.ascontiguousarray(u_inv.reshape(side, i1, i2)[r:])
-    up_cols = np.ascontiguousarray(up.reshape(i1, i2, side)[:, :, :r])
     structured = _unitarity_defect(u) < 1e-6 and _unitarity_defect(up) < 1e-6
 
-    best: SearchResult | None = None
+    def pair(a1, a2):
+        return u_inv @ np.kron(a1, a2) @ up
 
-    def consider(pt_full, restart):
-        nonlocal best
-        if best is not None and best.objective < _SOLVED:
-            return  # a later candidate could only win by float noise
-        p = pt_full[:r, :r]
-        y = pt_full[:r, r:]
-        pbar = pt_full[r:, r:]
+    def candidates():
+        # (restart, strategy, unprojected P~), computed only as far as consumed
+        entropy = _seed_entropy(seed)
+        u_rows = np.ascontiguousarray(u_inv.reshape(side, i1, i2)[r:])
+        up_cols = np.ascontiguousarray(up.reshape(i1, i2, side)[:, :, :r])
+        t = None
+        for restart in range(int(budget)):
+            rng = None if restart == 0 else np.random.default_rng(entropy + (restart,))
+            if restart == 0:
+                yield restart, "direct", u_inv @ up
+                if r == 2 and i1 == 2 and i2 == 2:
+                    for a1, a2 in _matching_candidates(u, up):
+                        yield restart, "matching", pair(a1, a2)
+                bases = _reduced_bases(u, up, r, i1, i2) if structured and r < side else None
+                if bases is not None:
+                    (v1, v1p), (v2, v2p) = bases
+
+                    def phased(z, w):
+                        return pair(v1 @ np.diag(z) @ v1p.conj().T, v2 @ np.diag(w) @ v2p.conj().T)
+
+                    t = _phase_tensor(u_inv, up, bases, r, i1, i2)
+                    if i1 == 2 or i2 == 2:
+                        for z, w in _pencil_phase_candidates(t, i1, i2, entropy):
+                            yield restart, "pencil", phased(z, w)
+            if t is not None:
+                zw = _phase_als(t, i1, i2, rng)
+                if zw is not None:
+                    yield restart, "phase-als", phased(*zw)
+            if mode == SLOCC or not structured:
+                if rng is None:
+                    a1, a2 = np.eye(i1, dtype=np.complex128), np.eye(i2, dtype=np.complex128)
+                else:
+                    g = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (i1, i2)]
+                    a1, a2 = (m / np.linalg.norm(m) for m in g)
+                yield restart, "als", pair(*_als_kron_factors(u_rows, up_cols, a1, a2, i1, i2))
+
+    best: SearchResult | None = None
+    for restart, strategy, pt_full in candidates():
+        p, y, pbar = pt_full[:r, :r], pt_full[:r, r:], pt_full[r:, r:]
         if mode == LU:
             p = _polar(p)
             pbar = _polar(pbar) if pbar.size else pbar
             y = np.zeros_like(y)
-        cand = SearchResult(p.copy(), y.copy(), pbar.copy(), np.inf, restart)
+        cand = SearchResult(p.copy(), y.copy(), pbar.copy(), np.inf, restart, strategy)
         pt = cand.p_tilde()
         if _condition(pt) > COND_LIMIT:
-            return  # degenerate-minimizer barrier
-        s = np.linalg.svd(realign(u @ pt @ up_inv, i1, i2), compute_uv=False)
-        cand.objective = float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
+            continue  # degenerate-minimizer barrier
+        cand.objective = _realign_ratio(u @ pt @ up_inv, i1, i2)
         if best is None or cand.objective < best.objective:
             best = cand
-
-    def consider_pair(a1, a2, restart):
-        consider(u_inv @ np.kron(a1, a2) @ up, restart)
-
-    entropy = _seed_entropy(seed)
-    for restart in range(int(budget)):
-        rng = None if restart == 0 else np.random.default_rng(entropy + (restart,))
-        if restart == 0:
-            consider(u_inv @ up, restart)
-            if r == 2 and i1 == 2 and i2 == 2:
-                for a1, a2 in _matching_candidates(u, up):
-                    consider_pair(a1, a2, restart)
-        if structured:
-            bases, randomized = _reduced_bases(u, up, r, i1, i2, rng)
-            if bases is not None:
-                (v1, v1p), (v2, v2p) = bases
-                if r == side:
-                    if restart == 0 or randomized:
-                        consider_pair(v1 @ v1p.conj().T, v2 @ v2p.conj().T, restart)
-                else:
-                    t = _phase_tensor(u_inv, up, bases, r, i1, i2)
-                    phase_pairs = []
-                    # the pencil is deterministic for fixed bases; rerun it
-                    # only when degenerate-block mixing changed them
-                    if (restart == 0 or randomized) and (i1 == 2 or i2 == 2):
-                        phase_pairs += _pencil_phase_candidates(t, i1, i2, entropy)
-                    pair = _phase_als(t, i1, i2, rng)
-                    if pair is not None:
-                        phase_pairs.append(pair)
-                    for z, w in phase_pairs:
-                        consider_pair(
-                            v1 @ np.diag(z) @ v1p.conj().T,
-                            v2 @ np.diag(w) @ v2p.conj().T,
-                            restart,
-                        )
-        if mode == SLOCC or not structured:
-            if rng is None:
-                a1 = np.eye(i1, dtype=np.complex128)
-                a2 = np.eye(i2, dtype=np.complex128)
-            else:
-                a1 = rng.standard_normal((i1, i1)) + 1j * rng.standard_normal((i1, i1))
-                a2 = rng.standard_normal((i2, i2)) + 1j * rng.standard_normal((i2, i2))
-                a1 /= np.linalg.norm(a1)
-                a2 /= np.linalg.norm(a2)
-            a1, a2 = _als_kron_factors(u_rows, up_cols, a1, a2, i1, i2)
-            consider_pair(a1, a2, restart)
-        if best is not None and best.objective < _SOLVED:
-            break
+            if best.objective < _SOLVED:
+                break  # a later candidate could only win by float noise
     if best is not None and best.objective <= EQUIV_RTOL:
         return best
     return None

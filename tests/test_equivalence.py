@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import entcore
+from entcore import equivalence
 from entcore.decompose import concentrate, reconstruct
 from entcore.equivalence import (
     EQUIVALENT,
@@ -191,6 +193,37 @@ class TestDeriveAndVerify:
         assert verdict.status == INCONCLUSIVE
         assert verdict.witness == reason
 
+    MALFORMED = {
+        "cut-p": "level 0: mode 0: P block of shape (3, 3) is not a finite (4, 4) matrix",
+        "pop-p": "level 0: [2, 3, 3] P/Y/P_bar blocks for 3 modes",
+        "zero-p": "level 0: mode 0: P block is numerically singular",
+        "wrong-y": "level 0: mode 0: Y block of shape (2, 2) is not a finite (4, 0) matrix",
+        "nan-p": "level 0: mode 1: P block of shape (4, 4) is not a finite (4, 4) matrix",
+    }
+
+    @pytest.mark.parametrize("tamper", MALFORMED)
+    def test_malformed_level_is_inconclusive(self, tamper):
+        dims = (2,) * 6
+        psi = random_state(dims, seed=1)
+        ops = lu_ops(dims, seed=0)
+        psip = apply_local(psi, ops)
+        cert = derive_certificate(psi, psip, ops)
+        level = cert.levels[0]
+        assert level.ranks == (4, 4, 4)
+        if tamper == "cut-p":
+            level.p_blocks[0] = level.p_blocks[0][:3, :3]
+        elif tamper == "pop-p":
+            level.p_blocks.pop()
+        elif tamper == "zero-p":
+            level.p_blocks[0] = np.zeros((4, 4))
+        elif tamper == "wrong-y":
+            level.y_blocks[0] = np.zeros((2, 2))
+        else:
+            level.p_blocks[1] = np.where(np.eye(4) > 0, np.nan, level.p_blocks[1])
+        verdict = verify_certificate(psi, psip, cert)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness == self.MALFORMED[tamper]
+
     def test_mismatched_shapes_still_raise(self):
         psi = random_state((2,) * 4, seed=3)
         ops = lu_ops((2,) * 4, seed=1200)
@@ -346,6 +379,15 @@ class TestInvariantFilter:
         assert verdict.status == INEQUIVALENT
         assert "local rank 1 vs 2" in str(verdict.witness)
 
+    @pytest.mark.parametrize("mode", [LU, SLOCC])
+    def test_level_rank_witness_when_particle_spectra_match(self, mode):
+        # every qubit of both states is maximally mixed, but the (0-1) pair is
+        # entangled with the rest in GHZ and not in two Bell pairs
+        bell = ghz_state(2)
+        verdict = invariant_filter(ghz_state(4), np.multiply.outer(bell, bell), mode)
+        assert verdict.status == INEQUIVALENT
+        assert verdict.witness == "level 1 mode 0: local rank 2 vs 1"
+
     def test_shape_mismatch_trivially_inequivalent(self):
         verdict = invariant_filter(np.ones((2, 2)) / 2.0, np.ones((2, 2, 2)) / np.sqrt(8), SLOCC)
         assert verdict.status == INEQUIVALENT
@@ -358,13 +400,15 @@ class TestInvariantFilter:
         assert invariant_filter(a, b, LU).status == INEQUIVALENT
 
 
-def planted_lu_problem(trial, r, base=5000):
-    u = haar_unitary(4, seed=base + trial)
-    p0 = np.zeros((4, 4), dtype=complex)
+def planted_lu_problem(trial, r, dims=(2, 2), base=5000):
+    i1, i2 = dims
+    side = i1 * i2
+    u = haar_unitary(side, seed=base + trial)
+    p0 = np.zeros((side, side), dtype=complex)
     p0[:r, :r] = haar_unitary(r, seed=base + 100 + trial)
-    if r < 4:
-        p0[r:, r:] = haar_unitary(4 - r, seed=base + 200 + trial)
-    k = np.kron(haar_unitary(2, seed=base + 300 + trial), haar_unitary(2, seed=base + 400 + trial))
+    if r < side:
+        p0[r:, r:] = haar_unitary(side - r, seed=base + 200 + trial)
+    k = np.kron(haar_unitary(i1, seed=base + 300 + trial), haar_unitary(i2, seed=base + 400 + trial))
     return u, k.conj().T @ u @ p0
 
 
@@ -386,17 +430,33 @@ class TestSearchPTilde:
         res = search_p_tilde(u, u, 4, 2, 2, mode=LU, budget=5, seed=0)
         assert res is not None
         assert res.restart_index == 0
+        assert res.strategy == "direct"
         assert np.allclose(res.p_tilde(), np.eye(4), atol=1e-10)
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_planted_lu_problems_solved(self, r):
+    def test_zero_budget_tries_nothing(self):
+        # restart 0's deterministic candidates count against the budget too
+        u = haar_unitary(4, seed=0)
+        assert search_p_tilde(u, u, 4, 2, 2, budget=0) is None
+
+    # (3, 2) puts the qubit factor second, so the pencil solves the transposed tensor
+    PLANTED_LU = [(2, 2, r) for r in (1, 2, 3)] + [(3, 2, r) for r in range(1, 6)]
+
+    @pytest.mark.parametrize(
+        "i1, i2, r",
+        PLANTED_LU,
+        ids=[f"{r}" if (i1, i2) == (2, 2) else f"{i1}x{i2}-{r}" for i1, i2, r in PLANTED_LU],
+    )
+    def test_planted_lu_problems_solved(self, i1, i2, r):
         for trial in range(5):
-            u, up = planted_lu_problem(trial, r)
-            res = search_p_tilde(u, up, r, 2, 2, mode=LU, budget=50, seed=trial)
+            u, up = planted_lu_problem(trial, r, (i1, i2))
+            res = search_p_tilde(u, up, r, i1, i2, mode=LU, budget=50, seed=trial)
             assert res is not None
             assert res.objective <= 1e-8
             pt = res.p_tilde()
-            assert np.linalg.norm(pt.conj().T @ pt - np.eye(4)) < 1e-8
+            assert np.linalg.norm(pt.conj().T @ pt - np.eye(i1 * i2)) < 1e-8
+            if (i1, i2, r, trial) == (2, 2, 2, 1):
+                # no other candidate source solves this one
+                assert res.strategy == "pencil"
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_planted_slocc_problems_solved(self, r):
@@ -431,6 +491,46 @@ class TestSearchPTilde:
     def test_rank_range_validated(self):
         with pytest.raises(ValueError):
             search_p_tilde(np.eye(4), np.eye(4), 0, 2, 2)
+
+    @staticmethod
+    def count_candidate_calls(monkeypatch) -> Counter:
+        calls = Counter()
+        for name in (
+            "_matching_candidates",
+            "_reduced_bases",
+            "_phase_tensor",
+            "_pencil_phase_candidates",
+            "_phase_als",
+            "_als_kron_factors",
+        ):
+            real = getattr(equivalence, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(equivalence, name, counting)
+        return calls
+
+    def test_exact_direct_candidate_stops_the_stream(self, monkeypatch):
+        calls = self.count_candidate_calls(monkeypatch)
+        u = haar_unitary(4, seed=0)
+        res = search_p_tilde(u, u, 2, 2, 2, SLOCC)
+        assert calls == Counter()
+        assert res.strategy == "direct"
+
+    def test_reduced_bases_built_once_per_search(self, monkeypatch):
+        # a planted problem moved off its orbit by a non-local rotation of size
+        # 1e-7: the reduced spectra still match to 1e-6, so every restart runs
+        # the phase solve, and no candidate reaches EQUIV_RTOL
+        calls = self.count_candidate_calls(monkeypatch)
+        u, up = planted_lu_problem(0, 2)
+        g = np.random.default_rng(9).standard_normal((4, 4, 2)) @ [1, 1j]
+        lam, v = np.linalg.eigh(g + g.conj().T)
+        nudge = v @ np.diag(np.exp(1e-7j * lam)) @ v.conj().T
+        assert search_p_tilde(u, nudge @ up, 2, 2, 2, LU, budget=5, seed=0) is None
+        assert calls["_phase_als"] == 5
+        assert calls["_reduced_bases"] == calls["_phase_tensor"] == 1
 
 
 class TestSearchEquivalence:
