@@ -6,10 +6,8 @@ from .decompose import (
     ConcentrationLevel,
     ConcentrationTree,
     HosvdResult,
-    OrthogonalityReport,
     ParameterCount,
     TripartiteExtract,
-    check_all_orthogonal,
     concentrate,
     count_parameters,
     count_tree_parameters,
@@ -54,9 +52,6 @@ from .states import (
 )
 from .tensor_ops import (
     as_tensor,
-    fold,
-    inner_product,
-    mode_multiply,
     pair_dims,
     realign,
     rescale,

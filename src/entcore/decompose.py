@@ -24,7 +24,7 @@ error.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +42,9 @@ __all__ = [
     "ConcentrationLevel",
     "ConcentrationTree",
     "HosvdResult",
-    "OrthogonalityReport",
     "ParameterCount",
     "TripartiteExtract",
     "RANK_RTOL",
-    "check_all_orthogonal",
     "complete_basis",
     "concentrate",
     "count_parameters",
@@ -65,8 +63,6 @@ RANK_RTOL = 1e-10
 GAUGE_EPS = 1e-12
 # Smallest wide matrix that left_svd reduces through its R factor first.
 _QR_MIN_ENTRIES = 512
-# Largest subtensor inner product that check_all_orthogonal accepts as zero.
-ORTHO_TOL = 1e-10
 
 
 def cutoff_rank(s) -> int:
@@ -167,53 +163,17 @@ def hosvd(t) -> HosvdResult:
     return HosvdResult(factors, core, list(spectra))
 
 
-@dataclass
-class OrthogonalityReport:
-    """Pairwise subtensor inner products of a candidate core, per mode."""
-
-    passed: bool
-    max_off_diagonal: float
-    mode_norms: list[np.ndarray]
-    violations: list[str] = field(default_factory=list)
-
-
-def check_all_orthogonal(core) -> OrthogonalityReport:
-    """Check that fixed-index subtensors are mutually orthogonal per mode, to ``ORTHO_TOL``.
-
-    Subtensor norms are returned as they are (for an SVD-produced core they
-    equal the mode singular values, in descending order); they are reported,
-    not normalized away.
-    """
-    core = np.asarray(core, dtype=np.complex128)
-    worst = 0.0
-    norms = []
-    violations = []
-    for k in range(core.ndim):
-        mat = unfold(core, k)
-        gram = mat @ mat.conj().T
-        norms.append(np.sqrt(np.abs(np.diag(gram).real)))
-        off = gram - np.diag(np.diag(gram))
-        mode_worst = float(np.max(np.abs(off))) if off.size else 0.0
-        worst = max(worst, mode_worst)
-        if mode_worst > ORTHO_TOL:
-            alpha, beta = np.unravel_index(np.argmax(np.abs(off)), off.shape)
-            violations.append(
-                f"mode {k}: |<subtensor {alpha}, subtensor {beta}>| = {mode_worst:.3e} > {ORTHO_TOL:.1e}"
-            )
-    return OrthogonalityReport(not violations, worst, norms, violations)
-
-
 @dataclass(eq=False)
 class TripartiteExtract:
     """Wrapped leading singular vectors of one composite mode.
 
+    The mode is the extract's position in ``ConcentrationLevel.extracts``.
     ``slices`` holds the ``r`` leading wrapped vectors (each ``I_a x I_b``).
     The ``J - r`` complement slices are derived, not stored: together with
     the slices their vectorizations are the columns of the ``J x J`` unitary
     :func:`complete_basis` builds from :attr:`basis_matrix`.
     """
 
-    mode: int
     slices: list[np.ndarray]
     dims: tuple[int, int, int]  # (r, I_a, I_b)
 
@@ -257,7 +217,7 @@ def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
         jk, r = u.shape
         if ia * ib != jk:
             raise ValueError(f"mode {k}: composite dimension {jk} does not factor as {ia}x{ib}")
-        out.append(TripartiteExtract(k, _wrap_columns(u, ia, ib), (r, ia, ib)))
+        out.append(TripartiteExtract(_wrap_columns(u, ia, ib), (r, ia, ib)))
     return out
 
 

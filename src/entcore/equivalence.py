@@ -5,8 +5,9 @@ operators admit a certificate connecting their concentration hierarchies: at
 every level, each composite mode carries a block upper triangular matrix
 ``[[P, Y], [0, P_bar]]`` linking the two factor bases, and the truncated
 cores are connected by the ``P`` blocks alone.  ``derive_certificate``
-computes those blocks from known local operators via QR factorization;
-``verify_certificate`` re-checks every level at the module tolerances.
+computes those blocks from known local operators straight from the relation
+``U' = (A_a ⊗ A_b) U P~``; ``verify_certificate`` re-checks every level at the
+module tolerances.
 
 For single composite modes the Kronecker structure of the connecting matrix
 is detected through the realignment rank-one criterion
@@ -142,10 +143,6 @@ class LocalOperatorSet:
     def dims(self) -> tuple[int, ...]:
         return tuple(a.shape[0] for a in self.ops)
 
-    @property
-    def condition_numbers(self) -> tuple[float, ...]:
-        return tuple(_condition(a) for a in self.ops)
-
 
 @dataclass
 class EquivalenceVerdict:
@@ -193,13 +190,14 @@ def derive_certificate(
     level's pairing is the adjacent one of its mode count.  Per level and
     composite mode, ``U`` and ``U'`` are the factors completed by
     :func:`~entcore.decompose.complete_basis`, as in a tree's
-    ``full_matrix``: QR-factor the transported basis ``(A_a x A_b) U`` as
-    ``Q R``, set ``X = Q* U'`` and split ``R^{-1} X`` into its blocks at the
-    local rank ``r``.  The inverted ``P`` blocks become the next level's local
-    operators.
+    ``full_matrix``.  ``U`` is unitary, so ``U' = (A_a x A_b) U P~`` gives
+    ``P~ = U^H (A_a^{-1} x A_b^{-1}) U'``, split into its blocks at the local
+    rank ``r``.  The next level's local operators are the inverted ``P``
+    blocks, so the ``P`` blocks themselves are that level's inverse operators:
+    only the level-0 operators are ever inverted.
 
-    Raises ``ValueError`` when ``stop_order`` is not 2 or 3, the premise does
-    not hold to ``EQUIV_RTOL`` or a QR factor is numerically singular.
+    Raises ``ValueError`` when ``stop_order`` is not 2 or 3 or the premise
+    does not hold to ``EQUIV_RTOL``.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
@@ -213,7 +211,7 @@ def derive_certificate(
             f"states are not related by the supplied operators (residual {premise:.3e} > {EQUIV_RTOL:.1e})"
         )
     hierarchy = zip(walk(psi, stop_order), walk(psip, stop_order))
-    ops_level = list(operators.ops)
+    inv_ops = [np.linalg.inv(a) for a in operators.ops]
     levels: list[CertificateLevel] = []
     for h, hp in hierarchy:
         if h.core.shape != hp.core.shape:
@@ -221,22 +219,15 @@ def derive_certificate(
                 f"local ranks differ ({h.local_ranks} vs {hp.local_ranks}); "
                 "the states cannot be related by invertible local operators"
             )
-        p_blocks, y_blocks, pbar_blocks, next_ops = [], [], [], []
-        for k, (b, u, up) in enumerate(zip(_pair_operators(ops_level), h.factors, hp.factors)):
+        p_blocks, y_blocks, pbar_blocks = [], [], []
+        for b_inv, u, up in zip(_pair_operators(inv_ops), h.factors, hp.factors):
             r = u.shape[1]
-            q, rmat = np.linalg.qr(b @ complete_basis(u))
-            if np.min(np.abs(np.diag(rmat))) < 1e-13 * np.max(np.abs(np.diag(rmat))):
-                raise ValueError(f"mode {k}: QR factor is numerically singular")
-            x = q.conj().T @ complete_basis(up)
-            # rmat is upper triangular with a nonzero diagonal, so partial
-            # pivoting swaps no rows and this is a back-substitution
-            p_tilde = np.linalg.solve(rmat, x)
+            p_tilde = complete_basis(u).conj().T @ b_inv @ complete_basis(up)
             p_blocks.append(np.ascontiguousarray(p_tilde[:r, :r]))
             y_blocks.append(np.ascontiguousarray(p_tilde[:r, r:]))
             pbar_blocks.append(np.ascontiguousarray(p_tilde[r:, r:]))
-            next_ops.append(np.linalg.inv(p_tilde[:r, :r]))
         levels.append(CertificateLevel(h.core.shape, p_blocks, y_blocks, pbar_blocks))
-        ops_level = next_ops
+        inv_ops = p_blocks
     return EquivalenceCertificate(operators.mode, operators, levels, stop_order)
 
 
@@ -728,6 +719,11 @@ def _phase_als(t, i1, i2, rng, iters=40):
     else:
         z = np.exp(2j * np.pi * rng.random(i1)) / np.sqrt(i1)
         w = np.exp(2j * np.pi * rng.random(i2)) / np.sqrt(i2)
+    # Starting phases that already meet the zero-block condition are a
+    # solution; on a vanishing tensor the steps below would pick arbitrary
+    # minimum singular vectors instead.
+    if np.linalg.norm(np.einsum("pqab,p,q->ab", t, z, w)) < 1e-14:
+        return z / np.abs(z), w / np.abs(w)
     for _ in range(iters):
         mw = np.einsum("pqab,p->abq", t, z).reshape(-1, i2)
         _, _, vh = np.linalg.svd(mw, full_matrices=True)

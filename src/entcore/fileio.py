@@ -201,7 +201,7 @@ def read_tree(path) -> ConcentrationTree:
                 _decode(s, (ia, ib), path, f"level {li} mode {k} slice {i}")
                 for i, s in enumerate(slices_doc)
             ]
-            extracts.append(TripartiteExtract(k, slices, (r, ia, ib)))
+            extracts.append(TripartiteExtract(slices, (r, ia, ib)))
         ranks = tuple(ext.dims[0] for ext in extracts)
         levels.append(ConcentrationLevel(input_dims, extracts, ranks, tensor_norm(term)))
         input_dims = ranks

@@ -35,9 +35,6 @@ import numpy as np
 
 __all__ = [
     "as_tensor",
-    "fold",
-    "inner_product",
-    "mode_multiply",
     "multiply_modes",
     "pair_dims",
     "realign",
@@ -77,15 +74,6 @@ def tensor_norm(t) -> float:
     return float(np.linalg.norm(np.ravel(t)))
 
 
-def inner_product(a, b) -> complex:
-    """Full contraction ``sum conj(a) * b``; conjugate-linear in ``a``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def unfold(t, k: int) -> np.ndarray:
     """Mode-``k`` unfolding with cyclic column order (``j_{k+1}`` slowest)."""
     t = np.asarray(t)
@@ -96,23 +84,15 @@ def unfold(t, k: int) -> np.ndarray:
     return np.transpose(t, perm).reshape(t.shape[k], -1)
 
 
-def fold(m, k: int, dims) -> np.ndarray:
-    """Exact inverse of :func:`unfold` for the given target shape."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    if not 0 <= k < n:
-        raise ValueError(f"mode {k} out of range for an order-{n} tensor")
-    m = np.asarray(m)
-    other = int(np.prod(dims)) // dims[k]
-    if m.ndim != 2 or m.shape != (dims[k], other):
-        raise ValueError(f"matrix of shape {m.shape} does not fold to {dims} at mode {k}")
-    perm = tuple(range(k, n)) + tuple(range(k))
-    permuted = m.reshape(tuple(dims[p] for p in perm))
-    return np.ascontiguousarray(np.transpose(permuted, np.argsort(perm)))
-
-
 def mode_multiply(t, a, k: int) -> np.ndarray:
-    """Apply matrix ``a`` along mode ``k``: ``unfold(out, k) == a @ unfold(t, k)``."""
+    """Apply matrix ``a`` along mode ``k``: ``unfold(out, k) == a @ unfold(t, k)``.
+
+    Internal and not exported: the program multiplies through
+    :func:`multiply_modes`.  This one-mode form stays as the reference that
+    the ``multiply_modes`` property test compares against and that the
+    no-call test in ``tests/test_hierarchy.py`` counts, and the benchmark's
+    tracer wraps it by name.
+    """
     t = np.asarray(t)
     a = np.asarray(a)
     if a.ndim != 2:

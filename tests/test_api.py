@@ -9,10 +9,8 @@ PUBLIC_NAMES = {
     "ConcentrationLevel",
     "ConcentrationTree",
     "HosvdResult",
-    "OrthogonalityReport",
     "ParameterCount",
     "TripartiteExtract",
-    "check_all_orthogonal",
     "concentrate",
     "count_parameters",
     "count_tree_parameters",
@@ -54,9 +52,6 @@ PUBLIC_NAMES = {
     "w_state",
     # tensor_ops
     "as_tensor",
-    "fold",
-    "inner_product",
-    "mode_multiply",
     "pair_dims",
     "realign",
     "rescale",

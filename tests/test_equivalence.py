@@ -63,11 +63,6 @@ class TestLocalOperatorSet:
         with pytest.raises(ValueError):
             LocalOperatorSet((np.array([[1.0, 0.0], [0.0, 0.0]]),), SLOCC)
 
-    def test_condition_numbers_reported(self):
-        ops = LocalOperatorSet((np.diag([2.0, 1.0]), np.eye(3)), SLOCC)
-        assert ops.condition_numbers[0] == pytest.approx(2.0)
-        assert ops.condition_numbers[1] == pytest.approx(1.0)
-
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             LocalOperatorSet((np.eye(2),), "other")
@@ -223,6 +218,27 @@ class TestDeriveAndVerify:
         verdict = verify_certificate(psi, psip, cert)
         assert verdict.status == INCONCLUSIVE
         assert verdict.witness == self.MALFORMED[tamper]
+
+    def test_certificate_for_another_partner_fails_reassembly(self):
+        dims = (2,) * 6
+        psi = random_state(dims, seed=1)
+        ops = LocalOperatorSet(tuple(haar_unitary(2, seed=i) for i in range(6)), LU)
+        cert = derive_certificate(psi, apply_local(psi, ops), ops)
+        verdict = verify_certificate(psi, random_state(dims, seed=2), cert)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness.startswith("reassembly residual")
+
+    def test_nonzero_lu_y_block_is_inconclusive(self):
+        psi = ghz_state(6)
+        ops = LocalOperatorSet(tuple(haar_unitary(2, seed=10 + i) for i in range(6)), LU)
+        psip = apply_local(psi, ops)
+        cert = derive_certificate(psi, psip, ops)
+        level = cert.levels[0]
+        assert level.ranks == (2, 2, 2)
+        level.y_blocks[0] = level.y_blocks[0] + 1e-3
+        verdict = verify_certificate(psi, psip, cert)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness == "level 0 mode 0: Y-block norm 2.000e-03"
 
     def test_mismatched_shapes_still_raise(self):
         psi = random_state((2,) * 4, seed=3)
@@ -465,6 +481,21 @@ class TestSearchPTilde:
             res = search_p_tilde(u, up, r, 2, 2, mode=SLOCC, budget=50, seed=trial)
             assert res is not None
             assert res.objective <= 1e-8
+
+    @pytest.mark.parametrize("mode", [LU, SLOCC])
+    @pytest.mark.parametrize("i1, i2, r", [(2, 2, 1), (2, 2, 3), (3, 3, 1), (2, 3, 2)])
+    def test_vacuous_zero_block_condition_solved(self, i1, i2, r, mode):
+        # in the product basis the phase tensor vanishes, so unit phases
+        # already solve the zero-block condition while the pencil is 0/0
+        side = i1 * i2
+        p0 = np.zeros((side, side), dtype=complex)
+        p0[:r, :r] = haar_unitary(r, seed=1)
+        p0[r:, r:] = haar_unitary(side - r, seed=2)
+        k = np.kron(haar_unitary(i1, seed=3), haar_unitary(i2, seed=4))
+        u = np.eye(side, dtype=complex)
+        res = search_p_tilde(u, k.conj().T @ u @ p0, r, i1, i2, mode=mode, budget=50, seed=0)
+        assert res is not None
+        assert res.objective <= 1e-14
 
     def test_found_blocks_give_kronecker_connector(self):
         u, up = planted_slocc_problem(0, 2)

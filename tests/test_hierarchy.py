@@ -18,17 +18,27 @@ from entcore.equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
     LU,
+    SLOCC,
     LocalOperatorSet,
     derive_certificate,
     invariant_filter,
     verify_certificate,
 )
-from entcore.states import apply_local, haar_unitary, random_state
+from entcore.states import apply_local, haar_unitary, random_invertible, random_state
 
 
-def lu_orbit(dims, seed):
+def orbit(dims, seed, mode=LU):
+    """A random state, its image under seeded local operators, and the operators.
+
+    LU draws Haar unitaries; SLOCC draws invertibles of condition number 10,
+    whose inverses differ from their adjoints.
+    """
     psi = random_state(dims, seed=seed)
-    ops = LocalOperatorSet(tuple(haar_unitary(d, seed=seed + 1 + i) for i, d in enumerate(dims)), LU)
+    if mode == LU:
+        mats = [haar_unitary(d, seed=seed + 1 + i) for i, d in enumerate(dims)]
+    else:
+        mats = [random_invertible(d, 10.0, seed=seed + 1 + i) for i, d in enumerate(dims)]
+    ops = LocalOperatorSet(tuple(mats), mode)
     return psi, apply_local(psi, ops), ops
 
 
@@ -47,9 +57,14 @@ SMALL_DIMS = st.lists(st.sampled_from((2, 3)), min_size=2, max_size=7).filter(
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(dims=SMALL_DIMS, stop_order=st.sampled_from((2, 3)), seed=st.integers(0, 2**32 - 1))
-def test_tree_and_certificate_share_the_hierarchy(dims, stop_order, seed):
-    psi, psip, ops = lu_orbit(tuple(dims), seed)
+@given(
+    dims=SMALL_DIMS,
+    stop_order=st.sampled_from((2, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from((LU, SLOCC)),
+)
+def test_tree_and_certificate_share_the_hierarchy(dims, stop_order, seed, mode):
+    psi, psip, ops = orbit(tuple(dims), seed, mode)
     tree = concentrate(psi, stop_order=stop_order)
     assert np.linalg.norm(reconstruct(tree) - psi) < 1e-10
     cert = derive_certificate(psi, psip, ops, stop_order=stop_order)
@@ -80,7 +95,7 @@ def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
         return len(calls), out
 
     monkeypatch.setattr(decompose, "hosvd", counting_hosvd)
-    psi, psip, ops = lu_orbit((2,) * order, seed=order)
+    psi, psip, ops = orbit((2,) * order, seed=order)
     n_levels = levels_to(order, stop_order)
     assert n_levels >= 1
 
@@ -110,7 +125,7 @@ def test_all_modes_products_make_no_mode_multiply_call(monkeypatch):
     for module in (entcore, tensor_ops, decompose, states, equivalence):
         if hasattr(module, "mode_multiply"):
             monkeypatch.setattr(module, "mode_multiply", counting_mode_multiply)
-    psi, psip, ops = lu_orbit((2,) * 6, seed=6)
+    psi, psip, ops = orbit((2,) * 6, seed=6)
     tree = concentrate(psi, stop_order=2)
     assert np.linalg.norm(reconstruct(tree) - psi) < 1e-10
     assert np.linalg.norm(apply_local(psi, ops) - psip) < 1e-12

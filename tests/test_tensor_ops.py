@@ -9,8 +9,6 @@ from entcore.cli import _pairing_flag, _pairing_label
 from entcore.decompose import hosvd
 from entcore.tensor_ops import (
     as_tensor,
-    fold,
-    inner_product,
     mode_multiply,
     multiply_modes,
     pair_dims,
@@ -29,43 +27,7 @@ def random_tensor(rng, dims):
     return t / np.linalg.norm(t)
 
 
-class TestInnerProduct:
-    def test_normalized_state_has_unit_self_overlap(self):
-        rng = np.random.default_rng(0)
-        t = random_tensor(rng, (2, 3, 2))
-        assert inner_product(t, t) == pytest.approx(1.0, abs=1e-14)
-
-    def test_distinct_basis_tensors_are_orthogonal(self):
-        a = np.zeros((2, 2, 2, 2), dtype=complex)
-        b = np.zeros((2, 2, 2, 2), dtype=complex)
-        a[0, 0, 0, 1] = 1.0
-        b[0, 0, 1, 0] = 1.0
-        assert inner_product(a, b) == 0.0
-
-    def test_matches_elementwise_sum_oracle(self):
-        rng = np.random.default_rng(1)
-        a = random_tensor(rng, (2, 3))
-        b = random_tensor(rng, (2, 3))
-        # independent brute-force oracle
-        expected = 0.0
-        for i in range(2):
-            for j in range(3):
-                expected += np.conj(a[i, j]) * b[i, j]
-        assert inner_product(a, b) == pytest.approx(expected, abs=1e-14)
-
-    def test_conjugate_linear_in_first_argument(self):
-        rng = np.random.default_rng(2)
-        a = random_tensor(rng, (2, 2))
-        b = random_tensor(rng, (2, 2))
-        c = 0.3 - 1.7j
-        assert inner_product(c * a, b) == pytest.approx(np.conj(c) * inner_product(a, b))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            inner_product(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestUnfoldFold:
+class TestUnfold:
     def test_order_one_tensor_unfolds_to_column(self):
         v = np.arange(5, dtype=complex)
         m = unfold(v, 0)
@@ -88,22 +50,6 @@ class TestUnfoldFold:
             for j2 in range(4):
                 for j0 in range(2):
                     assert m[j1, j2 * 2 + j0] == t[j0, j1, j2]
-
-    @pytest.mark.parametrize("dims", [(2,), (3, 2), (2, 3, 4), (2, 2, 2, 2), (2, 1, 3, 2, 2), (2,) * 6])
-    def test_fold_unfold_roundtrip_is_exact(self, dims):
-        rng = np.random.default_rng(hash(dims) % (2**32))
-        t = random_tensor(rng, dims)
-        for k in range(len(dims)):
-            back = fold(unfold(t, k), k, dims)
-            assert np.array_equal(back, t)  # bit-level permutation
-
-    def test_fold_of_row_matrix_at_mode_zero(self):
-        v = np.arange(4, dtype=complex)
-        assert np.array_equal(fold(v.reshape(4, 1), 0, (4,)), v)
-
-    def test_fold_rejects_wrong_row_count(self):
-        with pytest.raises(ValueError):
-            fold(np.zeros((3, 4)), 0, (2, 6))
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
@@ -263,7 +209,7 @@ class TestRescale:
         a = random_tensor(rng, (2, 3, 2, 2))
         b = random_tensor(rng, (2, 3, 2, 2))
         assert tensor_norm(rescale(a)) == tensor_norm(a)
-        assert inner_product(rescale(a), rescale(b)) == inner_product(a, b)
+        assert np.vdot(rescale(a), rescale(b)) == np.vdot(a, b)
 
     def test_unrescale_inverts(self):
         rng = np.random.default_rng(10)
