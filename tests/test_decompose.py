@@ -267,6 +267,17 @@ class TestAllOrthogonality:
             gram = rows @ rows.conj().T
             assert np.allclose(gram - np.diag(np.diag(gram)), 0, atol=1e-10)
 
+    def test_generic_tensor_fails(self):
+        # the pairwise oracle has teeth: a generic tensor fails it, its HOSVD core passes
+        t = random_state((3, 3, 3), seed=3)
+        for k in range(t.ndim):
+            gram = unfold(t, k) @ unfold(t, k).conj().T
+            assert np.max(np.abs(gram - np.diag(np.diag(gram)))) > 1e-3
+        core = hosvd(t).core
+        for k in range(core.ndim):
+            gram = unfold(core, k) @ unfold(core, k).conj().T
+            assert np.allclose(gram - np.diag(np.diag(gram)), 0, atol=1e-10)
+
 
 class TestExtracts:
     def test_four_qubit_extracts_match_reference_matrices(self):

@@ -27,7 +27,7 @@ def random_tensor(rng, dims):
     return t / np.linalg.norm(t)
 
 
-class TestUnfold:
+class TestUnfoldFold:
     def test_order_one_tensor_unfolds_to_column(self):
         v = np.arange(5, dtype=complex)
         m = unfold(v, 0)
@@ -50,6 +50,17 @@ class TestUnfold:
             for j2 in range(4):
                 for j0 in range(2):
                     assert m[j1, j2 * 2 + j0] == t[j0, j1, j2]
+
+    @pytest.mark.parametrize("dims", [(2,), (3, 2), (2, 3, 4), (2, 2, 2, 2), (2, 1, 3, 2, 2), (2,) * 6])
+    def test_fold_unfold_roundtrip_is_exact(self, dims):
+        # unfold only permutes entries: folding back (reshape to the rolled
+        # dims, then undo the cyclic transpose) gives the tensor bit for bit
+        rng = np.random.default_rng(hash(dims) % (2**32))
+        t = random_tensor(rng, dims)
+        n = len(dims)
+        for k in range(n):
+            back = np.transpose(unfold(t, k).reshape(dims[k:] + dims[:k]), np.roll(np.arange(n), k))
+            assert np.array_equal(back, t)
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
