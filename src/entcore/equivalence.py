@@ -254,11 +254,12 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     addition be unitary with a vanishing ``Y``.  The reassembly residual
     ``psi' vs (x A_i) psi`` is also included.  Status is ``equivalent`` only
     if every check passes; a failed certificate is ``inconclusive`` (it never
-    proves inequivalence).  That includes a certificate whose levels do not
-    fit the hierarchies: a level whose ranks differ from its cores, or that
-    lacks one finite ``r x r`` P, ``r x (J-r)`` Y and ``(J-r) x (J-r)`` P_bar
-    per mode, or has a singular P (checking stops there); more levels than
-    the hierarchy has, or too few to reach its terminal order.
+    proves inequivalence).  That includes a certificate whose stop order is
+    not 2 or 3 or whose levels do not fit the hierarchies: a level whose ranks
+    differ from its cores, or lacks one finite ``r x r`` P, ``r x (J-r)`` Y and
+    ``(J-r) x (J-r)`` P_bar per mode, or has a singular P (checking stops at
+    any of these); more levels than the hierarchy has, or too few to reach its
+    terminal order.
 
     Raises ``ValueError`` only for caller errors: states of different shapes,
     or operators whose dims do not match the states'.
@@ -269,6 +270,8 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
     if cert.operators.dims != psi.shape:
         raise ValueError(f"operator dims {cert.operators.dims} do not match state dims {psi.shape}")
+    if cert.stop_order not in (2, 3):
+        return EquivalenceVerdict(INCONCLUSIVE, f"certificate stop order {cert.stop_order} is not 2 or 3")
     failures: list[str] = []
     premise = _rel_err(apply_local(psi, cert.operators), psip)
     residuals: dict = {"reassembly": premise, "levels": []}
@@ -347,6 +350,8 @@ def kron_factorize(phi, i1: int, i2: int) -> tuple[np.ndarray, np.ndarray]:
     phi = np.asarray(phi, dtype=np.complex128)
     r = realign(phi, i1, i2)
     u, s, vh = np.linalg.svd(r)
+    if s[0] == 0:
+        raise ValueError("realignment is zero, so not rank one")
     if s.size > 1 and s[1] > EQUIV_RTOL * s[0]:
         raise ValueError(f"realignment is not rank one (sigma2/sigma1 = {s[1] / s[0]:.3e})")
     root = np.sqrt(s[0])
@@ -677,11 +682,9 @@ def _phase_tensor(u_inv, u_prime, bases, r, i1, i2):
 
 
 def _pencil_phase_candidates(t, i1, i2, entropy):
-    # With one factor of size two, gauge its phases to (1, zeta); the
-    # zero-block condition becomes (M0 + zeta*M1) w = 0, so the admissible
-    # zeta are generalized eigenvalues of randomly compressed pencils.
-    import scipy.linalg  # here, not at module level: it adds ~0.25 s to `import entcore`
-
+    # With one factor of size two, gauge its phases to (1, zeta); the zero-block
+    # condition becomes (M0 + zeta*M1) w = 0, so the admissible zeta are the
+    # eigenvalues of C^{-1} A of each random square compression A = G M0, C = -G M1.
     swapped = i1 != 2
     if swapped:
         t = np.transpose(t, (1, 0, 2, 3))
@@ -694,11 +697,11 @@ def _pencil_phase_candidates(t, i1, i2, entropy):
         rng = np.random.default_rng(entropy + (7001, k))
         g = rng.standard_normal((i2, rows)) + 1j * rng.standard_normal((i2, rows))
         try:
-            vals = scipy.linalg.eigvals(g @ m0, -(g @ m1))
-        except (ValueError, np.linalg.LinAlgError):
+            vals = np.linalg.eigvals(np.linalg.solve(-(g @ m1), g @ m0))
+        except np.linalg.LinAlgError:
             continue
         for zeta in vals:
-            if not np.isfinite(zeta) or not 1e-8 < abs(zeta) < 1e8:
+            if not 1e-8 < abs(zeta) < 1e8:
                 continue
             _, _, vh = np.linalg.svd(m0 + zeta * m1, full_matrices=True)
             w = vh[-1].conj()

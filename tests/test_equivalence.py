@@ -175,6 +175,7 @@ class TestDeriveAndVerify:
         [
             (2, 3, "certificate has more levels than the concentration hierarchy"),
             (3, 2, "certificate does not reach the terminal order of the hierarchy"),
+            (3, 4, "certificate stop order 4 is not 2 or 3"),
         ],
     )
     def test_certificate_of_another_depth_is_inconclusive(self, derived_stop, checked_stop, reason):
@@ -325,6 +326,11 @@ class TestKronFactorize:
         assert np.linalg.norm(np.kron(a1, a2) - c * np.kron(a, b)) < 1e-10
         pivot = a1.flat[np.argmax(np.abs(a1))]
         assert pivot.real > 0 and abs(pivot.imag) < 1e-10
+
+    def test_zero_matrix_is_not_rank_one(self):
+        # a zero realignment has rank 0: no factors, and no 0/0 phase
+        with pytest.raises(ValueError, match="not rank one"):
+            kron_factorize(np.zeros((4, 4)), 2, 2)
 
 
 class TestSpectralPreservation:
@@ -610,8 +616,15 @@ class TestSearchEquivalence:
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported only where the phase pencil needs it
+    # entcore depends on numpy alone: neither the import nor a search that
+    # only the phase pencil (numpy eigenvalues of C^{-1} A) solves loads scipy
     src = os.path.dirname(os.path.dirname(entcore.__file__))
-    code = f"import sys; sys.path.insert(0, {src!r}); import entcore; print('scipy' in sys.modules)"
+    u, up = planted_lu_problem(1, 2)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import numpy as np; import entcore\n"
+        f"u, up = np.array({u.tolist()!r}), np.array({up.tolist()!r})\n"
+        "res = entcore.search_p_tilde(u, up, 2, 2, 2, mode=entcore.LU, budget=50, seed=1)\n"
+        "print(res.strategy, 'scipy' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["pencil", "False"]
