@@ -11,7 +11,9 @@ unfolding is first reduced to the small triangular factor of its QR
 decomposition, so no right basis of the long side is ever built; a two-mode
 tensor takes one SVD for both of its modes.  :func:`concentrate` and the
 equivalence machinery (certificates, verification, the invariant filter and
-the search) all consume that walk.
+the search) all consume that walk.  A :class:`Hierarchy` keeps one state's
+walk with a read-only copy of the state, so a certificate can carry the
+levels it was derived from to its verification.
 
 :func:`concentrate` records one extract per composite mode and level,
 holding the wrapped factor columns (the slices).  Where a square basis is
@@ -262,6 +264,34 @@ def walk(t, stop_order: int) -> Iterator[HosvdResult]:
             cur = h.core
 
     return levels(t)
+
+
+@dataclass(frozen=True, eq=False)
+class Hierarchy:
+    """The :func:`walk` of one state to ``stop_order``, kept with a read-only copy of that state.
+
+    The copy is what lets a consumer reuse ``levels`` soundly: they are the
+    hierarchy of another state only when :meth:`is_walk_of` finds that state
+    equal to the copy, entry for entry.
+    """
+
+    state: np.ndarray
+    stop_order: int
+    levels: tuple[HosvdResult, ...]
+
+    @classmethod
+    def of(cls, t, stop_order: int) -> Hierarchy:
+        state = np.array(t, dtype=np.complex128)
+        state.flags.writeable = False
+        return cls(state, stop_order, tuple(walk(state, stop_order)))
+
+    def is_walk_of(self, t: np.ndarray, stop_order: int) -> bool:
+        """True when ``levels`` are ``walk(t, stop_order)``: same stop order, shape and entries."""
+        return (
+            self.stop_order == stop_order
+            and self.state.shape == t.shape
+            and np.array_equal(self.state, t)
+        )
 
 
 def concentrate(state, stop_order: int = 3) -> ConcentrationTree:

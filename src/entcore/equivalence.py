@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import complete_basis, cutoff_rank, left_svd, walk
+from .decompose import Hierarchy, complete_basis, cutoff_rank, left_svd, walk
 from .states import apply_local
 from .tensor_ops import as_tensor, multiply_modes, pair_dims, realign, unfold, wrap
 
@@ -173,6 +173,8 @@ class EquivalenceCertificate:
     operators: LocalOperatorSet
     levels: list[CertificateLevel]
     stop_order: int = 3
+    # the (psi, psi_prime) hierarchies derive_certificate walked; None when built by hand
+    _hierarchies: tuple[Hierarchy, Hierarchy] | None = field(default=None, init=False, repr=False)
 
 
 def _pair_operators(ops) -> list[np.ndarray]:
@@ -196,6 +198,11 @@ def derive_certificate(
     blocks, so the ``P`` blocks themselves are that level's inverse operators:
     only the level-0 operators are ever inverted.
 
+    The certificate keeps both walks, each with a read-only copy of its
+    state (:class:`~entcore.decompose.Hierarchy`), so that
+    :func:`verify_certificate` of the same states does not walk them again.
+    The kept factors and cores live as long as the certificate.
+
     Raises ``ValueError`` when ``stop_order`` is not 2 or 3 or the premise
     does not hold to ``EQUIV_RTOL``.
     """
@@ -210,10 +217,10 @@ def derive_certificate(
         raise ValueError(
             f"states are not related by the supplied operators (residual {premise:.3e} > {EQUIV_RTOL:.1e})"
         )
-    hierarchy = zip(walk(psi, stop_order), walk(psip, stop_order))
+    hierarchies = (Hierarchy.of(psi, stop_order), Hierarchy.of(psip, stop_order))
     inv_ops = [np.linalg.inv(a) for a in operators.ops]
     levels: list[CertificateLevel] = []
-    for h, hp in hierarchy:
+    for h, hp in zip(hierarchies[0].levels, hierarchies[1].levels):
         if h.core.shape != hp.core.shape:
             raise ValueError(
                 f"local ranks differ ({h.local_ranks} vs {hp.local_ranks}); "
@@ -228,7 +235,9 @@ def derive_certificate(
             pbar_blocks.append(np.ascontiguousarray(p_tilde[r:, r:]))
         levels.append(CertificateLevel(h.core.shape, p_blocks, y_blocks, pbar_blocks))
         inv_ops = p_blocks
-    return EquivalenceCertificate(operators.mode, operators, levels, stop_order)
+    cert = EquivalenceCertificate(operators.mode, operators, levels, stop_order)
+    cert._hierarchies = hierarchies
+    return cert
 
 
 def _malformed_blocks(clevel: CertificateLevel, factors) -> str | None:
@@ -243,6 +252,13 @@ def _malformed_blocks(clevel: CertificateLevel, factors) -> str | None:
         if _condition(clevel.p_blocks[k]) > SINGULAR_COND:
             return f"mode {k}: P block is numerically singular"
     return None
+
+
+def _levels(t: np.ndarray, stop_order: int, kept: Hierarchy | None):
+    """``walk(t, stop_order)``, or the levels of ``kept`` when they are that walk."""
+    if kept is not None and kept.is_walk_of(t, stop_order):
+        return iter(kept.levels)
+    return walk(t, stop_order)
 
 
 def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> EquivalenceVerdict:
@@ -260,6 +276,13 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     ``(J-r) x (J-r)`` P_bar per mode, or has a singular P (checking stops at
     any of these); more levels than the hierarchy has, or too few to reach its
     terminal order.
+
+    The factors and cores come from :func:`~entcore.decompose.walk` of each
+    state, or from the hierarchy a derived certificate kept for that argument
+    position when it was walked to ``cert.stop_order`` from a state equal to
+    the given one entry for entry; a hand-built certificate keeps none, and a
+    state changed since derivation is walked again.  Only the factorisations
+    are reused: every check above is made afresh.
 
     Raises ``ValueError`` only for caller errors: states of different shapes,
     or operators whose dims do not match the states'.
@@ -282,7 +305,12 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
             defect = _unitarity_defect(a)
             if defect > EQUIV_RTOL:
                 failures.append(f"operator {i} unitarity defect {defect:.3e}")
-    hierarchy = zip(cert.levels, walk(psi, cert.stop_order), walk(psip, cert.stop_order))
+    kept, kept_prime = cert._hierarchies or (None, None)
+    hierarchy = zip(
+        cert.levels,
+        _levels(psi, cert.stop_order, kept),
+        _levels(psip, cert.stop_order, kept_prime),
+    )
     ops_level = list(cert.operators.ops)
     core_t = psi
     for li, (clevel, h, hp) in enumerate(hierarchy):
@@ -685,6 +713,7 @@ def _pencil_phase_candidates(t, i1, i2, entropy):
     # With one factor of size two, gauge its phases to (1, zeta); the zero-block
     # condition becomes (M0 + zeta*M1) w = 0, so the admissible zeta are the
     # eigenvalues of C^{-1} A of each random square compression A = G M0, C = -G M1.
+    # A numerically singular C is skipped: its pencil's eigenvalues are rounding noise.
     swapped = i1 != 2
     if swapped:
         t = np.transpose(t, (1, 0, 2, 3))
@@ -696,11 +725,10 @@ def _pencil_phase_candidates(t, i1, i2, entropy):
     for k in range(2):
         rng = np.random.default_rng(entropy + (7001, k))
         g = rng.standard_normal((i2, rows)) + 1j * rng.standard_normal((i2, rows))
-        try:
-            vals = np.linalg.eigvals(np.linalg.solve(-(g @ m1), g @ m0))
-        except np.linalg.LinAlgError:
+        c = -(g @ m1)
+        if _condition(c) > SINGULAR_COND:
             continue
-        for zeta in vals:
+        for zeta in np.linalg.eigvals(np.linalg.solve(c, g @ m0)):
             if not 1e-8 < abs(zeta) < 1e8:
                 continue
             _, _, vh = np.linalg.svd(m0 + zeta * m1, full_matrices=True)

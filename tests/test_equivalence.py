@@ -480,6 +480,17 @@ class TestSearchPTilde:
                 # no other candidate source solves this one
                 assert res.strategy == "pencil"
 
+    def test_singular_pencil_gives_no_candidate(self):
+        # at r = 1 on a qubit pair both pencil matrices have rank one, so every
+        # compression is numerically singular and its eigenvalues are rounding
+        # noise: the phase ALS, not the pencil, must solve these
+        for trial in range(5):
+            u, up = planted_lu_problem(trial, 1)
+            res = search_p_tilde(u, up, 1, 2, 2, mode=LU, budget=50, seed=trial)
+            assert res is not None
+            assert res.objective <= 1e-8
+            assert res.strategy != "pencil"
+
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_planted_slocc_problems_solved(self, r):
         for trial in range(5):
