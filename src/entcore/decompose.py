@@ -12,8 +12,11 @@ decomposition, so no right basis of the long side is ever built; a two-mode
 tensor takes one SVD for both of its modes.  :func:`concentrate` and the
 equivalence machinery (certificates, verification, the invariant filter and
 the search) all consume that walk.  A :class:`Hierarchy` keeps one state's
-walk with a read-only copy of the state, so a certificate can carry the
-levels it was derived from to its verification.
+walk with a read-only copy of the state.  The stages of one equivalence
+check pass their walks on through a hand-off that holds the two latest
+(:func:`hand_off`): :func:`take` returns the handed-off walk of an equal
+state to the same stop order instead of walking again, and each entry is
+taken at most once, so a check walks each state once.
 
 :func:`concentrate` records one extract per composite mode and level,
 holding the wrapped factor columns (the slices).  Where a square basis is
@@ -25,6 +28,8 @@ error.
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -281,8 +286,7 @@ class Hierarchy:
 
     @classmethod
     def of(cls, t, stop_order: int) -> Hierarchy:
-        state = np.array(t, dtype=np.complex128)
-        state.flags.writeable = False
+        state = read_only_copy(t)
         return cls(state, stop_order, tuple(walk(state, stop_order)))
 
     def is_walk_of(self, t: np.ndarray, stop_order: int) -> bool:
@@ -292,6 +296,44 @@ class Hierarchy:
             and self.state.shape == t.shape
             and np.array_equal(self.state, t)
         )
+
+
+def read_only_copy(t) -> np.ndarray:
+    """A complex128 copy of ``t`` that cannot be written to, as a :class:`Hierarchy` keeps."""
+    state = np.array(t, dtype=np.complex128)
+    state.flags.writeable = False
+    return state
+
+
+# Walks one stage of a check made for the next; eq=False, so remove() matches by identity.
+_HANDOFF: deque[Hierarchy] = deque(maxlen=2)
+_HANDOFF_LOCK = threading.Lock()
+
+
+def hand_off(*hierarchies: Hierarchy) -> None:
+    """Offer walks to the next stage; only the two latest are kept, the older ones are dropped."""
+    with _HANDOFF_LOCK:
+        _HANDOFF.extend(hierarchies)
+
+
+def claim(t: np.ndarray, stop_order: int) -> Hierarchy | None:
+    """Remove and return a handed-off walk of ``t`` to ``stop_order``, or ``None`` if none is held.
+
+    An entry matches only when :meth:`Hierarchy.is_walk_of` holds, so no
+    caller ever gets the walk of another state, and no entry is returned twice.
+    """
+    with _HANDOFF_LOCK:
+        for h in _HANDOFF:
+            if h.is_walk_of(t, stop_order):
+                _HANDOFF.remove(h)
+                return h
+    return None
+
+
+def take(t: np.ndarray, stop_order: int) -> Hierarchy:
+    """The handed-off walk of ``t`` to ``stop_order`` (see :func:`claim`), else a new one."""
+    h = claim(t, stop_order)
+    return Hierarchy.of(t, stop_order) if h is None else h
 
 
 def concentrate(state, stop_order: int = 3) -> ConcentrationTree:

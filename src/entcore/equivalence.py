@@ -34,7 +34,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import Hierarchy, complete_basis, cutoff_rank, left_svd, walk
+from .decompose import (
+    Hierarchy,
+    claim,
+    complete_basis,
+    cutoff_rank,
+    hand_off,
+    left_svd,
+    read_only_copy,
+    take,
+    walk,
+)
 from .states import apply_local
 from .tensor_ops import as_tensor, multiply_modes, pair_dims, realign, unfold, wrap
 
@@ -173,8 +183,6 @@ class EquivalenceCertificate:
     operators: LocalOperatorSet
     levels: list[CertificateLevel]
     stop_order: int = 3
-    # the (psi, psi_prime) hierarchies derive_certificate walked; None when built by hand
-    _hierarchies: tuple[Hierarchy, Hierarchy] | None = field(default=None, init=False, repr=False)
 
 
 def _pair_operators(ops) -> list[np.ndarray]:
@@ -198,10 +206,12 @@ def derive_certificate(
     blocks, so the ``P`` blocks themselves are that level's inverse operators:
     only the level-0 operators are ever inverted.
 
-    The certificate keeps both walks, each with a read-only copy of its
-    state (:class:`~entcore.decompose.Hierarchy`), so that
-    :func:`verify_certificate` of the same states does not walk them again.
-    The kept factors and cores live as long as the certificate.
+    Both walks come from :func:`~entcore.decompose.take`: the ones the
+    stage before handed off for equal states to ``stop_order`` (the
+    invariant filter's, or the search's), else new ones.  Once the levels
+    are built they are handed off in turn, so that :func:`verify_certificate`
+    of the same states does not walk them again.  The certificate itself
+    keeps no walk.
 
     Raises ``ValueError`` when ``stop_order`` is not 2 or 3 or the premise
     does not hold to ``EQUIV_RTOL``.
@@ -217,10 +227,10 @@ def derive_certificate(
         raise ValueError(
             f"states are not related by the supplied operators (residual {premise:.3e} > {EQUIV_RTOL:.1e})"
         )
-    hierarchies = (Hierarchy.of(psi, stop_order), Hierarchy.of(psip, stop_order))
+    walks = (take(psi, stop_order), take(psip, stop_order))
     inv_ops = [np.linalg.inv(a) for a in operators.ops]
     levels: list[CertificateLevel] = []
-    for h, hp in zip(hierarchies[0].levels, hierarchies[1].levels):
+    for h, hp in zip(walks[0].levels, walks[1].levels):
         if h.core.shape != hp.core.shape:
             raise ValueError(
                 f"local ranks differ ({h.local_ranks} vs {hp.local_ranks}); "
@@ -235,9 +245,8 @@ def derive_certificate(
             pbar_blocks.append(np.ascontiguousarray(p_tilde[r:, r:]))
         levels.append(CertificateLevel(h.core.shape, p_blocks, y_blocks, pbar_blocks))
         inv_ops = p_blocks
-    cert = EquivalenceCertificate(operators.mode, operators, levels, stop_order)
-    cert._hierarchies = hierarchies
-    return cert
+    hand_off(*walks)
+    return EquivalenceCertificate(operators.mode, operators, levels, stop_order)
 
 
 def _malformed_blocks(clevel: CertificateLevel, factors) -> str | None:
@@ -254,11 +263,10 @@ def _malformed_blocks(clevel: CertificateLevel, factors) -> str | None:
     return None
 
 
-def _levels(t: np.ndarray, stop_order: int, kept: Hierarchy | None):
-    """``walk(t, stop_order)``, or the levels of ``kept`` when they are that walk."""
-    if kept is not None and kept.is_walk_of(t, stop_order):
-        return iter(kept.levels)
-    return walk(t, stop_order)
+def _levels(t: np.ndarray, stop_order: int):
+    """The handed-off levels of ``t`` to ``stop_order``, else ``walk(t, stop_order)`` lazily."""
+    h = claim(t, stop_order)
+    return walk(t, stop_order) if h is None else iter(h.levels)
 
 
 def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> EquivalenceVerdict:
@@ -277,12 +285,13 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     any of these); more levels than the hierarchy has, or too few to reach its
     terminal order.
 
-    The factors and cores come from :func:`~entcore.decompose.walk` of each
-    state, or from the hierarchy a derived certificate kept for that argument
-    position when it was walked to ``cert.stop_order`` from a state equal to
-    the given one entry for entry; a hand-built certificate keeps none, and a
-    state changed since derivation is walked again.  Only the factorisations
-    are reused: every check above is made afresh.
+    The factors and cores of each state come from the walk to
+    ``cert.stop_order`` that :func:`derive_certificate` handed off for a
+    state equal to it entry for entry.  Verification takes that walk and
+    hands none on, so a second verification walks afresh; without a
+    handed-off walk, or for a state changed since, the state is walked
+    lazily.  Only the factorisations are reused: every check above is made
+    afresh.
 
     Raises ``ValueError`` only for caller errors: states of different shapes,
     or operators whose dims do not match the states'.
@@ -305,12 +314,7 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
             defect = _unitarity_defect(a)
             if defect > EQUIV_RTOL:
                 failures.append(f"operator {i} unitarity defect {defect:.3e}")
-    kept, kept_prime = cert._hierarchies or (None, None)
-    hierarchy = zip(
-        cert.levels,
-        _levels(psi, cert.stop_order, kept),
-        _levels(psip, cert.stop_order, kept_prime),
-    )
+    hierarchy = zip(cert.levels, _levels(psi, cert.stop_order), _levels(psip, cert.stop_order))
     ops_level = list(cert.operators.ops)
     core_t = psi
     for li, (clevel, h, hp) in enumerate(hierarchy):
@@ -512,6 +516,12 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
     above (or, for a 3-party state, the particle loop) has already compared.
     Any mismatch is a proof of inequivalence; agreement is only
     ``inconclusive``.
+
+    Both hierarchies are walked afresh on every call, on read-only copies of
+    the states; the filter never takes a handed-off walk.  When it returns
+    ``inconclusive`` it hands both complete walks off
+    (:func:`~entcore.decompose.hand_off`), so the certificate derivation or
+    search that follows does not walk either state again.
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -550,12 +560,17 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
         if witness:
             return EquivalenceVerdict(INEQUIVALENT, witness, {"max_spectrum_deviation": worst})
 
-    hierarchy = zip(walk(psi, 3), walk(psip, 3))
-    for level, (h, hp) in enumerate(hierarchy, start=1):
+    a, b = read_only_copy(psi), read_only_copy(psip)
+    walked = ([], [])
+    for level, (h, hp) in enumerate(zip(walk(a, 3), walk(b, 3)), start=1):
+        walked[0].append(h)
+        walked[1].append(hp)
         for k, (sa, sb) in enumerate(zip(h.mode_spectra, hp.mode_spectra)):
             witness = _compare(f"level {level} mode {k}", sa, sb)
             if witness:
                 return EquivalenceVerdict(INEQUIVALENT, witness, {"max_spectrum_deviation": worst})
+    # equal shapes give walks of equal length, so both are complete here
+    hand_off(Hierarchy(a, 3, tuple(walked[0])), Hierarchy(b, 3, tuple(walked[1])))
     return EquivalenceVerdict(
         INCONCLUSIVE,
         "all compared invariants match",
@@ -877,13 +892,19 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     connecting operator, and accepts only when the recovered set reproduces
     ``psi_prime`` and yields a verifying certificate.  Anything short of that
     is ``inconclusive``.
+
+    Both walks come from :func:`~entcore.decompose.take`, so after the
+    invariant filter (as in ``entcore check``) neither state is walked again;
+    they are handed off right before :func:`derive_certificate`, which takes
+    them.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
     if psi.shape != psip.shape:
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
     effective_stop = 3 if psi.ndim > 3 else 2
-    first_level = next(zip(walk(psi, effective_stop), walk(psip, effective_stop)), None)
+    walks = (take(psi, effective_stop), take(psip, effective_stop))
+    first_level = next(zip(walks[0].levels, walks[1].levels), None)
     if first_level is None:
         return EquivalenceVerdict(
             INCONCLUSIVE, "no search surface for bipartite states", {"searched_modes": 0}
@@ -938,6 +959,7 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
                 f"recovered operators do not reproduce the partner state (residual {premise:.3e})",
                 {"objectives": objectives, "premise": premise},
             )
+        hand_off(*walks)
         cert = derive_certificate(psi, psip, ops, stop_order=effective_stop)
         return verify_certificate(psi, psip, cert)
     except ValueError as exc:
