@@ -207,8 +207,8 @@ def derive_certificate(
     only the level-0 operators are ever inverted.
 
     Both walks come from :func:`~entcore.decompose.take`: the ones the
-    stage before handed off for equal states to ``stop_order`` (the
-    invariant filter's, or the search's), else new ones.  Once the levels
+    invariant filter handed off for equal states to ``stop_order``, else
+    new ones.  Once the levels
     are built they are handed off in turn, so that :func:`verify_certificate`
     of the same states does not walk them again.  The certificate itself
     keeps no walk.
@@ -520,8 +520,9 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
     Both hierarchies are walked afresh on every call, on read-only copies of
     the states; the filter never takes a handed-off walk.  When it returns
     ``inconclusive`` it hands both complete walks off
-    (:func:`~entcore.decompose.hand_off`), so the certificate derivation or
-    search that follows does not walk either state again.
+    (:func:`~entcore.decompose.hand_off`), so a certificate derivation of
+    the same states to stop order 3 that follows does not walk either state
+    again.
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -892,19 +893,13 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     connecting operator, and accepts only when the recovered set reproduces
     ``psi_prime`` and yields a verifying certificate.  Anything short of that
     is ``inconclusive``.
-
-    Both walks come from :func:`~entcore.decompose.take`, so after the
-    invariant filter (as in ``entcore check``) neither state is walked again;
-    they are handed off right before :func:`derive_certificate`, which takes
-    them.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
     if psi.shape != psip.shape:
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
     effective_stop = 3 if psi.ndim > 3 else 2
-    walks = (take(psi, effective_stop), take(psip, effective_stop))
-    first_level = next(zip(walks[0].levels, walks[1].levels), None)
+    first_level = next(zip(walk(psi, effective_stop), walk(psip, effective_stop)), None)
     if first_level is None:
         return EquivalenceVerdict(
             INCONCLUSIVE, "no search surface for bipartite states", {"searched_modes": 0}
@@ -959,7 +954,6 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
                 f"recovered operators do not reproduce the partner state (residual {premise:.3e})",
                 {"objectives": objectives, "premise": premise},
             )
-        hand_off(*walks)
         cert = derive_certificate(psi, psip, ops, stop_order=effective_stop)
         return verify_certificate(psi, psip, cert)
     except ValueError as exc:

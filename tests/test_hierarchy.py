@@ -1,9 +1,10 @@
 """The concentration hierarchy is defined once, by ``decompose.walk``.
 
 Concentration, certificate derivation and verification, the invariant
-filter and the search must all see the same levels, and a check must walk
-each state once: each stage takes the walks the stage before it handed off
-(``decompose.hand_off`` / ``decompose.take``), and no walk is taken twice.
+filter and the search must all see the same levels, and filter -> derive ->
+verify must walk each state once: each stage takes the walks the stage
+before it handed off (``decompose.hand_off`` / ``decompose.take``), and no
+walk is taken twice.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entcore
-from entcore import cli, decompose, equivalence, states, tensor_ops
+from entcore import decompose, equivalence, states, tensor_ops
 from entcore.decompose import concentrate, reconstruct
 from entcore.equivalence import (
     EQUIVALENT,
@@ -29,7 +30,6 @@ from entcore.equivalence import (
     invariant_filter,
     verify_certificate,
 )
-from entcore.fileio import write_tensor
 from entcore.states import apply_local, haar_unitary, random_invertible, random_state
 
 
@@ -230,20 +230,6 @@ def test_threads_interleaving_checks_get_the_serial_verdicts():
     assert not any(t.is_alive() for t in threads)
     for out, runs in zip(serial, results):
         assert runs == [out] * rounds
-
-
-def test_cli_check_walks_each_state_once(monkeypatch, tmp_path, capsys):
-    """``entcore check`` without ``--ops``: filter -> search -> derive -> verify walk each state once."""
-    hosvd_calls = hosvd_counter(monkeypatch)
-    psi = random_state((2,) * 6, seed=5)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_tensor(a, psi)
-    write_tensor(b, psi.copy())
-    count, code = hosvd_calls(cli.main, ["check", str(a), str(b), "--mode", LU])
-    assert "witness: verified certificate" in capsys.readouterr().out
-    assert code == cli.EXIT_OK
-    assert count == 2 * levels_to(6, 3)
-    assert not decompose._HANDOFF
 
 
 def test_all_modes_products_make_no_mode_multiply_call(monkeypatch):
