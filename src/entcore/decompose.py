@@ -3,13 +3,17 @@
 :func:`walk` is the one definition of the concentration hierarchy: until
 the core has at most ``stop_order`` modes it pair-rescales, factors every
 composite mode through the leading left singular vectors of its unfolding,
-and recurses on the core.  :func:`hosvd` is the one place that cuts a level
-to its local ranks; its core is one all-modes product
+and recurses on the core.  :func:`hosvd` takes every mode's left singular
+vectors and hands them to :func:`cut_to_ranks`, the one place that cuts a
+level to its local ranks; its core is one all-modes product
 (:func:`~entcore.tensor_ops.multiply_modes`) of the input with the factors'
-conjugate transposes.  :func:`left_svd` is the one SVD rule: a wide
-unfolding is first reduced to the small triangular factor of its QR
-decomposition, so no right basis of the long side is ever built; a two-mode
-tensor takes one SVD for both of its modes.  :func:`concentrate` and the
+conjugate transposes.  A caller that needs each mode's uncut basis before
+the level is built (the invariant filter reads the particle spectra off
+them) takes them one mode at a time with :func:`left_svd` and ends in the
+same cut, so its level equals the :func:`hosvd` one.  :func:`left_svd` is
+the one SVD rule: a wide unfolding is first reduced to the small
+triangular factor of its QR decomposition, so no right basis of the long
+side is ever built; a two-mode tensor takes one SVD for both of its modes.  :func:`concentrate` and the
 equivalence machinery (certificates, verification, the invariant filter and
 the search) all consume that walk.  A :class:`Hierarchy` keeps one state's
 walk with a read-only copy of the state.  The stages of one equivalence
@@ -56,6 +60,7 @@ __all__ = [
     "concentrate",
     "count_parameters",
     "count_tree_parameters",
+    "cut_to_ranks",
     "cutoff_rank",
     "extract_tripartites",
     "hosvd",
@@ -90,12 +95,14 @@ def left_svd(m) -> tuple[np.ndarray, np.ndarray]:
     so unlike an eigensolver on the Gram matrix ``m m^H`` this does not square
     the condition number, and neither ``Q`` nor a right basis is formed.
     Smaller or non-wide matrices take the thin SVD directly: below the floor
-    the extra LAPACK call costs more than the smaller SVD saves.
+    the extra LAPACK call costs more than the smaller SVD saves.  A stack of
+    matrices (``m`` of shape ``(..., J, W)``) is factored matrix by matrix in
+    the same two LAPACK calls, each result equal to that of its matrix alone.
     """
     m = np.asarray(m)
-    j, w = m.shape
-    if w > j and m.size >= _QR_MIN_ENTRIES:
-        m = np.linalg.qr(m.T, mode="r").T
+    j, w = m.shape[-2:]
+    if w > j and j * w >= _QR_MIN_ENTRIES:
+        m = np.swapaxes(np.linalg.qr(np.swapaxes(m, -1, -2), mode="r"), -1, -2)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u, s
 
@@ -155,16 +162,29 @@ def hosvd(t) -> HosvdResult:
     :func:`complete_basis`).  The core is ``t`` multiplied on every mode by
     that factor's conjugate transpose, in one
     :func:`~entcore.tensor_ops.multiply_modes` call, so its shape is the
-    local ranks; ``mode_spectra`` keep every singular value.
+    local ranks; ``mode_spectra`` keep every singular value.  The cut, the
+    phase fix and the core are :func:`cut_to_ranks`.
     """
     t = np.asarray(t, dtype=np.complex128)
     if t.ndim < 2:
         raise ValueError("need at least two modes")
     if t.ndim == 2:
         u, s, vh = np.linalg.svd(t, full_matrices=False)
-        bases, spectra = [u, vh.T], [s, s]
-    else:
-        bases, spectra = zip(*(left_svd(unfold(t, k)) for k in range(t.ndim)))
+        return cut_to_ranks(t, [u, vh.T], [s, s])
+    return cut_to_ranks(t, *zip(*(left_svd(unfold(t, k)) for k in range(t.ndim))))
+
+
+def cut_to_ranks(t: np.ndarray, bases, spectra) -> HosvdResult:
+    """The :func:`hosvd` of the complex128 ``t`` from each mode's uncut left singular vectors.
+
+    ``bases[k]`` and ``spectra[k]`` are mode ``k``'s left singular vectors
+    and descending singular values, as :func:`left_svd` of ``unfold(t, k)``
+    gives them.  Each basis is cut to :func:`cutoff_rank` of its spectrum and
+    phase-fixed, and the core is ``t`` times every factor's conjugate
+    transpose.  This is the one place a level is cut to its local ranks:
+    :func:`hosvd` ends here, and so does a caller that took the bases one
+    mode at a time.
+    """
     factors = [_gauge_fix_columns(u[:, : cutoff_rank(s)]) for u, s in zip(bases, spectra)]
     core = multiply_modes(t, [u.conj().T for u in factors])
     return HosvdResult(factors, core, list(spectra))

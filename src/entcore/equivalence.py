@@ -31,6 +31,7 @@ pair convention, not the column-major presentation wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .decompose import (
     Hierarchy,
     claim,
     complete_basis,
+    cut_to_ranks,
     cutoff_rank,
     hand_off,
     left_svd,
@@ -46,7 +48,7 @@ from .decompose import (
     walk,
 )
 from .states import apply_local
-from .tensor_ops import as_tensor, multiply_modes, pair_dims, realign, unfold, wrap
+from .tensor_ops import as_tensor, multiply_modes, pair_dims, realign, rescale, unfold, wrap
 
 __all__ = [
     "EQUIVALENT",
@@ -187,7 +189,13 @@ class EquivalenceCertificate:
 
 def _pair_operators(ops) -> list[np.ndarray]:
     """The composite operator of each adjacent pair, ``kron(A_a, A_b)``; an odd last one as it is."""
-    return [np.kron(*ops[i : i + 2]) if i + 1 < len(ops) else ops[i] for i in range(0, len(ops), 2)]
+    return [_kron(*ops[i : i + 2]) if i + 1 < len(ops) else ops[i] for i in range(0, len(ops), 2)]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices as one broadcast product: each entry is one product."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def derive_certificate(
@@ -503,26 +511,71 @@ def spectral_preservation_check(
     return True
 
 
+def _particle_spectra(psi: np.ndarray, psip: np.ndarray, level1: list):
+    """Yield every particle's unfolding spectrum in both states, particle by particle.
+
+    With five or more particles, level 1 of the walk factors at least three
+    pair modes, each by its own :func:`~entcore.decompose.left_svd`, here of
+    both states at once.  Pair mode ``k`` of a state unfolds as
+    ``U S V^H``, and ``V`` has orthonormal columns, so particle ``2k``'s
+    singular values are those of the ``I_a x (I_b r)`` reshape of ``U S`` and
+    particle ``2k+1``'s those of its transposed ``I_b x (I_a r)`` reshape; one
+    batched SVD takes each particle for both states.  A lone last particle
+    (``I_b = 1``) is the pair mode itself.  ``U`` is not cut to the local
+    rank, so ``RANK_RTOL`` cannot move these spectra: they equal the direct
+    ones to rounding.  Each mode's uncut ``(U, s)``, stacked ``psi`` first,
+    is appended to ``level1`` for the level to be cut from.  A state of four
+    or fewer particles has a level of at most two modes, which one SVD
+    factors whole, or none; its particles take a ``left_svd`` each and
+    ``level1`` stays empty.
+    """
+    pairs = pair_dims(psi.shape)
+    if len(pairs) < 3:
+        for k in range(psi.ndim):
+            yield left_svd(unfold(psi, k))[1], left_svd(unfold(psip, k))[1]
+        return
+    shape = tuple(ia * ib for ia, ib in pairs)
+    t, tp = psi.reshape(shape), psip.reshape(shape)
+    for k, (ia, ib) in enumerate(pairs):
+        # both states' unfold(., k) in one copy, so one left_svd factors both
+        perm = tuple(range(k, len(shape))) + tuple(range(k))
+        u, s = left_svd(np.stack((t.transpose(perm), tp.transpose(perm))).reshape(2, shape[k], -1))
+        level1.append((u, s))
+        if ib == 1:
+            yield s
+            continue
+        w = u * s[:, None, :]
+        r = w.shape[2]
+        yield np.linalg.svd(w.reshape(2, ia, ib * r), compute_uv=False)
+        wb = w.reshape(2, ia, ib, r).transpose(0, 2, 1, 3)
+        yield np.linalg.svd(wb.reshape(2, ib, ia * r), compute_uv=False)
+
+
 def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
     """Sound necessary conditions: local ranks (SLOCC) and spectra (LU).
 
-    Compares every particle's unfolding (its spectrum from
-    :func:`~entcore.decompose.left_svd`, which reduces a wide unfolding
-    through its R factor), then every composite mode of every concentration
-    level, walking both hierarchies in lockstep down to the stop order 3 that
-    certificates use.  Walking on to order 2 would add
-    nothing: the one more level factors a 3-mode core as ``(0-1)(2)``, and
-    both of its spectra equal that core's mode-2 spectrum, which the level
-    above (or, for a 3-party state, the particle loop) has already compared.
-    Any mismatch is a proof of inequivalence; agreement is only
-    ``inconclusive``.
+    Compares every particle's unfolding spectrum, then every composite mode
+    of every concentration level, walking both hierarchies in lockstep down
+    to the stop order 3 that certificates use.  From five particles on, the
+    particle spectra are read off level 1's per-mode SVDs, pair mode by pair
+    mode, so a particle-0 mismatch still stops after pair mode 0's SVD;
+    level 1 is then cut from those same SVDs
+    (:func:`~entcore.decompose.cut_to_ranks`), equal to its
+    :func:`~entcore.decompose.hosvd`.  Fewer particles take a
+    :func:`~entcore.decompose.left_svd` each.  Walking on to order 2 would
+    add nothing: the one more level factors a 3-mode core as ``(0-1)(2)``,
+    and both of its spectra equal that core's mode-2 spectrum, which the
+    level above (or, for a 3-party state, the particle loop) has already
+    compared.  Any mismatch is a proof of inequivalence; agreement is only
+    ``inconclusive``.  Either way the residuals report the number of
+    ``comparisons`` made.
 
-    Both hierarchies are walked afresh on every call, on read-only copies of
-    the states; the filter never takes a handed-off walk.  When it returns
-    ``inconclusive`` it hands both complete walks off
-    (:func:`~entcore.decompose.hand_off`), so a certificate derivation of
-    the same states to stop order 3 that follows does not walk either state
-    again.
+    Both hierarchies are walked afresh on every call; the filter never takes
+    a handed-off walk.  When it returns ``inconclusive`` it hands both
+    complete walks off (:func:`~entcore.decompose.hand_off`), each with a
+    read-only copy of its state, so a certificate derivation of the same
+    states to stop order 3 that follows does not walk either state again.
+    A pair it rejects is never copied.
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -554,29 +607,35 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
                 )
         return None
 
-    for k in range(psi.ndim):
-        sa = left_svd(unfold(psi, k))[1]
-        sb = left_svd(unfold(psip, k))[1]
+    def _verdict(status: str, witness: str) -> EquivalenceVerdict:
+        return EquivalenceVerdict(status, witness, {"max_spectrum_deviation": worst, "comparisons": checked})
+
+    level1 = []
+    for k, (sa, sb) in enumerate(_particle_spectra(psi, psip, level1)):
         witness = _compare(f"particle {k}", sa, sb)
         if witness:
-            return EquivalenceVerdict(INEQUIVALENT, witness, {"max_spectrum_deviation": worst})
+            return _verdict(INEQUIVALENT, witness)
 
-    a, b = read_only_copy(psi), read_only_copy(psip)
+    if level1:
+        bases, spectra = zip(*level1)
+        first = [
+            cut_to_ranks(rescale(t), [u[i] for u in bases], [s[i] for s in spectra])
+            for i, t in enumerate((psi, psip))
+        ]
+        levels = chain([first], zip(walk(first[0].core, 3), walk(first[1].core, 3)))
+    else:
+        levels = zip(walk(psi, 3), walk(psip, 3))
     walked = ([], [])
-    for level, (h, hp) in enumerate(zip(walk(a, 3), walk(b, 3)), start=1):
+    for level, (h, hp) in enumerate(levels, start=1):
         walked[0].append(h)
         walked[1].append(hp)
         for k, (sa, sb) in enumerate(zip(h.mode_spectra, hp.mode_spectra)):
             witness = _compare(f"level {level} mode {k}", sa, sb)
             if witness:
-                return EquivalenceVerdict(INEQUIVALENT, witness, {"max_spectrum_deviation": worst})
+                return _verdict(INEQUIVALENT, witness)
     # equal shapes give walks of equal length, so both are complete here
-    hand_off(Hierarchy(a, 3, tuple(walked[0])), Hierarchy(b, 3, tuple(walked[1])))
-    return EquivalenceVerdict(
-        INCONCLUSIVE,
-        "all compared invariants match",
-        {"max_spectrum_deviation": worst, "comparisons": checked},
-    )
+    hand_off(*(Hierarchy(read_only_copy(t), 3, tuple(w)) for t, w in zip((psi, psip), walked)))
+    return _verdict(INCONCLUSIVE, "all compared invariants match")
 
 
 @dataclass(eq=False)

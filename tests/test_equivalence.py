@@ -1,14 +1,17 @@
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entcore
 from entcore import equivalence
-from entcore.decompose import concentrate, reconstruct
+from entcore.decompose import concentrate, cut_to_ranks, cutoff_rank, hosvd, left_svd, reconstruct, walk
 from entcore.equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -39,7 +42,7 @@ from entcore.states import (
     random_state,
     w_state,
 )
-from entcore.tensor_ops import realign
+from entcore.tensor_ops import realign, rescale, unfold
 
 
 def lu_ops(dims, seed):
@@ -52,6 +55,20 @@ def slocc_ops(dims, seed, cond=10.0):
     return LocalOperatorSet(
         tuple(random_invertible(d, cond, seed=seed + i) for i, d in enumerate(dims)), SLOCC
     )
+
+
+def project_particle(psi, k, seed=0):
+    """``psi`` with particle ``k`` sent through a random operator of rank one below its dimension."""
+    ops = [np.eye(d) for d in psi.shape]
+    d = psi.shape[k]
+    ops[k] = random_invertible(d, 10.0, seed=seed) @ np.diag([1.0] * (d - 1) + [0.0])
+    return apply_local(psi, ops)
+
+
+def projected_pair(dims, seed, k):
+    """A random state and its image under ``project_particle`` of particle ``k``."""
+    psi = random_state(dims, seed=seed)
+    return psi, project_particle(psi, k)
 
 
 class TestLocalOperatorSet:
@@ -410,6 +427,81 @@ class TestInvariantFilter:
         assert verdict.status == INEQUIVALENT
         assert verdict.witness == "level 1 mode 0: local rank 2 vs 1"
 
+    @pytest.mark.parametrize(
+        "psi, psip, mode, witness, comparisons",
+        [
+            pytest.param(
+                product_state((2,) * 6, seed=1), random_state((2,) * 6, seed=2), SLOCC,
+                "particle 0: local rank 1 vs 2", 1, id="particle 0",
+            ),
+            pytest.param(
+                ghz_state(6), w_state(6), LU,
+                "particle 0: singular values differ by 2.989e-01 "
+                "([0.707107 0.707107] vs [0.912871 0.408248])", 1, id="particle 0 spectrum",
+            ),
+            # particle 1 is the second of pair mode 0 (I_a = 2, I_b = 3): the transposed reshape
+            pytest.param(
+                *projected_pair((2, 3, 2, 3, 2, 3), 3, 1), SLOCC,
+                "particle 1: local rank 3 vs 2", 2, id="odd particle 1",
+            ),
+            pytest.param(
+                *projected_pair((2,) * 6, 4, 3), SLOCC,
+                "particle 3: local rank 2 vs 1", 4, id="odd particle 3",
+            ),
+            # particles 0-2 match; particle 3, the second of pair mode 1, does not
+            pytest.param(
+                np.multiply.outer(random_state((2, 3, 2), seed=1), random_state((3, 2, 3), seed=2)),
+                np.multiply.outer(random_state((2, 3, 2), seed=1), random_state((3, 2, 3), seed=3)), LU,
+                "particle 3: singular values differ by 1.081e-01 "
+                "([0.729307 0.612308 0.30527 ] vs [0.831594 0.504181 0.232925])", 4,
+                id="odd particle 3 spectrum",
+            ),
+            # the last particle of an odd order is a pair mode of its own
+            pytest.param(
+                *projected_pair((2,) * 7, 5, 6), SLOCC,
+                "particle 6: local rank 2 vs 1", 7, id="lone last particle",
+            ),
+            pytest.param(
+                *projected_pair((2, 2, 2, 2, 3), 6, 4), SLOCC,
+                "particle 4: local rank 3 vs 2", 5, id="lone last qutrit",
+            ),
+            # every qubit of both states is maximally mixed, but the (0-1) pair is
+            # entangled with the rest in GHZ and not in three Bell pairs
+            pytest.param(
+                np.multiply.outer(ghz_state(4), ghz_state(2)),
+                np.multiply.outer(np.multiply.outer(ghz_state(2), ghz_state(2)), ghz_state(2)), LU,
+                "level 1 mode 0: local rank 2 vs 1", 7, id="level 1 mode 0",
+            ),
+        ],
+    )
+    def test_first_mismatch_fixes_witness_and_comparisons(self, psi, psip, mode, witness, comparisons):
+        verdict = invariant_filter(psi, psip, mode)
+        assert verdict.status == INEQUIVALENT
+        assert verdict.witness == witness
+        assert verdict.residuals["comparisons"] == comparisons
+        assert reference_filter(psi, psip, mode) == (INEQUIVALENT, witness, comparisons)
+
+    def test_copies_only_the_states_it_hands_off(self, monkeypatch):
+        copies = []
+        real_copy = equivalence.read_only_copy
+
+        def counting_copy(t):
+            copies.append(np.shape(t))
+            return real_copy(t)
+
+        monkeypatch.setattr(equivalence, "read_only_copy", counting_copy)
+        bell = ghz_state(2)
+        rejected = [
+            (product_state((2,) * 6, seed=1), random_state((2,) * 6, seed=2)),  # at particle 0
+            (np.multiply.outer(ghz_state(4), bell), np.multiply.outer(np.multiply.outer(bell, bell), bell)),
+        ]
+        for psi, psip in rejected:
+            assert invariant_filter(psi, psip, SLOCC).status == INEQUIVALENT
+        assert copies == []
+        psi = random_state((2,) * 6, seed=3)
+        assert invariant_filter(psi, apply_local(psi, lu_ops((2,) * 6, seed=4)), LU).status == INCONCLUSIVE
+        assert copies == [psi.shape] * 2
+
     def test_shape_mismatch_trivially_inequivalent(self):
         verdict = invariant_filter(np.ones((2, 2)) / 2.0, np.ones((2, 2, 2)) / np.sqrt(8), SLOCC)
         assert verdict.status == INEQUIVALENT
@@ -420,6 +512,133 @@ class TestInvariantFilter:
         b = np.diag([0.9, np.sqrt(1 - 0.81)]).astype(complex)
         assert invariant_filter(a, b, SLOCC).status == INCONCLUSIVE
         assert invariant_filter(a, b, LU).status == INEQUIVALENT
+
+
+def reference_filter(psi, psip, mode):
+    """``(status, witness, comparisons)`` of the filter with a direct ``left_svd`` per particle.
+
+    The reference the level-1 reading of the particle spectra must match:
+    every particle's unfolding, then every mode of every level of the walk to
+    stop order 3, compared as ``invariant_filter`` compares them.
+    """
+    comparisons = 0
+
+    def compare(label, sa, sb):
+        nonlocal comparisons
+        comparisons += 1
+        ra, rb = cutoff_rank(sa), cutoff_rank(sb)
+        if ra != rb:
+            return f"{label}: local rank {ra} vs {rb}"
+        dev = float(np.max(np.abs(sa - sb))) if sa.size else 0.0
+        if mode == LU and dev > equivalence.EQUIV_RTOL:
+            return (
+                f"{label}: singular values differ by {dev:.3e} "
+                f"({np.array2string(sa, precision=6)} vs {np.array2string(sb, precision=6)})"
+            )
+        return None
+
+    spectra = [
+        (f"particle {k}", left_svd(unfold(psi, k))[1], left_svd(unfold(psip, k))[1])
+        for k in range(psi.ndim)
+    ]
+    for level, (h, hp) in enumerate(zip(walk(psi, 3), walk(psip, 3)), start=1):
+        for k, (sa, sb) in enumerate(zip(h.mode_spectra, hp.mode_spectra)):
+            spectra.append((f"level {level} mode {k}", sa, sb))
+    for label, sa, sb in spectra:
+        witness = compare(label, sa, sb)
+        if witness:
+            return INEQUIVALENT, witness, comparisons
+    return INCONCLUSIVE, "all compared invariants match", comparisons
+
+
+def printed_values(witness):
+    """``witness`` with each printed number to 4 significant digits and values below 1e-13 as 0.
+
+    A witness prints the whole spectra, so also the singular values below the
+    cutoff, which are rounding noise on either path and set how numpy pads
+    and rounds the rest of the array.
+    """
+    def value(match):
+        v = float(match.group())
+        return "0" if abs(v) < 1e-13 else f"{v:.3e}"
+
+    witness = re.sub(r"-?\d+\.\d*(?:e[+-]\d+)?", value, witness)
+    return re.sub(r"\s+", " ", witness).replace("[ ", "[").replace(" ]", "]")
+
+
+FILTER_DIMS = st.lists(st.sampled_from((2, 3)), min_size=4, max_size=9).filter(
+    lambda dims: np.prod(dims) <= 2**12
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    dims=FILTER_DIMS,
+    family=st.sampled_from(("random", "ghz", "w", "product")),
+    partner=st.sampled_from(("lu orbit", "slocc orbit", "projected", "other tail", "unrelated")),
+    mode=st.sampled_from((LU, SLOCC)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_particle_spectra_read_off_level_one(dims, family, partner, mode, seed):
+    n = len(dims)
+    if family == "ghz":
+        dims = (dims[0],) * n
+        psi = ghz_state(n, dims[0])
+    elif family == "w":
+        dims = (2,) * n
+        psi = w_state(n)
+    elif family == "product":
+        psi = product_state(dims, seed=seed)
+    else:
+        psi = random_state(dims, seed=seed)
+    dims = tuple(dims)
+    k = seed % n
+    if partner == "lu orbit":
+        psip = apply_local(psi, lu_ops(dims, seed=seed % 1000))
+    elif partner == "slocc orbit":
+        psip = apply_local(psi, slocc_ops(dims, seed=seed % 1000))
+    elif partner == "projected":
+        psip = project_particle(psi, k, seed=seed % 1000)
+    elif partner == "other tail":
+        # both share one state of the first particles; the rest differ
+        split = 1 + seed % (n - 1)
+        head = random_state(dims[:split], seed=seed)
+        psi = np.multiply.outer(head, random_state(dims[split:], seed=seed + 1))
+        psip = np.multiply.outer(head, random_state(dims[split:], seed=seed + 2))
+    else:
+        psip = random_state(dims, seed=seed + 1)
+    # the spectra read off level 1 are the direct ones, and level 1 is its hosvd
+    level1 = []
+    derived = list(equivalence._particle_spectra(psi, psip, level1))
+    assert len(derived) == n
+    for p, pair in enumerate(derived):
+        for t, s in zip((psi, psip), pair):
+            direct = left_svd(unfold(t, p))[1]
+            assert s.shape == direct.shape
+            assert np.max(np.abs(s - direct)) <= 1e-12 * direct[0]
+    if n > 4:
+        for i, t in enumerate((psi, psip)):
+            ours = cut_to_ranks(rescale(t), [u[i] for u, _ in level1], [s[i] for _, s in level1])
+            theirs = hosvd(rescale(t))
+            assert all(np.array_equal(a, b) for a, b in zip(ours.factors, theirs.factors))
+            assert np.array_equal(ours.core, theirs.core)
+            assert all(np.array_equal(a, b) for a, b in zip(ours.mode_spectra, theirs.mode_spectra))
+    # and the filter decides as the direct particle loop does
+    verdict = invariant_filter(psi, psip, mode)
+    status, witness, comparisons = reference_filter(psi, psip, mode)
+    assert (verdict.status, printed_values(verdict.witness), verdict.residuals["comparisons"]) == (
+        status,
+        printed_values(witness),
+        comparisons,
+    )
+
+
+def test_kron_is_numpy_kron():
+    rng = np.random.default_rng(0)
+    for (m, n), (p, q) in (((2, 2), (2, 2)), ((3, 3), (3, 3)), ((4, 4), (4, 4)), ((2, 3), (3, 2))):
+        a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        b = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+        assert np.array_equal(equivalence._kron(a, b), np.kron(a, b))
 
 
 def planted_lu_problem(trial, r, dims=(2, 2), base=5000):

@@ -92,20 +92,26 @@ def test_tree_and_certificate_share_the_hierarchy(dims, stop_order, seed, mode):
 
 
 def hosvd_counter(monkeypatch):
-    """Patch ``decompose.hosvd`` to count; return ``hosvd_calls(fn, *args, **kwargs) -> (count, out)``."""
-    calls = []
-    real_hosvd = decompose.hosvd
+    """Count the levels built; return ``hosvd_calls(fn, *args, **kwargs) -> (count, out)``.
 
-    def counting_hosvd(t):
+    Every level ends in ``decompose.cut_to_ranks``: each ``hosvd`` call, and
+    the filter's level 1, which it cuts from the SVDs its particle stage took.
+    """
+    calls = []
+    real_cut = decompose.cut_to_ranks
+
+    def counting_cut(t, bases, spectra):
         calls.append(np.shape(t))
-        return real_hosvd(t)
+        return real_cut(t, bases, spectra)
 
     def hosvd_calls(fn, *args, **kwargs):
         calls.clear()
         out = fn(*args, **kwargs)
         return len(calls), out
 
-    monkeypatch.setattr(decompose, "hosvd", counting_hosvd)
+    # a module that imports the name holds its own reference: patch each one
+    for module in (decompose, equivalence):
+        monkeypatch.setattr(module, "cut_to_ranks", counting_cut)
     return hosvd_calls
 
 
