@@ -20,6 +20,11 @@ Verdicts are three-valued.  Only :func:`invariant_filter` may declare a pair
 ``inequivalent`` (from sound invariants); a failed search or certificate is
 always ``inconclusive``.
 
+Every stage reads a state's levels off one lazily built
+:class:`~entcore.decompose.Hierarchy`: the filter builds its own, and the
+search, derivation and verification read ``take(t).levels(stop_order)``, so
+a check walks each state once (see :mod:`entcore.decompose`).
+
 Kronecker convention: a pair operator ``A ⊗ B`` acting on a composite index
 ``j = p*I_b + q`` is ``numpy.kron(A, B)``, matching the composite index map of
 :func:`~entcore.tensor_ops.pair_dims`.  The spectral sampler therefore
@@ -31,22 +36,10 @@ pair convention, not the column-major presentation wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .decompose import (
-    Hierarchy,
-    claim,
-    complete_basis,
-    cut_to_ranks,
-    cutoff_rank,
-    hand_off,
-    left_svd,
-    read_only_copy,
-    take,
-    walk,
-)
+from .decompose import Hierarchy, complete_basis, cut_to_ranks, cutoff_rank, hand_off, left_svd, take
 from .states import apply_local
 from .tensor_ops import as_tensor, multiply_modes, pair_dims, realign, rescale, unfold, wrap
 
@@ -214,18 +207,18 @@ def derive_certificate(
     blocks, so the ``P`` blocks themselves are that level's inverse operators:
     only the level-0 operators are ever inverted.
 
-    Both walks come from :func:`~entcore.decompose.take`: the ones the
-    invariant filter handed off for equal states to ``stop_order``, else
-    new ones.  Once the levels
-    are built they are handed off in turn, so that :func:`verify_certificate`
-    of the same states does not walk them again.  The certificate itself
-    keeps no walk.
+    Both hierarchies come from :func:`~entcore.decompose.take`, before any
+    check: the ones handed off for equal states, else new ones, extended by
+    the levels to ``stop_order`` they lack.  They are handed off in turn to
+    :func:`verify_certificate`, or dropped if derivation raises.  The
+    certificate itself keeps no walk.
 
     Raises ``ValueError`` when ``stop_order`` is not 2 or 3 or the premise
     does not hold to ``EQUIV_RTOL``.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
+    walks = (take(psi), take(psip))
     if psi.shape != psip.shape:
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
     if operators.dims != psi.shape:
@@ -235,10 +228,9 @@ def derive_certificate(
         raise ValueError(
             f"states are not related by the supplied operators (residual {premise:.3e} > {EQUIV_RTOL:.1e})"
         )
-    walks = (take(psi, stop_order), take(psip, stop_order))
     inv_ops = [np.linalg.inv(a) for a in operators.ops]
     levels: list[CertificateLevel] = []
-    for h, hp in zip(walks[0].levels, walks[1].levels):
+    for h, hp in zip(*(w.levels(stop_order) for w in walks)):
         if h.core.shape != hp.core.shape:
             raise ValueError(
                 f"local ranks differ ({h.local_ranks} vs {hp.local_ranks}); "
@@ -271,12 +263,6 @@ def _malformed_blocks(clevel: CertificateLevel, factors) -> str | None:
     return None
 
 
-def _levels(t: np.ndarray, stop_order: int):
-    """The handed-off levels of ``t`` to ``stop_order``, else ``walk(t, stop_order)`` lazily."""
-    h = claim(t, stop_order)
-    return walk(t, stop_order) if h is None else iter(h.levels)
-
-
 def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> EquivalenceVerdict:
     """Re-check a certificate level by level at relative Frobenius tolerance ``EQUIV_RTOL``.
 
@@ -293,19 +279,19 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     any of these); more levels than the hierarchy has, or too few to reach its
     terminal order.
 
-    The factors and cores of each state come from the walk to
-    ``cert.stop_order`` that :func:`derive_certificate` handed off for a
-    state equal to it entry for entry.  Verification takes that walk and
-    hands none on, so a second verification walks afresh; without a
-    handed-off walk, or for a state changed since, the state is walked
-    lazily.  Only the factorisations are reused: every check above is made
-    afresh.
+    The factors and cores of each state are read off the hierarchy
+    :func:`~entcore.decompose.take` returns: the one :func:`derive_certificate`
+    handed off for an equal state, else a new one, built only as deep as
+    checking goes.  Verification hands nothing on, so a second verification
+    walks afresh.  Only the factorisations are reused: every check above is
+    made afresh.
 
     Raises ``ValueError`` only for caller errors: states of different shapes,
     or operators whose dims do not match the states'.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
+    walks = (take(psi), take(psip))
     if psi.shape != psip.shape:
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
     if cert.operators.dims != psi.shape:
@@ -322,7 +308,7 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
             defect = _unitarity_defect(a)
             if defect > EQUIV_RTOL:
                 failures.append(f"operator {i} unitarity defect {defect:.3e}")
-    hierarchy = zip(cert.levels, _levels(psi, cert.stop_order), _levels(psip, cert.stop_order))
+    hierarchy = zip(cert.levels, *(w.levels(cert.stop_order) for w in walks))
     ops_level = list(cert.operators.ops)
     core_t = psi
     for li, (clevel, h, hp) in enumerate(hierarchy):
@@ -570,12 +556,11 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
     ``inconclusive``.  Either way the residuals report the number of
     ``comparisons`` made.
 
-    Both hierarchies are walked afresh on every call; the filter never takes
-    a handed-off walk.  When it returns ``inconclusive`` it hands both
-    complete walks off (:func:`~entcore.decompose.hand_off`), each with a
-    read-only copy of its state, so a certificate derivation of the same
-    states to stop order 3 that follows does not walk either state again.
-    A pair it rejects is never copied.
+    The filter builds both hierarchies on every call, level 1 seeded from
+    the particle SVDs, and never takes a handed-off one.  When it returns
+    ``inconclusive`` it hands both off (:func:`~entcore.decompose.hand_off`),
+    so a search or derivation of the same states that follows walks neither
+    again.  A pair it rejects is never copied, and its levels are dropped.
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -601,9 +586,10 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
             dev = float(np.max(np.abs(sa - sb))) if sa.size else 0.0
             worst = max(worst, dev)
             if dev > EQUIV_RTOL:
+                # printed to the local rank: the values below the cutoff are rounding noise
                 return (
                     f"{label}: singular values differ by {dev:.3e} "
-                    f"({np.array2string(sa, precision=6)} vs {np.array2string(sb, precision=6)})"
+                    f"({np.array2string(sa[:ra], precision=6)} vs {np.array2string(sb[:rb], precision=6)})"
                 )
         return None
 
@@ -616,25 +602,17 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
         if witness:
             return _verdict(INEQUIVALENT, witness)
 
+    walks = [Hierarchy(t) for t in (psi, psip)]
     if level1:
         bases, spectra = zip(*level1)
-        first = [
-            cut_to_ranks(rescale(t), [u[i] for u in bases], [s[i] for s in spectra])
-            for i, t in enumerate((psi, psip))
-        ]
-        levels = chain([first], zip(walk(first[0].core, 3), walk(first[1].core, 3)))
-    else:
-        levels = zip(walk(psi, 3), walk(psip, 3))
-    walked = ([], [])
-    for level, (h, hp) in enumerate(levels, start=1):
-        walked[0].append(h)
-        walked[1].append(hp)
+        for i, (w, t) in enumerate(zip(walks, (psi, psip))):
+            w.kept.append(cut_to_ranks(rescale(t), [u[i] for u in bases], [s[i] for s in spectra]))
+    for level, (h, hp) in enumerate(zip(*(w.levels(3) for w in walks)), start=1):
         for k, (sa, sb) in enumerate(zip(h.mode_spectra, hp.mode_spectra)):
             witness = _compare(f"level {level} mode {k}", sa, sb)
             if witness:
                 return _verdict(INEQUIVALENT, witness)
-    # equal shapes give walks of equal length, so both are complete here
-    hand_off(*(Hierarchy(read_only_copy(t), 3, tuple(w)) for t, w in zip((psi, psip), walked)))
+    hand_off(*walks)
     return _verdict(INCONCLUSIVE, "all compared invariants match")
 
 
@@ -952,13 +930,19 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     connecting operator, and accepts only when the recovered set reproduces
     ``psi_prime`` and yields a verifying certificate.  Anything short of that
     is ``inconclusive``.
+
+    The first level is read off :func:`~entcore.decompose.take`'s
+    hierarchies: the filter's, else new ones built only that deep.  They are
+    handed on to the :func:`derive_certificate` call, or dropped if the
+    search gives up first.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
     if psi.shape != psip.shape:
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
+    walks = (take(psi), take(psip))
     effective_stop = 3 if psi.ndim > 3 else 2
-    first_level = next(zip(walk(psi, effective_stop), walk(psip, effective_stop)), None)
+    first_level = next(zip(*(w.levels(effective_stop) for w in walks)), None)
     if first_level is None:
         return EquivalenceVerdict(
             INCONCLUSIVE, "no search surface for bipartite states", {"searched_modes": 0}
@@ -1013,6 +997,7 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
                 f"recovered operators do not reproduce the partner state (residual {premise:.3e})",
                 {"objectives": objectives, "premise": premise},
             )
+        hand_off(*walks)
         cert = derive_certificate(psi, psip, ops, stop_order=effective_stop)
         return verify_certificate(psi, psip, cert)
     except ValueError as exc:

@@ -1,10 +1,13 @@
 """The concentration hierarchy is defined once, by ``decompose.walk``.
 
 Concentration, certificate derivation and verification, the invariant
-filter and the search must all see the same levels, and filter -> derive ->
-verify must walk each state once: each stage takes the walks the stage
-before it handed off (``decompose.hand_off`` / ``decompose.take``), and no
-walk is taken twice.
+filter and the search must all see the same levels, and one check must walk
+each state once.  A ``decompose.Hierarchy`` builds a state's levels lazily
+and keeps them; the filter builds its own, and every later stage reads
+``take(t).levels(stop_order)``, taking the hierarchies the stage before
+handed off (``decompose.hand_off`` / ``decompose.take``), so it builds only
+the levels no stage before it read.  No hierarchy is taken twice, and a
+stage that stops early drops what it took.
 """
 
 import math
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 import entcore
 from entcore import decompose, equivalence, states, tensor_ops
 from entcore.decompose import concentrate, reconstruct
+from entcore.cli import EXIT_INCONCLUSIVE, EXIT_OK, main
 from entcore.equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -28,8 +32,10 @@ from entcore.equivalence import (
     LocalOperatorSet,
     derive_certificate,
     invariant_filter,
+    search_equivalence,
     verify_certificate,
 )
+from entcore.fileio import write_tensor
 from entcore.states import apply_local, haar_unitary, random_invertible, random_state
 
 
@@ -123,9 +129,10 @@ def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
     The filter walks both states to stop order 3, the certificates' default,
     whatever ``stop_order`` is: one more level to order 2 would factor a
     3-mode core, whose spectra the filter has already compared one level up.
-    It walks on every call, and hands its walks to a derive at stop order 3;
-    a derive at stop order 2 walks both states itself.  Verify takes derive's
-    walks, so a second verify, with nothing left to take, walks both again.
+    It walks on every call and hands its hierarchies on.  A derive takes
+    them and builds only the levels they lack: none at stop order 3, the one
+    more level per state at stop order 2.  Verify takes derive's, so a
+    second verify, with nothing left to take, walks both again.
     """
     hosvd_calls = hosvd_counter(monkeypatch)
     psi, psip, ops = orbit((2,) * order, seed=order)
@@ -140,7 +147,7 @@ def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
         assert verdict.status == INCONCLUSIVE
         assert count == 2 * n_filter
     count, cert = hosvd_calls(derive_certificate, psi, psip, ops, stop_order=stop_order)
-    assert count == (0 if stop_order == 3 else 2 * n_levels)
+    assert count == 2 * (n_levels - n_filter)
     count, verdict = hosvd_calls(verify_certificate, psi, psip, cert)
     assert verdict.status == EQUIVALENT
     assert count == 0
@@ -152,7 +159,7 @@ def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
 
 @pytest.mark.parametrize("case", ["psi changed in place", "states swapped", "stop order relabelled"])
 def test_verify_reuses_no_hierarchy_of_another_state(monkeypatch, case):
-    """A handed-off walk stands in for a walk only of an equal state to the same stop order."""
+    """A handed-off hierarchy stands in for a walk only of an equal state, to any stop order."""
     hosvd_calls = hosvd_counter(monkeypatch)
     psi, psip, ops = orbit((2,) * 6, seed=6)
     cert = derive_certificate(psi, psip, ops, stop_order=3)
@@ -169,9 +176,10 @@ def test_verify_reuses_no_hierarchy_of_another_state(monkeypatch, case):
     else:
         cert.stop_order = 2
         count, verdict = hosvd_calls(verify_certificate, psi, psip, cert)
-        # the certificate's one level is checked against fresh walks to order 2
-        assert count == 2 * n_levels
-        assert "does not reach the terminal order" in verdict.witness
+        # derive's levels to order 3 are a prefix of the walks to order 2, and
+        # checking stops with the certificate's one level, before the next is built
+        assert count == 0
+        assert verdict.witness == "certificate does not reach the terminal order of the hierarchy"
     assert verdict.status == INCONCLUSIVE
 
 
@@ -187,6 +195,48 @@ def test_derive_walks_states_changed_since_the_filter(monkeypatch):
     count, verdict = hosvd_calls(verify_certificate, psi, psip, cert)
     assert count == 0
     assert verdict.status == EQUIVALENT
+
+
+def test_a_derive_whose_premise_fails_drops_the_filters_walks():
+    psi, psip, _ = orbit((2,) * 6, seed=6)
+    _, _, wrong = orbit((2,) * 6, seed=7)
+    assert invariant_filter(psi, psip, LU).status == INCONCLUSIVE
+    assert len(decompose._HANDOFF) == 2
+    with pytest.raises(ValueError, match="not related by the supplied operators"):
+        derive_certificate(psi, psip, wrong)
+    assert not decompose._HANDOFF
+
+
+@pytest.mark.parametrize("order", [7, 9])
+def test_an_unaided_search_that_gives_up_builds_level_one_only(monkeypatch, order):
+    """With no hierarchy handed off, a search that stops at level 1 builds no deeper level and keeps none."""
+    hosvd_calls = hosvd_counter(monkeypatch)
+    psi, psip, _ = orbit((2,) * order, seed=order)
+    count, verdict = hosvd_calls(search_equivalence, psi, psip, LU, budget=2, seed=0)
+    # every mode is searched, but the recovered operators miss the partner state
+    assert verdict.residuals["premise"] > equivalence.EQUIV_RTOL
+    assert count == 2
+    assert not decompose._HANDOFF
+
+
+@pytest.mark.parametrize("order", [6, 9])
+@pytest.mark.parametrize("partner", ["copy", "lu orbit"])
+def test_check_without_ops_walks_each_state_once(monkeypatch, tmp_path, capsys, order, partner):
+    """``entcore check`` without ``--ops``: the search and the certificate it derives take the filter's walks.
+
+    A certified copy runs filter, search, derive and verify; the LU orbit's
+    search gives up before deriving.  Either way each state is walked once, and
+    nothing is left handed off.
+    """
+    hosvd_calls = hosvd_counter(monkeypatch)
+    psi, psip, _ = orbit((2,) * order, seed=order)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_tensor(a, psi)
+    write_tensor(b, psi if partner == "copy" else psip)
+    count, code = hosvd_calls(main, ["check", str(a), str(b), "--mode", LU, "--budget", "2"])
+    assert code == (EXIT_OK if partner == "copy" else EXIT_INCONCLUSIVE), capsys.readouterr().out
+    assert count == 2 * levels_to(order, 3)
+    assert not decompose._HANDOFF
 
 
 def test_an_inequivalent_filter_hands_nothing_on(monkeypatch):
