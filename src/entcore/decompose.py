@@ -14,16 +14,8 @@ same cut, so its level equals the :func:`hosvd` one.  :func:`left_svd` is
 the one SVD rule: a wide unfolding is first reduced to the small
 triangular factor of its QR decomposition, so no right basis of the long
 side is ever built; a two-mode tensor takes one SVD for both of its modes.
-
-:func:`concentrate` and the equivalence machinery (certificates,
-verification, the invariant filter and the search) all consume that walk.
-A :class:`Hierarchy` is the walk of one state, built lazily and kept as far
-as it was read, so a walk to stop order 3 extends to stop order 2.  The
-invariant filter builds its own; every later stage of an equivalence check
-reads ``take(t).levels(stop_order)``: :func:`take` returns the hierarchy the
-stage before handed off (:func:`hand_off`, which holds the two latest) for
-an equal state, else a new one.  Each entry is taken once, and a stage that
-stops early drops what it took, so a check walks each state once.
+:func:`concentrate` and :mod:`entcore.equivalence` both consume that walk;
+this module keeps no state between calls.
 
 :func:`concentrate` records one extract per composite mode and level,
 holding the wrapped factor columns (the slices).  Where a square basis is
@@ -35,10 +27,8 @@ error.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,69 +282,6 @@ def walk(t, stop_order: int) -> Iterator[HosvdResult]:
             cur = h.core
 
     return levels(t)
-
-
-@dataclass(eq=False)
-class Hierarchy:
-    """The :func:`walk` of one state, built lazily and kept as far as it was read.
-
-    :meth:`levels` builds each level once, whatever stop order reads it: the
-    walk to stop order 3 is a prefix of the walk to 2.  ``kept`` may be
-    seeded with the outermost levels already built.
-    """
-
-    state: np.ndarray
-    kept: list[HosvdResult] = field(default_factory=list)
-    copied: bool = field(default=False, init=False)
-
-    def levels(self, stop_order: int) -> Iterator[HosvdResult]:
-        """Yield the levels of ``walk(state, stop_order)``, building only those not kept yet."""
-        if stop_order not in (2, 3):
-            raise ValueError("stop_order must be 2 or 3")
-        cur = self.state
-        for h in self.kept:
-            if cur.ndim <= stop_order:
-                return
-            yield h
-            cur = h.core
-        for h in walk(cur, stop_order):
-            self.kept.append(h)
-            yield h
-
-
-# Hierarchies one stage of a check made for the next; eq=False, so remove() matches by identity.
-_HANDOFF: deque[Hierarchy] = deque(maxlen=2)
-_HANDOFF_LOCK = threading.Lock()
-
-
-def hand_off(*hierarchies: Hierarchy) -> None:
-    """Offer hierarchies to the next stage; only the two latest are kept, the older ones are dropped.
-
-    A first hand-off swaps the state for a read-only copy, so :func:`take`
-    matches the state the levels are of, whatever the caller's array becomes.
-    """
-    for h in hierarchies:
-        if not h.copied:
-            h.state = np.array(h.state)
-            h.state.flags.writeable = False
-            h.copied = True
-    with _HANDOFF_LOCK:
-        _HANDOFF.extend(hierarchies)
-
-
-def take(t: np.ndarray) -> Hierarchy:
-    """Remove and return the handed-off hierarchy of a state equal to ``t``, else a new one of ``t``.
-
-    A handed-off hierarchy matches only a state of the same shape and
-    entries, so no caller ever gets the levels of another state, and no
-    entry is returned twice.  Its kept levels serve any stop order.
-    """
-    with _HANDOFF_LOCK:
-        for h in _HANDOFF:
-            if h.state.shape == t.shape and np.array_equal(h.state, t):
-                _HANDOFF.remove(h)
-                return h
-    return Hierarchy(t)
 
 
 def concentrate(state, stop_order: int = 3) -> ConcentrationTree:

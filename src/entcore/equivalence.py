@@ -20,10 +20,14 @@ Verdicts are three-valued.  Only :func:`invariant_filter` may declare a pair
 ``inequivalent`` (from sound invariants); a failed search or certificate is
 always ``inconclusive``.
 
-Every stage reads a state's levels off one lazily built
-:class:`~entcore.decompose.Hierarchy`: the filter builds its own, and the
-search, derivation and verification read ``take(t).levels(stop_order)``, so
-a check walks each state once (see :mod:`entcore.decompose`).
+Every stage reads a state's levels off a :class:`Hierarchy`, the
+:func:`~entcore.decompose.walk` of one state built lazily and kept as far as
+it was read, so a walk to stop order 3 extends to stop order 2.  The
+invariant filter builds its own; the search, derivation and verification
+read ``take(t).levels(stop_order)``: :func:`take` returns the hierarchy the
+stage before handed off (:func:`hand_off`, which holds the two latest) for
+an equal state, else a new one.  Each entry is taken once, and a stage that
+stops early drops what it took, so a check walks each state once.
 
 Kronecker convention: a pair operator ``A ⊗ B`` acting on a composite index
 ``j = p*I_b + q`` is ``numpy.kron(A, B)``, matching the composite index map of
@@ -35,11 +39,14 @@ pair convention, not the column-major presentation wrap.
 
 from __future__ import annotations
 
+import threading
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import Hierarchy, complete_basis, cut_to_ranks, cutoff_rank, hand_off, left_svd, take
+from .decompose import HosvdResult, complete_basis, cut_to_ranks, cutoff_rank, left_svd, walk
 from .states import apply_local
 from .tensor_ops import as_tensor, multiply_modes, pair_dims, realign, rescale, unfold, wrap
 
@@ -180,6 +187,69 @@ class EquivalenceCertificate:
     stop_order: int = 3
 
 
+@dataclass(eq=False)
+class Hierarchy:
+    """One state's :func:`~entcore.decompose.walk`, built lazily and kept as far as it was read.
+
+    :meth:`levels` builds each level once, whatever stop order reads it: the
+    walk to stop order 3 is a prefix of the walk to 2.  ``kept`` may be
+    seeded with the outermost levels already built.
+    """
+
+    state: np.ndarray
+    kept: list[HosvdResult] = field(default_factory=list)
+    copied: bool = field(default=False, init=False)
+
+    def levels(self, stop_order: int) -> Iterator[HosvdResult]:
+        """Yield the levels of ``walk(state, stop_order)``, building only those not kept yet."""
+        if stop_order not in (2, 3):
+            raise ValueError("stop_order must be 2 or 3")
+        cur = self.state
+        for h in self.kept:
+            if cur.ndim <= stop_order:
+                return
+            yield h
+            cur = h.core
+        for h in walk(cur, stop_order):
+            self.kept.append(h)
+            yield h
+
+
+# Hierarchies one stage of a check made for the next; eq=False, so remove() matches by identity.
+_HANDOFF: deque[Hierarchy] = deque(maxlen=2)
+_HANDOFF_LOCK = threading.Lock()
+
+
+def hand_off(*hierarchies: Hierarchy) -> None:
+    """Offer hierarchies to the next stage; only the two latest are kept, the older ones are dropped.
+
+    A first hand-off swaps the state for a read-only copy, so :func:`take`
+    matches the state the levels are of, whatever the caller's array becomes.
+    """
+    for h in hierarchies:
+        if not h.copied:
+            h.state = np.array(h.state)
+            h.state.flags.writeable = False
+            h.copied = True
+    with _HANDOFF_LOCK:
+        _HANDOFF.extend(hierarchies)
+
+
+def take(t: np.ndarray) -> Hierarchy:
+    """Remove and return the handed-off hierarchy of a state equal to ``t``, else a new one of ``t``.
+
+    A handed-off hierarchy matches only a state of the same shape and
+    entries, so no caller ever gets the levels of another state, and no
+    entry is returned twice.  Its kept levels serve any stop order.
+    """
+    with _HANDOFF_LOCK:
+        for h in _HANDOFF:
+            if h.state.shape == t.shape and np.array_equal(h.state, t):
+                _HANDOFF.remove(h)
+                return h
+    return Hierarchy(t)
+
+
 def _pair_operators(ops) -> list[np.ndarray]:
     """The composite operator of each adjacent pair, ``kron(A_a, A_b)``; an odd last one as it is."""
     return [_kron(*ops[i : i + 2]) if i + 1 < len(ops) else ops[i] for i in range(0, len(ops), 2)]
@@ -207,9 +277,9 @@ def derive_certificate(
     blocks, so the ``P`` blocks themselves are that level's inverse operators:
     only the level-0 operators are ever inverted.
 
-    Both hierarchies come from :func:`~entcore.decompose.take`, before any
-    check: the ones handed off for equal states, else new ones, extended by
-    the levels to ``stop_order`` they lack.  They are handed off in turn to
+    Both hierarchies come from :func:`take`, before any check: the ones
+    handed off for equal states, else new ones, extended by the levels to
+    ``stop_order`` they lack.  They are handed off in turn to
     :func:`verify_certificate`, or dropped if derivation raises.  The
     certificate itself keeps no walk.
 
@@ -280,11 +350,10 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     terminal order.
 
     The factors and cores of each state are read off the hierarchy
-    :func:`~entcore.decompose.take` returns: the one :func:`derive_certificate`
-    handed off for an equal state, else a new one, built only as deep as
-    checking goes.  Verification hands nothing on, so a second verification
-    walks afresh.  Only the factorisations are reused: every check above is
-    made afresh.
+    :func:`take` returns: the one :func:`derive_certificate` handed off for
+    an equal state, else a new one, built only as deep as checking goes.
+    Verification hands nothing on, so a second verification walks afresh.
+    Only the factorisations are reused: every check above is made afresh.
 
     Raises ``ValueError`` only for caller errors: states of different shapes,
     or operators whose dims do not match the states'.
@@ -506,8 +575,8 @@ def _particle_spectra(psi: np.ndarray, psip: np.ndarray, level1: list):
     ``U S V^H``, and ``V`` has orthonormal columns, so particle ``2k``'s
     singular values are those of the ``I_a x (I_b r)`` reshape of ``U S`` and
     particle ``2k+1``'s those of its transposed ``I_b x (I_a r)`` reshape; one
-    batched SVD takes each particle for both states.  A lone last particle
-    (``I_b = 1``) is the pair mode itself.  ``U`` is not cut to the local
+    batched SVD takes each particle for both states.  The last particle of an
+    odd order, alone in its pair, is the pair mode itself.  ``U`` is not cut to the local
     rank, so ``RANK_RTOL`` cannot move these spectra: they equal the direct
     ones to rounding.  Each mode's uncut ``(U, s)``, stacked ``psi`` first,
     is appended to ``level1`` for the level to be cut from.  A state of four
@@ -527,7 +596,7 @@ def _particle_spectra(psi: np.ndarray, psip: np.ndarray, level1: list):
         perm = tuple(range(k, len(shape))) + tuple(range(k))
         u, s = left_svd(np.stack((t.transpose(perm), tp.transpose(perm))).reshape(2, shape[k], -1))
         level1.append((u, s))
-        if ib == 1:
+        if 2 * k + 1 == psi.ndim:
             yield s
             continue
         w = u * s[:, None, :]
@@ -558,9 +627,8 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
 
     The filter builds both hierarchies on every call, level 1 seeded from
     the particle SVDs, and never takes a handed-off one.  When it returns
-    ``inconclusive`` it hands both off (:func:`~entcore.decompose.hand_off`),
-    so a search or derivation of the same states that follows walks neither
-    again.  A pair it rejects is never copied, and its levels are dropped.
+    ``inconclusive`` it hands both off (:func:`hand_off`), so a search or
+    derivation of the same states that follows walks neither again.  A pair it rejects is never copied, and its levels are dropped.
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -758,7 +826,7 @@ def _phase_tensor(u_inv, u_prime, bases, r, i1, i2):
         e1 = np.outer(v1[:, p], v1p[:, p].conj())
         for q in range(i2):
             e2 = np.outer(v2[:, q], v2p[:, q].conj())
-            t[p, q] = (u_inv @ np.kron(e1, e2) @ u_prime)[r:, :r]
+            t[p, q] = (u_inv @ _kron(e1, e2) @ u_prime)[r:, :r]
     return t
 
 
@@ -863,7 +931,7 @@ def search_p_tilde(
     structured = _unitarity_defect(u) < 1e-6 and _unitarity_defect(up) < 1e-6
 
     def pair(a1, a2):
-        return u_inv @ np.kron(a1, a2) @ up
+        return u_inv @ _kron(a1, a2) @ up
 
     def candidates():
         # (restart, strategy, unprojected P~), computed only as far as consumed
@@ -931,10 +999,9 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     ``psi_prime`` and yields a verifying certificate.  Anything short of that
     is ``inconclusive``.
 
-    The first level is read off :func:`~entcore.decompose.take`'s
-    hierarchies: the filter's, else new ones built only that deep.  They are
-    handed on to the :func:`derive_certificate` call, or dropped if the
-    search gives up first.
+    The first level is read off :func:`take`'s hierarchies: the filter's,
+    else new ones built only that deep.  They are handed on to the
+    :func:`derive_certificate` call, or dropped if the search gives up first.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)

@@ -42,6 +42,17 @@ class TestGen:
         code, _, err = run(capsys, "gen", "paper4", "1.0", tmp_path / "x.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "params, usage",
+        [(("ghz",), "ghz takes: n [d]"), (("w", "3", "4"), "w takes: n"), (("random",), "random takes: dim")],
+    )
+    def test_wrong_param_count_exit_2(self, tmp_path, capsys, params, usage):
+        out_path = tmp_path / "out.json"
+        code, _, err = run(capsys, "gen", *params, out_path)
+        assert code == 2
+        assert usage in err
+        assert not out_path.exists()
+
 
 class TestConcentrateReconstruct:
     def test_roundtrip_matches_source(self, tmp_path, capsys):

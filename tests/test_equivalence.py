@@ -6,11 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entcore
-from entcore import decompose, equivalence
+from entcore import equivalence
 from entcore.decompose import concentrate, cut_to_ranks, cutoff_rank, hosvd, left_svd, reconstruct, walk
 from entcore.equivalence import (
     EQUIVALENT,
@@ -473,6 +473,13 @@ class TestInvariantFilter:
                 *projected_pair((2, 2, 2, 2, 3), 6, 4), SLOCC,
                 "particle 4: local rank 3 vs 2", 5, id="lone last qutrit",
             ),
+            # an interior (2, 1) pair holds two particles, not a lone one: particle 2 differs
+            pytest.param(
+                np.multiply.outer(np.array([[1.0], [0.0]]), random_state((2, 2, 2), seed=1)),
+                np.multiply.outer(np.array([[1.0], [0.0]]), random_state((2, 2, 2), seed=2)), LU,
+                "particle 2: singular values differ by 2.303e-01 "
+                "([0.925566 0.378587] vs [0.793221 0.608934])", 3, id="interior unit particle",
+            ),
             # every qubit of both states is maximally mixed, but the (0-1) pair is
             # entangled with the rest in GHZ and not in three Bell pairs
             pytest.param(
@@ -491,14 +498,14 @@ class TestInvariantFilter:
 
     def test_copies_only_the_states_it_hands_off(self, monkeypatch):
         handed = []
-        real_hand_off = decompose.hand_off
+        real_hand_off = equivalence.hand_off
 
         def recording_hand_off(*hierarchies):
             handed.extend(hierarchies)
             real_hand_off(*hierarchies)
 
         monkeypatch.setattr(equivalence, "hand_off", recording_hand_off)
-        decompose._HANDOFF.clear()
+        equivalence._HANDOFF.clear()
         bell = ghz_state(2)
         rejected = [
             (product_state((2,) * 6, seed=1), random_state((2,) * 6, seed=2)),  # at particle 0
@@ -506,7 +513,7 @@ class TestInvariantFilter:
         ]
         for psi, psip in rejected:
             assert invariant_filter(psi, psip, SLOCC).status == INEQUIVALENT
-        assert handed == [] and not decompose._HANDOFF
+        assert handed == [] and not equivalence._HANDOFF
         psi = random_state((2,) * 6, seed=3)
         psip = apply_local(psi, lu_ops((2,) * 6, seed=4))
         assert invariant_filter(psi, psip, LU).status == INCONCLUSIVE
@@ -518,7 +525,7 @@ class TestInvariantFilter:
         states = [h.state for h in handed]
         real_hand_off(*handed)  # a second hand-off, as derive makes, copies nothing again
         assert all(h.state is t for h, t in zip(handed, states))
-        decompose._HANDOFF.clear()
+        equivalence._HANDOFF.clear()
 
     def test_shape_mismatch_trivially_inequivalent(self):
         verdict = invariant_filter(np.ones((2, 2)) / 2.0, np.ones((2, 2, 2)) / np.sqrt(8), SLOCC)
@@ -579,7 +586,8 @@ def printed_values(witness):
     return re.sub(r"\s+", " ", witness).replace("[ ", "[").replace(" ]", "]")
 
 
-FILTER_DIMS = st.lists(st.sampled_from((2, 3)), min_size=4, max_size=9).filter(
+# unit dimensions too: a (2, 1) pair is two particles, and only the last of an odd order is alone
+FILTER_DIMS = st.lists(st.sampled_from((1, 2, 3)), min_size=4, max_size=9).filter(
     lambda dims: np.prod(dims) <= 2**12
 )
 
@@ -595,7 +603,7 @@ FILTER_DIMS = st.lists(st.sampled_from((2, 3)), min_size=4, max_size=9).filter(
 def test_particle_spectra_read_off_level_one(dims, family, partner, mode, seed):
     n = len(dims)
     if family == "ghz":
-        dims = (dims[0],) * n
+        dims = (max(dims[0], 2),) * n
         psi = ghz_state(n, dims[0])
     elif family == "w":
         dims = (2,) * n
@@ -605,13 +613,15 @@ def test_particle_spectra_read_off_level_one(dims, family, partner, mode, seed):
     else:
         psi = random_state(dims, seed=seed)
     dims = tuple(dims)
-    k = seed % n
     if partner == "lu orbit":
         psip = apply_local(psi, lu_ops(dims, seed=seed % 1000))
     elif partner == "slocc orbit":
         psip = apply_local(psi, slocc_ops(dims, seed=seed % 1000))
     elif partner == "projected":
-        psip = project_particle(psi, k, seed=seed % 1000)
+        # a unit particle projected to rank zero would zero the state: project one of dimension > 1
+        projectable = [p for p, d in enumerate(dims) if d > 1]
+        assume(projectable)
+        psip = project_particle(psi, projectable[seed % len(projectable)], seed=seed % 1000)
     elif partner == "other tail":
         # both share one state of the first particles; the rest differ
         split = 1 + seed % (n - 1)
@@ -856,6 +866,27 @@ class TestSearchEquivalence:
     def test_bipartite_states_have_no_search_surface(self):
         verdict = search_equivalence(ghz_state(2), ghz_state(2), SLOCC, budget=4, seed=0)
         assert verdict.status == INCONCLUSIVE
+
+    def test_level_rank_mismatch_searches_no_mode(self):
+        equivalence._HANDOFF.clear()
+        psi, psip = product_state((2,) * 6, seed=1), random_state((2,) * 6, seed=2)
+        verdict = search_equivalence(psi, psip, LU)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness == "local ranks differ: [1, 1, 1] vs [4, 4, 4]"
+        assert verdict.residuals == {"searched_modes": 0}
+        assert not equivalence._HANDOFF
+
+    def test_zero_budget_finds_no_connector_and_drops_the_filters_walks(self):
+        equivalence._HANDOFF.clear()
+        psi = random_state((2,) * 6, seed=3)
+        psip = apply_local(psi, lu_ops((2,) * 6, seed=4))
+        assert invariant_filter(psi, psip, LU).status == INCONCLUSIVE
+        assert len(equivalence._HANDOFF) == 2
+        verdict = search_equivalence(psi, psip, LU, budget=0)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness == "no connecting block matrix found for mode 0 within budget 0"
+        assert verdict.residuals == {"searched_modes": 0, "objectives": []}
+        assert not equivalence._HANDOFF
 
 
 def test_import_does_not_load_scipy():

@@ -86,6 +86,20 @@ class TestTensorFile:
         with pytest.raises(FileFormatError):
             read_tensor(path)
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([[1.0, 0.0], [0.0]], r"coeffs holds an entry that is not a \[re, im\] pair"),
+            ([[1.0, 0.0], [0.0, 0.0, 0.0]], r"coeffs holds an entry that is not a \[re, im\] pair"),
+            *[([[1.0, 0.0], [v, 0.0]], "coeffs holds a value that is not a number") for v in ("1.0", None, True, [1.0])],
+        ],
+    )
+    def test_malformed_coeffs_rejected(self, tmp_path, coeffs, message):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps({"format_version": 1, "dims": [2], "coeffs": coeffs}))
+        with pytest.raises(FileFormatError, match=message):
+            read_tensor(path)
+
 
 class TestTreeFile:
     @pytest.mark.parametrize("stop_order", [2, 3])
@@ -184,6 +198,25 @@ class TestTreeFile:
         with pytest.raises(FileFormatError, match="slice 0 must have 2 rows"):
             read_tree(path)
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda doc: doc.update(levels={}), "levels must be a list"),
+            (lambda doc: doc["levels"][0]["modes"].pop(), "level 0 must describe 3 modes"),
+            (lambda doc: doc["levels"][0]["modes"][1].update(rank=0), "level 0 mode 1: bad rank 0"),
+            (lambda doc: doc["levels"][0]["modes"][1].update(rank=5), "level 0 mode 1: bad rank 5"),
+            (lambda doc: doc["levels"][0]["modes"][1].update(rank=True), "level 0 mode 1: bad rank True"),
+        ],
+    )
+    def test_malformed_level_rejected(self, tmp_path, tamper, message):
+        path = tmp_path / "tree.json"
+        write_tree(path, concentrate(random_state((2,) * 6, seed=8)))
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=message):
+            read_tree(path)
+
 
 class TestOperatorFile:
     def test_roundtrip(self, tmp_path):
@@ -198,6 +231,23 @@ class TestOperatorFile:
         path = tmp_path / "ops.json"
         path.write_text(json.dumps({"format_version": 1, "operators": [{"dim": 2}]}))
         with pytest.raises(FileFormatError):
+            read_operators(path)
+
+    @pytest.mark.parametrize(
+        "operators, message",
+        [
+            ([], "operators must be a non-empty list"),
+            *[([{"dim": d, "entries": [[[1.0, 0.0]]]}], f"operator 0 has bad dim {d!r}") for d in (0, "2", 2.0, True)],
+            (
+                [{"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}],
+                r"each row of operator 0 must list exactly 2 \[re, im\] pairs",
+            ),
+        ],
+    )
+    def test_malformed_operators_rejected(self, tmp_path, operators, message):
+        path = tmp_path / "ops.json"
+        path.write_text(json.dumps({"format_version": 1, "operators": operators}))
+        with pytest.raises(FileFormatError, match=message):
             read_operators(path)
 
 

@@ -2,10 +2,10 @@
 
 Concentration, certificate derivation and verification, the invariant
 filter and the search must all see the same levels, and one check must walk
-each state once.  A ``decompose.Hierarchy`` builds a state's levels lazily
+each state once.  An ``equivalence.Hierarchy`` builds a state's levels lazily
 and keeps them; the filter builds its own, and every later stage reads
 ``take(t).levels(stop_order)``, taking the hierarchies the stage before
-handed off (``decompose.hand_off`` / ``decompose.take``), so it builds only
+handed off (``equivalence.hand_off`` / ``equivalence.take``), so it builds only
 the levels no stage before it read.  No hierarchy is taken twice, and a
 stage that stops early drops what it took.
 """
@@ -42,7 +42,7 @@ from entcore.states import apply_local, haar_unitary, random_invertible, random_
 @pytest.fixture(autouse=True)
 def empty_handoff():
     """Each test starts with no handed-off walk, whatever the tests before it left."""
-    decompose._HANDOFF.clear()
+    equivalence._HANDOFF.clear()
 
 
 def orbit(dims, seed, mode=LU):
@@ -91,7 +91,7 @@ def test_tree_and_certificate_share_the_hierarchy(dims, stop_order, seed, mode):
     # each level's pairing follows from its input dims, which the ranks above fix
     assert [lvl.ranks for lvl in cert.levels] == [lvl.ranks for lvl in tree.levels]
     # verify took the walks derive handed off; a second verify walks both states afresh
-    assert not decompose._HANDOFF
+    assert not equivalence._HANDOFF
     fresh = verify_certificate(psi, psip, cert)
     assert fresh.status == verdict.status
     assert fresh.residuals == verdict.residuals
@@ -151,7 +151,7 @@ def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
     count, verdict = hosvd_calls(verify_certificate, psi, psip, cert)
     assert verdict.status == EQUIVALENT
     assert count == 0
-    assert not decompose._HANDOFF
+    assert not equivalence._HANDOFF
     count, verdict = hosvd_calls(verify_certificate, psi.copy(), psip.copy(), cert)
     assert verdict.status == EQUIVALENT
     assert count == 2 * n_levels
@@ -201,10 +201,10 @@ def test_a_derive_whose_premise_fails_drops_the_filters_walks():
     psi, psip, _ = orbit((2,) * 6, seed=6)
     _, _, wrong = orbit((2,) * 6, seed=7)
     assert invariant_filter(psi, psip, LU).status == INCONCLUSIVE
-    assert len(decompose._HANDOFF) == 2
+    assert len(equivalence._HANDOFF) == 2
     with pytest.raises(ValueError, match="not related by the supplied operators"):
         derive_certificate(psi, psip, wrong)
-    assert not decompose._HANDOFF
+    assert not equivalence._HANDOFF
 
 
 @pytest.mark.parametrize("order", [7, 9])
@@ -216,7 +216,7 @@ def test_an_unaided_search_that_gives_up_builds_level_one_only(monkeypatch, orde
     # every mode is searched, but the recovered operators miss the partner state
     assert verdict.residuals["premise"] > equivalence.EQUIV_RTOL
     assert count == 2
-    assert not decompose._HANDOFF
+    assert not equivalence._HANDOFF
 
 
 @pytest.mark.parametrize("order", [6, 9])
@@ -236,7 +236,7 @@ def test_check_without_ops_walks_each_state_once(monkeypatch, tmp_path, capsys, 
     count, code = hosvd_calls(main, ["check", str(a), str(b), "--mode", LU, "--budget", "2"])
     assert code == (EXIT_OK if partner == "copy" else EXIT_INCONCLUSIVE), capsys.readouterr().out
     assert count == 2 * levels_to(order, 3)
-    assert not decompose._HANDOFF
+    assert not equivalence._HANDOFF
 
 
 def test_an_inequivalent_filter_hands_nothing_on(monkeypatch):
@@ -250,7 +250,7 @@ def test_an_inequivalent_filter_hands_nothing_on(monkeypatch):
     assert verdict.status == INEQUIVALENT
     assert verdict.witness.startswith("level 1 mode 0")
     assert count == 2
-    assert not decompose._HANDOFF
+    assert not equivalence._HANDOFF
 
 
 def test_threads_interleaving_checks_get_the_serial_verdicts():
