@@ -261,6 +261,13 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
+def _reject_zero(psi: np.ndarray, psip: np.ndarray) -> None:
+    """Raise ``ValueError`` naming a zero state: it has no levels to walk or compare."""
+    for name, t in (("psi", psi), ("psi_prime", psip)):
+        if not t.any():
+            raise ValueError(f"cannot check equivalence of the zero tensor ({name})")
+
+
 def derive_certificate(
     psi, psi_prime, operators: LocalOperatorSet, stop_order: int = 3
 ) -> EquivalenceCertificate:
@@ -283,8 +290,8 @@ def derive_certificate(
     :func:`verify_certificate`, or dropped if derivation raises.  The
     certificate itself keeps no walk.
 
-    Raises ``ValueError`` when ``stop_order`` is not 2 or 3 or the premise
-    does not hold to ``EQUIV_RTOL``.
+    Raises ``ValueError`` when ``stop_order`` is not 2 or 3, either state is
+    zero, or the premise does not hold to ``EQUIV_RTOL``.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
@@ -293,6 +300,7 @@ def derive_certificate(
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
     if operators.dims != psi.shape:
         raise ValueError(f"operator dims {operators.dims} do not match state dims {psi.shape}")
+    _reject_zero(psi, psip)
     premise = _rel_err(apply_local(psi, operators), psip)
     if premise > EQUIV_RTOL:
         raise ValueError(
@@ -629,6 +637,9 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
     the particle SVDs, and never takes a handed-off one.  When it returns
     ``inconclusive`` it hands both off (:func:`hand_off`), so a search or
     derivation of the same states that follows walks neither again.  A pair it rejects is never copied, and its levels are dropped.
+
+    Raises ``ValueError`` for an unknown ``mode`` and, before any walk, for
+    a zero state on either side.
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -640,6 +651,7 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
             f"shape mismatch: {psi.shape} vs {psip.shape}",
             {"max_spectrum_deviation": float("inf")},
         )
+    _reject_zero(psi, psip)
 
     worst = 0.0
     checked = 0
@@ -1002,11 +1014,15 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     The first level is read off :func:`take`'s hierarchies: the filter's,
     else new ones built only that deep.  They are handed on to the
     :func:`derive_certificate` call, or dropped if the search gives up first.
+
+    Raises ``ValueError`` for states of different shapes and, before any
+    walk, for a zero state on either side.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
     if psi.shape != psip.shape:
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
+    _reject_zero(psi, psip)
     walks = (take(psi), take(psip))
     effective_stop = 3 if psi.ndim > 3 else 2
     first_level = next(zip(*(w.levels(effective_stop) for w in walks)), None)

@@ -1,7 +1,12 @@
 """Textual (JSON) serialization for states, concentration trees and operators.
 
 Floats are written with Python's shortest round-trip rendering, so
-write-then-read is bit-exact for finite doubles.  All documents carry a
+write-then-read is bit-exact for finite doubles and reruns are
+byte-identical.  Each document is one compact line of sorted keys ended by
+a newline, encoded whole by one ``json.dumps`` call (CPython's C encoder)
+before the file is opened: a document that cannot be encoded, such as one
+holding a NaN, leaves the file as it was.  Readers take any JSON layout,
+the older indented one included.  All documents carry a
 ``format_version`` field; readers reject anything they do not understand
 with :class:`FileFormatError`, as they do a number that is not an integer or
 a float, or that does not fit a finite double.  State and operator files are
@@ -40,8 +45,10 @@ class FileFormatError(Exception):
 
 
 def _dump(obj, path):
+    # json.dumps in one call takes CPython's C encoder; json.dump and indent never do
+    text = json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True, allow_nan=False)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -72,8 +79,8 @@ def _check_version(doc, path, supported=(FORMAT_VERSION,)):
 
 def _encode(a) -> list:
     """Nested lists of ``[re, im]`` pairs in the shape of ``a``."""
-    a = np.asarray(a, dtype=np.complex128)
-    return np.stack([a.real, a.imag], -1).tolist()
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
 def _decode(doc, shape, path, what) -> np.ndarray:
@@ -135,7 +142,7 @@ def write_tree(path, tree: ConcentrationTree) -> None:
             "modes": [
                 {
                     "rank": ext.dims[0],
-                    "slices": [_encode(s) for s in ext.slices],
+                    "slices": _encode(ext.slices),
                 }
                 for ext in level.extracts
             ]

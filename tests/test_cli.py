@@ -212,6 +212,14 @@ class TestCheck:
         assert code == 3
 
 
+    def test_zero_state_exit_3(self, tmp_path, capsys):
+        z = tmp_path / "z.json"
+        write_tensor(z, np.zeros((2,) * 5))
+        code, out, err = run(capsys, "check", z, z, "--mode", "lu")
+        assert code == 3
+        assert "verdict" not in out
+        assert "cannot check equivalence of the zero tensor (psi)" in err
+
 class TestHugeNumbers:
     """A number too large for a double is a format error (exit 2), not a crash."""
 

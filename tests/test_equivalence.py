@@ -889,6 +889,31 @@ class TestSearchEquivalence:
         assert not equivalence._HANDOFF
 
 
+@pytest.mark.parametrize("mode", [LU, SLOCC])
+@pytest.mark.parametrize("n", [4, 5, 7, 9])
+@pytest.mark.parametrize("pair", ["zero-zero", "zero-random", "random-zero"])
+def test_zero_state_is_rejected_before_any_walk(monkeypatch, n, mode, pair):
+    # a zero state has no levels: it once crashed the walk at 7 and 9 qubits
+    # and passed the filter at 4 and 5, only to crash the search
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a zero state")
+
+    monkeypatch.setattr(equivalence, "walk", no_walk)
+    monkeypatch.setattr(equivalence, "left_svd", no_walk)
+    zero, rand = np.zeros((2,) * n), random_state((2,) * n, seed=n)
+    psi, psip = {"zero-zero": (zero, zero), "zero-random": (zero, rand), "random-zero": (rand, zero)}[pair]
+    name = "psi" if psi is zero else "psi_prime"
+    message = re.escape(f"cannot check equivalence of the zero tensor ({name})")
+    ops = LocalOperatorSet(tuple(np.eye(2) for _ in range(n)), mode)
+    for stage in (
+        lambda: invariant_filter(psi, psip, mode),
+        lambda: search_equivalence(psi, psip, mode),
+        lambda: derive_certificate(psi, psip, ops),
+    ):
+        with pytest.raises(ValueError, match=message):
+            stage()
+
+
 def test_import_does_not_load_scipy():
     # entcore depends on numpy alone: neither the import nor a search that
     # only the phase pencil (numpy eigenvalues of C^{-1} A) solves loads scipy

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entcore.decompose import concentrate, reconstruct
+from entcore.decompose import (
+    ConcentrationLevel,
+    ConcentrationTree,
+    TripartiteExtract,
+    concentrate,
+    reconstruct,
+)
 from entcore.fileio import (
     FileFormatError,
     read_operators,
@@ -249,6 +255,104 @@ class TestOperatorFile:
         path.write_text(json.dumps({"format_version": 1, "operators": operators}))
         with pytest.raises(FileFormatError, match=message):
             read_operators(path)
+
+
+def tiny_tree() -> ConcentrationTree:
+    """A 3-qubit stop-order-2 tree of exact values, so its file depends on the writer alone."""
+    pair = TripartiteExtract([np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.5j], [-0.5, 0.0]])], (2, 2, 2))
+    lone = TripartiteExtract([np.array([[0.6], [0.8]]), np.array([[-0.8], [0.6]])], (2, 2, 1))
+    level = ConcentrationLevel((2, 2, 2), [pair, lone], (2, 2), 1.0)
+    return ConcentrationTree((2, 2, 2), [level], np.array([[0.25, 0.0], [0.0, -1 / 3]]), 2)
+
+
+def indented_tree_text(tree) -> str:
+    """A tree document in the indented layout format version 3 was first written in, one slice at a time."""
+
+    def pairs(a):
+        a = np.asarray(a, dtype=np.complex128)
+        return np.stack([a.real, a.imag], -1).tolist()
+
+    levels = [
+        {"modes": [{"rank": ext.dims[0], "slices": [pairs(s) for s in ext.slices]} for ext in level.extracts]}
+        for level in tree.levels
+    ]
+    doc = {
+        "format_version": 3,
+        "original_dims": list(tree.original_shape),
+        "stop_order": tree.stop_order,
+        "levels": levels,
+        "terminal": {"dims": list(tree.terminal.shape), "coeffs": pairs(tree.terminal.ravel())},
+    }
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
+
+
+class TestLayout:
+    """Each document is one compact line of sorted keys and ``repr`` floats, ended by a newline."""
+
+    def test_state_file_bytes(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_tensor(path, np.array([[0.5, complex(-0.0, 0.1)], [1e-300 - 2.5j, 0.7071067811865476j]]))
+        assert path.read_bytes() == (
+            b'{"coeffs":[[0.5,0.0],[-0.0,0.1],[1e-300,-2.5],[0.0,0.7071067811865476]],'
+            b'"dims":[2,2],"format_version":1}\n'
+        )
+
+    def test_tree_file_bytes(self, tmp_path):
+        path = tmp_path / "tree.json"
+        write_tree(path, tiny_tree())
+        assert path.read_bytes() == (
+            b'{"format_version":3,"levels":[{"modes":['
+            b'{"rank":2,"slices":[[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0]]],'
+            b'[[[0.0,0.0],[0.0,0.5]],[[-0.5,0.0],[0.0,0.0]]]]},'
+            b'{"rank":2,"slices":[[[[0.6,0.0]],[[0.8,0.0]]],[[[-0.8,0.0]],[[0.6,0.0]]]]}]}],'
+            b'"original_dims":[2,2,2],"stop_order":2,'
+            b'"terminal":{"coeffs":[[0.25,0.0],[0.0,0.0],[0.0,0.0],[-0.3333333333333333,0.0]],"dims":[2,2]}}\n'
+        )
+
+    def test_operator_file_bytes(self, tmp_path):
+        path = tmp_path / "ops.json"
+        write_operators(path, [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 1j, -1.0])])
+        assert path.read_bytes() == (
+            b'{"format_version":1,"operators":['
+            b'{"dim":2,"entries":[[[0.0,0.0],[1.0,0.0]],[[1.0,0.0],[0.0,0.0]]]},'
+            b'{"dim":3,"entries":[[[1.0,0.0],[0.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,1.0],[0.0,0.0]],'
+            b'[[0.0,0.0],[0.0,0.0],[-1.0,0.0]]]}]}\n'
+        )
+
+    def test_indented_tree_holds_the_same_document(self, tmp_path):
+        # the compact file is the indented one's value re-spelled: same keys,
+        # key order and float reprs; the indented file still reads, bit for bit
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        tree = concentrate(random_state((2,) * 9, seed=9), stop_order=3)
+        write_tree(compact, tree)
+        indented.write_text(indented_tree_text(tree))
+        doc = json.loads(indented.read_text())
+        assert json.loads(compact.read_text()) == doc
+        assert compact.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        a, b = read_tree(compact), read_tree(indented)
+        assert a.terminal.tobytes() == b.terminal.tobytes()
+        for lvl_a, lvl_b in zip(a.levels, b.levels, strict=True):
+            for ext_a, ext_b in zip(lvl_a.extracts, lvl_b.extracts, strict=True):
+                assert np.stack(ext_a.slices).tobytes() == np.stack(ext_b.slices).tobytes()
+
+    WRITERS = {
+        "state": (write_tensor, np.array([1.0, np.nan])),
+        "tree": (write_tree, ConcentrationTree((2, 2), [], np.array([[1.0, np.nan], [0.0, 0.0]]), 3)),
+        "operators": (write_operators, [np.array([[1.0, np.nan], [0.0, 1.0]])]),
+    }
+
+    @pytest.mark.parametrize("what", WRITERS)
+    def test_failed_write_leaves_the_file_as_it_was(self, tmp_path, what):
+        writer, bad = self.WRITERS[what]
+        kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        write_tensor(kept, random_state((2, 2), seed=1))
+        before = kept.read_bytes()
+        with pytest.raises(ValueError):
+            writer(kept, bad)
+        assert kept.read_bytes() == before
+        with pytest.raises(ValueError):
+            writer(absent, bad)
+        assert not absent.exists()
 
 
 # Every finite double, with the edge cases drawn often: signed zeros,
