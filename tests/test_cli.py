@@ -211,7 +211,6 @@ class TestCheck:
         code, _, err = run(capsys, "check", a, b, "--mode", "lu")
         assert code == 3
 
-
     def test_zero_state_exit_3(self, tmp_path, capsys):
         z = tmp_path / "z.json"
         write_tensor(z, np.zeros((2,) * 5))
@@ -219,6 +218,7 @@ class TestCheck:
         assert code == 3
         assert "verdict" not in out
         assert "cannot check equivalence of the zero tensor (psi)" in err
+
 
 class TestHugeNumbers:
     """A number too large for a double is a format error (exit 2), not a crash."""
