@@ -292,7 +292,7 @@ def concentrate(state, stop_order: int = 3) -> ConcentrationTree:
     t = as_tensor(state)
     if t.ndim < 2:
         raise ValueError("need at least two modes")
-    if tensor_norm(t) == 0.0:
+    if not t.any():
         raise ValueError("cannot concentrate the zero tensor")
     levels = []
     core = t

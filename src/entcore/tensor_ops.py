@@ -69,9 +69,31 @@ def as_tensor(data, dims=None) -> np.ndarray:
     return arr
 
 
+# norms np.linalg.norm sums without an overflow or a lost bit that counts
+_NORM_SAFE = (2.0**-300, 2.0**300)
+
+
 def tensor_norm(t) -> float:
-    """Frobenius norm of a tensor of any order."""
-    return float(np.linalg.norm(np.ravel(t)))
+    """Frobenius norm of a tensor of any order, at any scale.
+
+    A norm between ``2**-300`` and ``2**300`` is ``np.linalg.norm``'s: no
+    square in it overflowed or lost a bit that counts.  Any other is summed
+    again with the power of two of the largest real or imaginary part
+    factored out, so that the squares neither overflow nor underflow.
+    """
+    flat = np.ravel(t)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(flat))
+    if _NORM_SAFE[0] <= norm <= _NORM_SAFE[1]:
+        return norm
+    peak = max(float(np.max(np.abs(part), initial=0.0)) for part in (flat.real, flat.imag))
+    if peak == 0.0 or not math.isfinite(peak):
+        return peak
+    e = max(math.frexp(peak)[1], -1023)  # 2.0 ** 1024 overflows
+    try:
+        return math.ldexp(float(np.linalg.norm(flat * 2.0**-e)), e)
+    except OverflowError:  # the norm itself exceeds the largest double
+        return math.inf
 
 
 def unfold(t, k: int) -> np.ndarray:

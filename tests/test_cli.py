@@ -1,11 +1,14 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
 from entcore.cli import main
-from entcore.fileio import read_tensor, write_operators, write_tensor
+from entcore.fileio import read_operators, read_tensor, read_tree, write_operators, write_tensor
 from entcore.states import apply_local, haar_unitary, random_state
+
+import legacy
 
 
 def run(capsys, *argv):
@@ -140,10 +143,30 @@ class TestConcentrateReconstruct:
         assert run(capsys, "concentrate", src, tree)[0] == 0
         doc = json.loads(tree.read_text())
         doc["terminal"]["dims"] = [3, 3]
-        doc["terminal"]["coeffs"] = [[1.0, 0.0]] * 9
+        doc["terminal"]["coeffs"] = base64.b64encode(np.ones(9, dtype="<c16").tobytes()).decode()
         tree.write_text(json.dumps(doc))
         code, _, err = run(capsys, "reconstruct", tree, tmp_path / "back.json")
         assert code == 3
+
+    def test_tiny_state_exit_0(self, tmp_path, capsys):
+        # the squares of its entries underflow, but it is not the zero state
+        src, tree, back = tmp_path / "s.json", tmp_path / "s.tree.json", tmp_path / "s.back.json"
+        state = random_state((2,) * 7, seed=1) * 1e-200
+        write_tensor(src, state)
+        assert run(capsys, "concentrate", src, tree)[0] == 0
+        assert run(capsys, "reconstruct", tree, back)[0] == 0
+        assert np.linalg.norm((read_tensor(back) - state).ravel() * 1e200) <= 1e-13
+
+    def test_malformed_payload_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "s.json"
+        write_tensor(src, random_state((2, 2, 2, 2), seed=6))
+        doc = json.loads(src.read_text())
+        doc["coeffs"] = doc["coeffs"][:-4]
+        src.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "concentrate", src, tmp_path / "t.json")
+        assert code == 2
+        assert err == f"error: {src}: coeffs must hold exactly 16 complex128 values (256 bytes), not 255 bytes\n"
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestCheck:
@@ -221,26 +244,33 @@ class TestCheck:
 
 
 class TestHugeNumbers:
-    """A number too large for a double is a format error (exit 2), not a crash."""
+    """A number too large for a double in a list-payload file is a format error (exit 2), not a crash."""
 
     @pytest.mark.parametrize(
-        "target, where, argv",
+        "target, respell, where, argv",
         [
-            ("b.json", ("coeffs", 0, 0), ("check", "a.json", "b.json", "--mode", "lu")),
+            (
+                "b.json",
+                lambda p: legacy.state_doc(read_tensor(p)),
+                ("coeffs", 0, 0),
+                ("check", "a.json", "b.json", "--mode", "lu"),
+            ),
             (
                 "ops.json",
+                lambda p: legacy.operators_doc(read_operators(p)),
                 ("operators", 0, "entries", 0, 0, 0),
                 ("check", "a.json", "b.json", "--mode", "lu", "--ops", "ops.json"),
             ),
             (
                 "t.json",
+                lambda p: legacy.tree_doc(read_tree(p)),
                 ("levels", 0, "modes", 0, "slices", 0, 0, 0, 0),
                 ("reconstruct", "t.json", "back.json"),
             ),
         ],
         ids=["state", "operators", "tree"],
     )
-    def test_401_digit_coefficient_exit_2(self, tmp_path, capsys, target, where, argv):
+    def test_401_digit_coefficient_exit_2(self, tmp_path, capsys, target, respell, where, argv):
         psi = random_state((2, 2, 2, 2), seed=13)
         ops = [haar_unitary(2, seed=130 + i) for i in range(4)]
         write_tensor(tmp_path / "a.json", psi)
@@ -248,7 +278,7 @@ class TestHugeNumbers:
         write_operators(tmp_path / "ops.json", ops)
         assert run(capsys, "concentrate", tmp_path / "a.json", tmp_path / "t.json")[0] == 0
         path = tmp_path / target
-        doc = json.loads(path.read_text())
+        doc = respell(path)
         node = doc
         for key in where[:-1]:
             node = node[key]

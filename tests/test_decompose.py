@@ -411,6 +411,13 @@ class TestConcentrate:
         with pytest.raises(ValueError):
             concentrate(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("stop_order", [2, 3])
+    def test_tiny_state_is_not_the_zero_tensor(self, stop_order):
+        # its squares underflow to 0, but no entry is 0
+        state = random_state((2,) * 7, seed=1) * 1e-200
+        tree = concentrate(state, stop_order=stop_order)
+        assert tensor_norm(reconstruct(tree) - state) <= 1e-13 * tensor_norm(state)
+
     def test_norm_conserved_at_every_level(self):
         state = random_state((2,) * 8, seed=13)
         tree = concentrate(state, stop_order=2)

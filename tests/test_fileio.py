@@ -1,5 +1,7 @@
+import base64
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -25,6 +27,13 @@ from entcore.fileio import (
     write_tree,
 )
 from entcore.states import haar_unitary, random_state
+
+import legacy
+
+
+def payload(a) -> str:
+    """The base64 payload of ``a``'s little-endian complex128 bytes, spelled out here, not by the writer."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<c16").tobytes()).decode("ascii")
 
 
 class TestTensorFile:
@@ -79,10 +88,11 @@ class TestTensorFile:
         with pytest.raises(FileFormatError):
             read_tensor(path)
 
-    def test_coefficient_count_is_exact_for_huge_dims(self, tmp_path):
+    @pytest.mark.parametrize("version, coeffs", [(1, []), (2, "")])
+    def test_coefficient_count_is_exact_for_huge_dims(self, tmp_path, version, coeffs):
         # 2**32 * 2**32 wraps to 0 in a 64-bit integer
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"format_version": 1, "dims": [2**32, 2**32], "coeffs": []}))
+        path.write_text(json.dumps({"format_version": version, "dims": [2**32, 2**32], "coeffs": coeffs}))
         with pytest.raises(FileFormatError, match=f"exactly {2**64} "):
             read_tensor(path)
 
@@ -143,9 +153,7 @@ class TestTreeFile:
 
     def test_wrong_slice_count_rejected(self, tmp_path):
         path = tmp_path / "tree.json"
-        tree = concentrate(random_state((2, 2, 2, 2), seed=5))
-        write_tree(path, tree)
-        doc = json.loads(path.read_text())
+        doc = legacy.tree_doc(concentrate(random_state((2, 2, 2, 2), seed=5)))
         doc["levels"][0]["modes"][0]["slices"].pop()
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError):
@@ -160,7 +168,7 @@ class TestTreeFile:
         with pytest.raises(FileFormatError, match="stop_order"):
             read_tree(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_1_tree_still_reads(self, tmp_path, version):
         # versions 1 and 2 also stored each mode's complement slices, and
         # version 1 each level's pairing and input dims and each mode's rows
@@ -168,8 +176,7 @@ class TestTreeFile:
         path = tmp_path / "tree.json"
         state = random_state((2,) * 6, seed=6)
         tree = concentrate(state, stop_order=2)
-        write_tree(path, tree)
-        doc = json.loads(path.read_text())
+        doc = legacy.tree_doc(tree)
         doc["format_version"] = version
         for level_doc, level in zip(doc["levels"], tree.levels):
             if version == 1:
@@ -179,24 +186,24 @@ class TestTreeFile:
             for mode_doc, ext in zip(level_doc["modes"], level.extracts):
                 if version == 1:
                     mode_doc["rows"], mode_doc["cols"] = ext.dims[1:]
-                mode_doc["complement"] = [
-                    [[[v.real, v.imag] for v in row] for row in m] for m in ext.complement_slices
-                ]
+                if version < 3:
+                    mode_doc["complement"] = [legacy.pairs(m) for m in ext.complement_slices]
         path.write_text(json.dumps(doc))
-        assert np.linalg.norm(reconstruct(read_tree(path)) - state) < 1e-10
+        back = read_tree(path)
+        assert np.linalg.norm(reconstruct(back) - state) < 1e-10
+        assert_bit_equal(back, tree)
 
-    def test_version_3_has_no_complement(self, tmp_path):
+    def test_version_4_has_no_complement(self, tmp_path):
         path = tmp_path / "tree.json"
         write_tree(path, concentrate(random_state((2,) * 6, seed=6), stop_order=2))
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 3
-        assert all("complement" not in m for level in doc["levels"] for m in level["modes"])
+        assert doc["format_version"] == 4
+        assert all(set(m) == {"rank", "slices"} for level in doc["levels"] for m in level["modes"])
 
     def test_slice_shape_must_match_pairing(self, tmp_path):
         # a 2x2 slice reflowed to 1x4 must not be read with the stored shape
         path = tmp_path / "tree.json"
-        write_tree(path, concentrate(random_state((2,) * 5, seed=3)))
-        doc = json.loads(path.read_text())
+        doc = legacy.tree_doc(concentrate(random_state((2,) * 5, seed=3)))
         mode_doc = doc["levels"][0]["modes"][0]
         mode_doc["rows"], mode_doc["cols"] = 1, 4
         mode_doc["slices"] = [[[pair for row in m for pair in row]] for m in mode_doc["slices"]]
@@ -266,74 +273,116 @@ def tiny_tree() -> ConcentrationTree:
 
 
 def indented_tree_text(tree) -> str:
-    """A tree document in the indented layout format version 3 was first written in, one slice at a time."""
+    """A version 3 tree document in the indented layout that version was first written in."""
+    return json.dumps(legacy.tree_doc(tree), indent=1, sort_keys=True, allow_nan=False) + "\n"
 
-    def pairs(a):
-        a = np.asarray(a, dtype=np.complex128)
-        return np.stack([a.real, a.imag], -1).tolist()
 
-    levels = [
-        {"modes": [{"rank": ext.dims[0], "slices": [pairs(s) for s in ext.slices]} for ext in level.extracts]}
-        for level in tree.levels
-    ]
-    doc = {
-        "format_version": 3,
-        "original_dims": list(tree.original_shape),
-        "stop_order": tree.stop_order,
-        "levels": levels,
-        "terminal": {"dims": list(tree.terminal.shape), "coeffs": pairs(tree.terminal.ravel())},
-    }
-    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
+def floats(*values) -> np.ndarray:
+    """The complex128 array whose float64 view is ``values``, real and imaginary parts in turn."""
+    return np.array(values, dtype=np.float64).view(np.complex128)
+
+
+def arrays(read) -> list:
+    """What a reader returned, as arrays: a state, each operator, or a tree's terminal and then every slice."""
+    if isinstance(read, ConcentrationTree):
+        return [read.terminal] + [s for level in read.levels for ext in level.extracts for s in ext.slices]
+    return list(read) if isinstance(read, list) else [read]
+
+
+def assert_bit_equal(got, want):
+    """``got`` is plain complex128 arrays, each writable and C-contiguous, of ``want``'s shapes and bits."""
+    got, want = arrays(got), arrays(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == np.complex128 and a.flags.c_contiguous and a.flags.writeable
+        assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b, dtype=np.complex128).tobytes()
+
+
+# Files the list-payload versions wrote (state and operators 1, trees 3), and the arrays they hold
+V1_STATE = (
+    b'{"coeffs":[[0.5,0.0],[-0.0,0.1],[1e-300,-2.5],[0.0,0.7071067811865476]],'
+    b'"dims":[2,2],"format_version":1}\n'
+)
+V1_STATE_ARRAY = np.array([[0.5, complex(-0.0, 0.1)], [1e-300 - 2.5j, 0.7071067811865476j]])
+V3_TREE = (
+    b'{"format_version":3,"levels":[{"modes":['
+    b'{"rank":2,"slices":[[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0]]],'
+    b'[[[0.0,0.0],[0.0,0.5]],[[-0.5,0.0],[0.0,0.0]]]]},'
+    b'{"rank":2,"slices":[[[[0.6,0.0]],[[0.8,0.0]]],[[[-0.8,0.0]],[[0.6,0.0]]]]}]}],'
+    b'"original_dims":[2,2,2],"stop_order":2,'
+    b'"terminal":{"coeffs":[[0.25,0.0],[0.0,0.0],[0.0,0.0],[-0.3333333333333333,0.0]],"dims":[2,2]}}\n'
+)
+V1_OPERATORS = (
+    b'{"format_version":1,"operators":['
+    b'{"dim":2,"entries":[[[0.0,0.0],[1.0,0.0]],[[1.0,0.0],[0.0,0.0]]]},'
+    b'{"dim":3,"entries":[[[1.0,0.0],[0.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,1.0],[0.0,0.0]],'
+    b'[[0.0,0.0],[0.0,0.0],[-1.0,0.0]]]}]}\n'
+)
+V1_OPERATORS_ARRAYS = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 1j, -1.0])]
 
 
 class TestLayout:
-    """Each document is one compact line of sorted keys and ``repr`` floats, ended by a newline."""
+    """Each document is one compact line of sorted keys ended by a newline; each array is one base64 payload."""
 
     def test_state_file_bytes(self, tmp_path):
         path = tmp_path / "state.json"
-        write_tensor(path, np.array([[0.5, complex(-0.0, 0.1)], [1e-300 - 2.5j, 0.7071067811865476j]]))
+        write_tensor(path, floats(0.5, 0.0, -0.0, 0.1, 5e-324, -2.5, 1e-300, 0.7071067811865476).reshape(2, 2))
         assert path.read_bytes() == (
-            b'{"coeffs":[[0.5,0.0],[-0.0,0.1],[1e-300,-2.5],[0.0,0.7071067811865476]],'
-            b'"dims":[2,2],"format_version":1}\n'
+            b'{"coeffs":"AAAAAAAA4D8AAAAAAAAAAAAAAAAAAACAmpmZmZmZuT8BAAAAAAAAAAAAAAAAAATAWfP4wh9upQHNO39mnqDmPw==",'
+            b'"dims":[2,2],"format_version":2}\n'
         )
 
     def test_tree_file_bytes(self, tmp_path):
         path = tmp_path / "tree.json"
-        write_tree(path, tiny_tree())
+        tree = tiny_tree()
+        terminal = floats(0.25, -0.0, 5e-324, 0.0, 0.0, -5e-324, -1 / 3, 0.0).reshape(2, 2)
+        write_tree(path, ConcentrationTree(tree.original_shape, tree.levels, terminal, tree.stop_order))
         assert path.read_bytes() == (
-            b'{"format_version":3,"levels":[{"modes":['
-            b'{"rank":2,"slices":[[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0]]],'
-            b'[[[0.0,0.0],[0.0,0.5]],[[-0.5,0.0],[0.0,0.0]]]]},'
-            b'{"rank":2,"slices":[[[[0.6,0.0]],[[0.8,0.0]]],[[[-0.8,0.0]],[[0.6,0.0]]]]}]}],'
+            b'{"format_version":4,"levels":[{"modes":['
+            b'{"rank":2,"slices":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+            b'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAOA/AAAAAAAA4L8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="},'
+            b'{"rank":2,"slices":"MzMzMzMz4z8AAAAAAAAAAJqZmZmZmek/AAAAAAAAAACamZmZmZnpvwAAAAAAAAAAMzMzMzMz4z8AAAAAAAAAAA=="}]}],'
             b'"original_dims":[2,2,2],"stop_order":2,'
-            b'"terminal":{"coeffs":[[0.25,0.0],[0.0,0.0],[0.0,0.0],[-0.3333333333333333,0.0]],"dims":[2,2]}}\n'
+            b'"terminal":{"coeffs":"AAAAAAAA0D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEAAAAAAACAVVVVVVVV1b8AAAAAAAAAAA==","dims":[2,2]}}\n'
         )
 
     def test_operator_file_bytes(self, tmp_path):
         path = tmp_path / "ops.json"
-        write_operators(path, [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 1j, -1.0])])
+        write_operators(path, [floats(0.0, -0.0, 1.0, 5e-324, 1.0, 0.0, -0.0, 0.0).reshape(2, 2), np.diag([1.0, 1j, -1.0])])
         assert path.read_bytes() == (
-            b'{"format_version":1,"operators":['
-            b'{"dim":2,"entries":[[[0.0,0.0],[1.0,0.0]],[[1.0,0.0],[0.0,0.0]]]},'
-            b'{"dim":3,"entries":[[[1.0,0.0],[0.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,1.0],[0.0,0.0]],'
-            b'[[0.0,0.0],[0.0,0.0],[-1.0,0.0]]]}]}\n'
+            b'{"format_version":2,"operators":['
+            b'{"dim":2,"entries":"AAAAAAAAAAAAAAAAAAAAgAAAAAAAAPA/AQAAAAAAAAAAAAAAAADwPwAAAAAAAAAAAAAAAAAAAIAAAAAAAAAAAA=="},'
+            b'{"dim":3,"entries":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+            b'AAAAAAAAAAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+            b'AADwvwAAAAAAAAAA"}]}\n'
         )
 
+    @pytest.mark.parametrize(
+        "text, read, want",
+        [
+            (V1_STATE, read_tensor, V1_STATE_ARRAY),
+            (V3_TREE, read_tree, tiny_tree()),
+            (V1_OPERATORS, read_operators, V1_OPERATORS_ARRAYS),
+        ],
+        ids=["state", "tree", "operators"],
+    )
+    def test_list_payload_file_reads_bit_exact(self, tmp_path, text, read, want):
+        path = tmp_path / "old.json"
+        path.write_bytes(text)
+        assert_bit_equal(read(path), want)
+
     def test_indented_tree_holds_the_same_document(self, tmp_path):
-        # the compact file is the indented one's value re-spelled: same keys,
-        # key order and float reprs; the indented file still reads, bit for bit
-        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        # the version 3 tree in the indented layout still reads, bit for bit
+        # to the arrays of the version 4 file of the same tree
+        new, indented = tmp_path / "new.json", tmp_path / "indented.json"
         tree = concentrate(random_state((2,) * 9, seed=9), stop_order=3)
-        write_tree(compact, tree)
+        write_tree(new, tree)
         indented.write_text(indented_tree_text(tree))
-        doc = json.loads(indented.read_text())
-        assert json.loads(compact.read_text()) == doc
-        assert compact.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        a, b = read_tree(compact), read_tree(indented)
-        assert a.terminal.tobytes() == b.terminal.tobytes()
-        for lvl_a, lvl_b in zip(a.levels, b.levels, strict=True):
-            for ext_a, ext_b in zip(lvl_a.extracts, lvl_b.extracts, strict=True):
-                assert np.stack(ext_a.slices).tobytes() == np.stack(ext_b.slices).tobytes()
+        assert json.loads(indented.read_text())["format_version"] == 3
+        assert json.loads(new.read_text())["format_version"] == 4
+        back = read_tree(new)
+        assert_bit_equal(back, tree)
+        assert_bit_equal(read_tree(indented), back)
 
     WRITERS = {
         "state": (write_tensor, np.array([1.0, np.nan])),
@@ -353,6 +402,112 @@ class TestLayout:
         with pytest.raises(ValueError):
             writer(absent, bad)
         assert not absent.exists()
+
+
+def bits(*words) -> str:
+    """The payload of the float64 values with the given IEEE 754 bit patterns."""
+    return base64.b64encode(np.array(words, dtype="<u8").tobytes()).decode("ascii")
+
+
+TWO = payload([1.0, 0.5j])  # 32 bytes, 44 characters
+
+
+class TestPayload:
+    """Every current-version array is one base64 payload; anything else is a format error naming the field."""
+
+    @pytest.mark.parametrize(
+        "version, coeffs, message",
+        [
+            (2, "-" + TWO[1:], "coeffs is not valid base64"),  # the URL-safe alphabet's 62
+            (2, TWO[:-2] + "\u00e9=", "coeffs is not valid base64"),
+            (2, TWO[:20] + "\n" + TWO[20:], "coeffs is not valid base64"),
+            (2, TWO.rstrip("="), "coeffs is not valid base64"),
+            (2, payload([1.0]), r"coeffs must hold exactly 2 complex128 values \(32 bytes\), not 16 bytes"),
+            (2, base64.b64encode(base64.b64decode(TWO) + b"\0").decode(), "coeffs must hold exactly 2 complex128 values .* not 33 bytes"),
+            (2, "", "coeffs must hold exactly 2 complex128 values .* not 0 bytes"),
+            *[
+                (2, bits(0, 0, 0, w), "coeffs contains non-finite values")
+                for w in (0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000)
+            ],
+            (2, [[1.0, 0.0], [0.0, 0.5]], "coeffs must be a base64 string"),
+            (2, None, "coeffs must be a base64 string"),
+            (1, TWO, r"coeffs must list exactly 2 \[re, im\] pairs"),
+        ],
+        ids=[
+            "outside the alphabet", "non-ASCII", "newline", "unpadded", "one pair short", "one byte over",
+            "empty", "quiet NaN", "signalling NaN", "negative NaN", "inf", "-inf", "list in v2", "null in v2",
+            "string in v1",
+        ],
+    )
+    def test_malformed_state_payload_rejected(self, tmp_path, version, coeffs, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"format_version": version, "dims": [2], "coeffs": coeffs}))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            # level 0 of 5 qubits: modes (2, 2) of rank 4, (2, 2) of rank 4 and (2, 1) of rank 2
+            (lambda doc: doc["levels"][0]["modes"][1].update(slices=payload(np.zeros(15))),
+             r"level 0 mode 1 slices must hold exactly 16 complex128 values"),
+            (lambda doc: doc["levels"][0]["modes"][2].update(slices=payload(np.zeros(2))),
+             r"level 0 mode 2 slices must hold exactly 4 complex128 values"),
+            (lambda doc: doc["levels"][0]["modes"][2].update(rank=1),
+             r"level 0 mode 2 slices must hold exactly 2 complex128 values \(32 bytes\), not 64 bytes"),
+            (lambda doc: doc["levels"][0]["modes"][0].update(slices=[payload(np.eye(2))] * 4),
+             "level 0 mode 0 slices must be a base64 string"),
+            (lambda doc: doc["terminal"].update(coeffs=bits(0x7FF0000000000000, 0) + "A"),
+             "terminal coeffs is not valid base64"),
+            (lambda doc: doc["terminal"].update(coeffs=bits(*[0] * 63, 0x7FF8000000000000)),
+             "terminal coeffs contains non-finite values"),
+            (lambda doc: doc.update(format_version=3), "terminal coeffs must list exactly 32"),
+        ],
+    )
+    def test_malformed_tree_payload_rejected(self, tmp_path, tamper, message):
+        path = tmp_path / "tree.json"
+        write_tree(path, concentrate(random_state((2,) * 5, seed=3), stop_order=3))
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
+            read_tree(path)
+
+    @pytest.mark.parametrize(
+        "version, entries, message",
+        [
+            (2, payload(np.eye(2)[:1]), "operator 0 must hold exactly 4 complex128 values"),
+            (2, bits(*[0] * 7, 0xFFF0000000000000), "operator 0 contains non-finite values"),
+            (2, np.stack([np.eye(2), np.zeros((2, 2))], -1).tolist(), "operator 0 must be a base64 string"),
+            (1, payload(np.eye(2)), "operator 0 must have 2 rows"),
+        ],
+    )
+    def test_malformed_operator_payload_rejected(self, tmp_path, version, entries, message):
+        path = tmp_path / "ops.json"
+        path.write_text(json.dumps({"format_version": version, "operators": [{"dim": 2, "entries": entries}]}))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
+            read_operators(path)
+
+    def test_arrays_read_back_are_plain_complex128(self, tmp_path):
+        # np.frombuffer alone would give read-only arrays over the decoded bytes
+        cases = [
+            (write_tensor, read_tensor, random_state((2, 3, 2), seed=2)),
+            (write_tree, read_tree, concentrate(random_state((2, 3) * 3, seed=2), stop_order=2)),
+            (write_operators, read_operators, [haar_unitary(d, seed=d) for d in (2, 3, 2)]),
+        ]
+        for i, (write, read, value) in enumerate(cases):
+            path = tmp_path / f"{i}.json"
+            write(path, value)
+            assert_bit_equal(read(path), value)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)])
+    def test_writers_reject_non_finite_values(self, tmp_path, bad):
+        path = tmp_path / "state.json"
+        with pytest.raises(ValueError, match="coeffs: it contains non-finite values"):
+            write_tensor(path, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="operator 1: it contains non-finite values"):
+            write_operators(path, [np.eye(2), np.array([[bad]])])
+        assert not path.exists()
 
 
 # Every finite double, with the edge cases drawn often: signed zeros,

@@ -222,6 +222,18 @@ class TestRescale:
         assert tensor_norm(rescale(a)) == tensor_norm(a)
         assert np.vdot(rescale(a), rescale(b)) == np.vdot(a, b)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e-300, 1e300])
+    def test_norm_at_any_scale(self, scale):
+        # np.linalg.norm gives 0.0 at 1e-200 and inf, with an overflow warning, at 1e200;
+        # warnings are errors in this suite
+        rng = np.random.default_rng(11)
+        a = random_tensor(rng, (2, 3, 2, 2))
+        assert tensor_norm(a * scale) == pytest.approx(tensor_norm(a) * scale, rel=1e-14, abs=0)
+
+    def test_norm_beyond_the_largest_double_is_inf(self):
+        assert tensor_norm(np.full(4, 1.5e308 + 1.5e308j)) == np.inf
+        assert tensor_norm(np.array([0.0, 5e-324])) == 5e-324
+
     def test_unrescale_inverts(self):
         rng = np.random.default_rng(10)
         t = random_tensor(rng, (2, 3, 4, 5, 2))
