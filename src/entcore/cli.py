@@ -8,6 +8,7 @@ errors, 4 "inconclusive".
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -48,6 +49,17 @@ def _pairing_flag(text: str) -> int:
     if groups != _adjacent_groups(n):
         raise argparse.ArgumentTypeError(f"{text!r} is not the adjacent pairing of {n} modes")
     return n
+
+
+def _budget_flag(text: str) -> int:
+    """A ``--budget`` value: a non-negative integer count of search restarts."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+    return budget
 
 
 def _cmd_concentrate(args) -> int:
@@ -171,7 +183,9 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="entcore",
         description="Concentrate multipartite pure states into bipartite/tripartite cores "
@@ -196,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--mode", choices=(eq.LU, eq.SLOCC), required=True)
     p.add_argument("--ops", default=None, help="operator file enabling certificate derivation")
-    p.add_argument("--budget", type=int, default=50)
+    p.add_argument("--budget", type=_budget_flag, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 
@@ -215,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileFormatError as exc:

@@ -39,6 +39,7 @@ pair convention, not the column-major presentation wrap.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from collections import deque
 from collections.abc import Iterator
@@ -719,32 +720,89 @@ def _seed_entropy(seed) -> tuple:
     return (int(seed),)
 
 
-def _als_kron_factors(u_rows, up_cols, a1, a2, i1, i2, iters=60, ctol=1e-14):
+def _check_budget(budget) -> int:
+    """``budget`` as an ``int``; raises ``ValueError`` unless it is a non-negative integer."""
+    if not isinstance(budget, numbers.Integral) or budget < 0:
+        raise ValueError(f"budget must be a non-negative integer, got {budget!r}")
+    return int(budget)
+
+
+def _als_operators(u_inv, up, r, i1, i2):
+    """Each ALS half-step's constraint operator, ``(w2, w1)``, built once per search.
+
+    With ``u_rows[a, p, q]`` the rows of ``U^{-1}`` below ``r`` and
+    ``up_cols[P, Q, b]`` the first ``r`` columns of ``U'``, row ``(p, P)``
+    of ``w2`` holds ``u_rows[a, p, q] * up_cols[P, Q, b]`` at column
+    ``(a, b, q, Q)``, so ``vec(A1) @ w2`` is the constraint matrix on
+    ``vec(A2)``; ``w1`` is the same product indexed the other way round.
+    """
+    side = i1 * i2
+    u_rows = u_inv.reshape(side, i1, i2)[r:]
+    up_cols = up.reshape(i1, i2, side)[:, :, :r]
+    prod = u_rows[:, :, :, None, None, None] * up_cols[None, None, None]  # a p q P Q b
+    w2 = prod.transpose(1, 3, 0, 5, 2, 4).reshape(i1 * i1, -1)
+    w1 = prod.transpose(2, 4, 0, 5, 1, 3).reshape(i2 * i2, -1)
+    return np.ascontiguousarray(w2), np.ascontiguousarray(w1)
+
+
+def _min_right_vectors(m, cols):
+    """Each stacked matrix's smallest right singular vector, and its singular values."""
+    m = m.reshape(len(m), -1, cols)
+    _, sv, vh = np.linalg.svd(m, full_matrices=m.shape[1] < cols)
+    return vh[:, -1].conj(), sv
+
+
+def _als_kron_factors(w2, w1, a1, a2, iters=60, ctol=1e-14):
     # Alternating least squares on the bilinear condition
-    # lower-left(U^{-1} kron(A1, A2) U') = 0; each half-step takes the
-    # smallest right singular vector of the linearized constraint.
-    if u_rows.shape[0] == 0:
+    # lower-left(U^{-1} kron(A1, A2) U') = 0, run on a stack of starts
+    # ``a1[n], a2[n]`` in lockstep; each half-step takes the smallest right
+    # singular vector of the linearized constraint ``vec(A) @ w``.  Every
+    # start keeps its own stopping rules and leaves the stack once it stops.
+    # The stacked matmul and SVD treat each slice as a matrix of its own, so
+    # a start's iterates do not depend on which others share the stack.
+    (n, i1, _), i2 = a1.shape, a2.shape[1]
+    a1, a2 = a1.copy(), a2.copy()
+    if w2.shape[1] == 0:
         return a1, a2
-    prev = np.inf
-    stalls = 0
+    live = np.arange(n)
+    prev = np.full(n, np.inf)
+    stalls = np.zeros(n, dtype=int)
     for _ in range(iters):
-        m2 = np.einsum("apq,pP,PQb->abqQ", u_rows, a1, up_cols).reshape(-1, i2 * i2)
-        _, _, vh = np.linalg.svd(m2, full_matrices=True)
-        a2 = vh[-1].conj().reshape(i2, i2)
-        m1 = np.einsum("apq,qQ,PQb->abpP", u_rows, a2, up_cols).reshape(-1, i1 * i1)
-        _, sv, vh = np.linalg.svd(m1, full_matrices=True)
-        a1 = vh[-1].conj().reshape(i1, i1)
-        resid = float(sv[-1]) if sv.size >= i1 * i1 else 0.0
-        if resid < ctol:
+        v2, _ = _min_right_vectors(a1[live].reshape(-1, 1, i1 * i1) @ w2, i2 * i2)
+        a2[live] = v2.reshape(-1, i2, i2)
+        v1, sv = _min_right_vectors(a2[live].reshape(-1, 1, i2 * i2) @ w1, i1 * i1)
+        a1[live] = v1.reshape(-1, i1, i1)
+        resid = sv[:, -1] if sv.shape[1] >= i1 * i1 else np.zeros(live.size)
+        stalled = resid > prev[live] * 0.999
+        stalls[live] = np.where(stalled, stalls[live] + 1, 0)
+        prev[live] = resid
+        stopped = (resid < ctol) | (stalls[live] >= 3)
+        live = live[~stopped]
+        if live.size == 0:
             break
-        if resid > prev * 0.999:
-            stalls += 1
-            if stalls >= 3:
-                break
-        else:
-            stalls = 0
-        prev = resid
     return a1, a2
+
+
+def _als_starts(entropy, restarts, i1, i2, phased):
+    """Stacked ALS starts ``(a1, a2)``, one per restart.
+
+    Restart 0 starts at the identity pair; a later one at a normalized complex
+    Gaussian pair drawn from ``(seed, restart)``, after the draws of that
+    restart's phase solve when ``phased``.
+    """
+    a1, a2 = [], []
+    for restart in restarts:
+        if restart == 0:
+            g = [np.eye(d, dtype=np.complex128) for d in (i1, i2)]
+        else:
+            rng = np.random.default_rng(entropy + (restart,))
+            if phased:
+                rng.random(i1 + i2)  # the starting phases _phase_als draws first
+            g = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (i1, i2)]
+            g = [m / np.linalg.norm(m) for m in g]
+        a1.append(g[0])
+        a2.append(g[1])
+    return np.stack(a1), np.stack(a2)
 
 
 def _rank1_factors_2x2(s1, s2):
@@ -924,10 +982,19 @@ def search_p_tilde(
     with a qubit factor).  Every restart then adds an alternating phase solve
     (unitary bases) and an alternating least-squares solve of the zero-block
     condition (SLOCC or non-unitary bases), from fixed starts on restart 0
-    and starts seeded by ``(seed, restart)`` later.  The stream stops at the
+    and starts seeded by ``(seed, restart)`` later.  Restart 0's
+    least-squares solve runs alone; the first time the stream needs restart
+    1's, one stacked solve runs the starts of restarts 1 to ``budget - 1``
+    in lockstep, and the stream yields their candidates in restart order.
+    Each start's iterates are those it has alone, so the candidates and
+    their order do not depend on the stacking.  The stream stops at the
     first candidate below ``1e-13``.  Returns the best :class:`SearchResult`
     (``strategy`` names its source) when its objective is below
     ``EQUIV_RTOL``, else ``None`` (never a proof of inequivalence).
+
+    Raises ``ValueError`` for an unknown ``mode``, bases that are not
+    ``i1*i2`` square, ``r`` outside ``1..i1*i2``, or a ``budget`` that is
+    not a non-negative integer.
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -938,6 +1005,7 @@ def search_p_tilde(
         raise ValueError(f"u and u_prime must be {side}x{side}")
     if not 1 <= r <= side:
         raise ValueError(f"rank split {r} out of range 1..{side}")
+    budget = _check_budget(budget)
     u_inv = np.linalg.inv(u)
     up_inv = np.linalg.inv(up)
     structured = _unitarity_defect(u) < 1e-6 and _unitarity_defect(up) < 1e-6
@@ -948,10 +1016,8 @@ def search_p_tilde(
     def candidates():
         # (restart, strategy, unprojected P~), computed only as far as consumed
         entropy = _seed_entropy(seed)
-        u_rows = np.ascontiguousarray(u_inv.reshape(side, i1, i2)[r:])
-        up_cols = np.ascontiguousarray(up.reshape(i1, i2, side)[:, :, :r])
         t = None
-        for restart in range(int(budget)):
+        for restart in range(budget):
             rng = None if restart == 0 else np.random.default_rng(entropy + (restart,))
             if restart == 0:
                 yield restart, "direct", u_inv @ up
@@ -974,12 +1040,14 @@ def search_p_tilde(
                 if zw is not None:
                     yield restart, "phase-als", phased(*zw)
             if mode == SLOCC or not structured:
-                if rng is None:
-                    a1, a2 = np.eye(i1, dtype=np.complex128), np.eye(i2, dtype=np.complex128)
-                else:
-                    g = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (i1, i2)]
-                    a1, a2 = (m / np.linalg.norm(m) for m in g)
-                yield restart, "als", pair(*_als_kron_factors(u_rows, up_cols, a1, a2, i1, i2))
+                if restart == 0:
+                    constraints = _als_operators(u_inv, up, r, i1, i2)
+                if restart < 2:
+                    # restart 0 alone, then every later restart as one stack
+                    stack = range(restart, budget if restart else 1)
+                    starts = _als_starts(entropy, stack, i1, i2, t is not None)
+                    a1s, a2s = _als_kron_factors(*constraints, *starts)
+                yield restart, "als", pair(a1s[restart - stack.start], a2s[restart - stack.start])
 
     best: SearchResult | None = None
     for restart, strategy, pt_full in candidates():
@@ -1015,9 +1083,11 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     else new ones built only that deep.  They are handed on to the
     :func:`derive_certificate` call, or dropped if the search gives up first.
 
-    Raises ``ValueError`` for states of different shapes and, before any
-    walk, for a zero state on either side.
+    Raises ``ValueError`` for a ``budget`` that is not a non-negative
+    integer, for states of different shapes and, before any walk, for a zero
+    state on either side.
     """
+    budget = _check_budget(budget)
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
     if psi.shape != psip.shape:

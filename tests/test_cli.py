@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from entcore import cli
 from entcore.cli import main
 from entcore.fileio import read_operators, read_tensor, read_tree, write_operators, write_tensor
 from entcore.states import apply_local, haar_unitary, random_state
@@ -199,6 +200,15 @@ class TestCheck:
         assert code == 4
         assert "verdict: inconclusive" in out
 
+    @pytest.mark.parametrize("budget", ["-3", "-1", "2.7", "many"])
+    def test_bad_budget_rejected_at_parse_time(self, tmp_path, capsys, budget):
+        # exit 2 from argparse, before either file is read
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "check", a, b, "--mode", "lu", "--budget", budget)
+        assert exc.value.code == 2
+        assert f"budget must be a non-negative integer, got {budget!r}" in capsys.readouterr().err
+
     def test_wrong_ops_exit_4(self, tmp_path, capsys):
         a, b, ops_path = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ops.json"
         psi = random_state((2, 2, 2, 2), seed=10)
@@ -299,3 +309,27 @@ class TestParams:
         assert code == 0 and out.strip() == "-4"
         code, out, _ = run(capsys, "params", "1")
         assert code == 0 and out.strip() == "0"
+
+
+class TestParser:
+    COMMANDS = ("concentrate", "reconstruct", "check", "params", "gen")
+
+    def test_main_calls_share_one_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert run(capsys, "params", "2", "2")[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("argv", [(), *((c,) for c in COMMANDS)], ids=["entcore", *COMMANDS])
+    def test_help_matches_a_fresh_parser(self, capsys, argv):
+        # the shared parser, used by earlier calls, prints what a new one prints
+        run(capsys, "params", "2", "2")
+        helps = []
+        for parse in (main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*argv, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith("usage: entcore")

@@ -676,14 +676,16 @@ def planted_lu_problem(trial, r, dims=(2, 2), base=5000):
     return u, k.conj().T @ u @ p0
 
 
-def planted_slocc_problem(trial, r, base=7000):
+def planted_slocc_problem(trial, r, dims=(2, 2), base=7000, cond=10.0):
+    i1, i2 = dims
+    side = i1 * i2
     rng = np.random.default_rng(base + trial)
-    u = haar_unitary(4, seed=base + trial)
-    pt = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u = haar_unitary(side, seed=base + trial)
+    pt = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     pt[r:, :r] = 0
     k = np.kron(
-        random_invertible(2, 10.0, seed=base + 100 + trial),
-        random_invertible(2, 10.0, seed=base + 200 + trial),
+        random_invertible(i1, cond, seed=base + 100 + trial),
+        random_invertible(i2, cond, seed=base + 200 + trial),
     )
     return u, np.linalg.inv(k) @ u @ pt
 
@@ -740,6 +742,108 @@ class TestSearchPTilde:
             res = search_p_tilde(u, up, r, 2, 2, mode=SLOCC, budget=50, seed=trial)
             assert res is not None
             assert res.objective <= 1e-8
+
+    # (dims, r, trial, cond) of planted problems the search solved before its
+    # restarts were stacked: at condition 10 on restart 0, at 1e3 only on a
+    # later restart (21, 3, 24 and 35 then), so the stacked solve finds them
+    PLANTED_SLOCC = [
+        *[((2, 3), r, trial, 10.0) for r in (1, 2, 4, 5) for trial in (0, 1)],
+        *[((3, 3), r, trial, 10.0) for r in (1, 8) for trial in (0, 1, 2)],
+        ((2, 3), 2, 4, 1e3),
+        ((2, 3), 5, 7, 1e3),
+        ((3, 3), 1, 3, 1e3),
+        ((3, 3), 8, 4, 1e3),
+    ]
+
+    @pytest.mark.parametrize(
+        "dims, r, trial, cond",
+        PLANTED_SLOCC,
+        ids=[f"{i1}x{i2}-{r}-{t}-cond{c:g}" for (i1, i2), r, t, c in PLANTED_SLOCC],
+    )
+    def test_planted_slocc_problems_beyond_qubit_pairs_solved(self, dims, r, trial, cond):
+        u, up = planted_slocc_problem(trial, r, dims, cond=cond)
+        res = search_p_tilde(u, up, r, *dims, mode=SLOCC, budget=50, seed=trial)
+        assert res is not None
+        assert res.objective <= equivalence.EQUIV_RTOL
+        pt = res.p_tilde()
+        assert not pt[r:, :r].any()
+        assert realign_rank1_check(u, up, pt, *dims, SLOCC)[0]
+
+    @pytest.mark.parametrize("r", [6, 9])
+    def test_stacking_changes_no_start(self, r, monkeypatch):
+        # eight starts on a planted 3x3 problem: the planted factors, the
+        # identity and six seeded restarts.  At r = 6 some converge and some
+        # stall while the others run all 60 iterations; at r = 9 there is no
+        # lower-left block, so no start moves.
+        u, up = planted_slocc_problem(2, r, (3, 3))
+        w2, w1 = equivalence._als_operators(np.linalg.inv(u), up, r, 3, 3)
+        a1, a2 = equivalence._als_starts((2,), [0, 0, 4, 9, 22, 31, 40, 48], 3, 3, False)
+        # the first identity start becomes the planted factors, which converge at once
+        a1[0], a2[0] = random_invertible(3, 10.0, seed=7102), random_invertible(3, 10.0, seed=7202)
+        sizes = []
+        real = equivalence._min_right_vectors
+
+        def recording(m, cols):
+            sizes.append(len(m))
+            return real(m, cols)
+
+        monkeypatch.setattr(equivalence, "_min_right_vectors", recording)
+        b1, b2 = equivalence._als_kron_factors(w2, w1, a1, a2)
+        stacked_sizes = sizes[::2]
+        stops = set()
+        iterations = []
+        for j in range(8):
+            sizes.clear()
+            c1, c2 = equivalence._als_kron_factors(w2, w1, a1[j : j + 1], a2[j : j + 1])
+            assert np.array_equal(c1[0], b1[j]) and np.array_equal(c2[0], b2[j])
+            iterations.append(len(sizes) // 2)
+            if sizes:
+                resid = real(c2.reshape(1, 1, 9) @ w1, 9)[1][0, -1]
+                stops.add("ran out" if iterations[-1] == 60 else "converged" if resid < 1e-14 else "stalled")
+        # at each iteration the stack holds exactly the starts still going
+        assert stacked_sizes == [sum(n > k for n in iterations) for k in range(max(iterations))]
+        if r == 9:
+            assert iterations == [0] * 8
+            assert np.array_equal(b1, a1) and np.array_equal(b2, a2)
+        else:
+            assert stops == {"converged", "stalled", "ran out"}
+
+    def test_constraint_operators_match_the_einsum_reference(self):
+        # vec(A1) @ w2 and vec(A2) @ w1 are the half-steps' constraint matrices,
+        # equal to rounding to the direct contraction; 2x3 tells the factors apart
+        u, up = planted_slocc_problem(0, 4, (2, 3))
+        u_inv = np.linalg.inv(u)
+        w2, w1 = equivalence._als_operators(u_inv, up, 4, 2, 3)
+        u_rows, up_cols = u_inv.reshape(6, 2, 3)[4:], up.reshape(2, 3, 6)[:, :, :4]
+        rng = np.random.default_rng(0)
+        a1, a2 = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (2, 3))
+        m2 = np.einsum("apq,pP,PQb->abqQ", u_rows, a1, up_cols).reshape(-1, 9)
+        m1 = np.einsum("apq,qQ,PQb->abpP", u_rows, a2, up_cols).reshape(-1, 4)
+        got2 = (a1.reshape(1, 4) @ w2).reshape(-1, 9)
+        got1 = (a2.reshape(1, 9) @ w1).reshape(-1, 4)
+        assert np.linalg.norm(got2 - m2) <= 1e-14 * np.linalg.norm(m2)
+        assert np.linalg.norm(got1 - m1) <= 1e-14 * np.linalg.norm(m1)
+
+    def test_als_starts_follow_the_phase_solve(self):
+        # a later restart's generator yields the phase solve's starting phases
+        # first, then the ALS start: each restart starts where it did unstacked
+        t = np.ones((3, 2, 3, 3), dtype=complex)
+        for phased in (False, True):
+            a1, a2 = equivalence._als_starts((5, 1), range(1, 4), 3, 2, phased)
+            for restart in range(1, 4):
+                rng = np.random.default_rng((5, 1, restart))
+                if phased:
+                    equivalence._phase_als(t, 3, 2, rng)
+                g1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                g2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                assert np.array_equal(a1[restart - 1], g1 / np.linalg.norm(g1))
+                assert np.array_equal(a2[restart - 1], g2 / np.linalg.norm(g2))
+
+    @pytest.mark.parametrize("budget", [-1, 2.7, 3.0, "5", None])
+    def test_budget_must_be_a_non_negative_integer(self, budget):
+        u = haar_unitary(4, seed=0)
+        with pytest.raises(ValueError, match="budget must be a non-negative integer"):
+            search_p_tilde(u, u, 2, 2, 2, budget=budget)
 
     @pytest.mark.parametrize("mode", [LU, SLOCC])
     @pytest.mark.parametrize("i1, i2, r", [(2, 2, 1), (2, 2, 3), (3, 3, 1), (2, 3, 2)])
@@ -887,6 +991,16 @@ class TestSearchEquivalence:
         assert verdict.witness == "no connecting block matrix found for mode 0 within budget 0"
         assert verdict.residuals == {"searched_modes": 0, "objectives": []}
         assert not equivalence._HANDOFF
+
+    @pytest.mark.parametrize("budget", [-3, 2.7])
+    def test_budget_is_checked_before_any_walk(self, budget, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before checking the budget")
+
+        monkeypatch.setattr(equivalence, "walk", no_walk)
+        psi = random_state((2,) * 4, seed=3)
+        with pytest.raises(ValueError, match="budget must be a non-negative integer"):
+            search_equivalence(psi, psi, LU, budget=budget)
 
 
 @pytest.mark.parametrize("mode", [LU, SLOCC])
