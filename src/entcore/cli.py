@@ -51,15 +51,19 @@ def _pairing_flag(text: str) -> int:
     return n
 
 
-def _budget_flag(text: str) -> int:
-    """A ``--budget`` value: a non-negative integer count of search restarts."""
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
-    return budget
+def _count_flag(name: str):
+    """The argparse type of a flag whose value is a non-negative integer, e.g. ``--budget``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be a non-negative integer, got {text!r}")
+        return value
+
+    return parse
 
 
 def _cmd_concentrate(args) -> int:
@@ -210,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--mode", choices=(eq.LU, eq.SLOCC), required=True)
     p.add_argument("--ops", default=None, help="operator file enabling certificate derivation")
-    p.add_argument("--budget", type=_budget_flag, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_count_flag("budget"), default=50)
+    p.add_argument("--seed", type=_count_flag("seed"), default=0)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("params", help="entanglement-class parameter count for given dims")
@@ -222,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=("ghz", "w", "product", "random", "paper4", "paper6"))
     p.add_argument("params", nargs="*", help="family arguments (see README)")
     p.add_argument("output")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count_flag("seed"), default=None)
     p.set_defaults(func=_cmd_gen)
 
     return parser

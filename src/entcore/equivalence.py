@@ -14,7 +14,7 @@ is detected through the realignment rank-one criterion
 (:func:`realign_rank1_check`, :func:`kron_factorize`), refuted cheaply by the
 spectral sampler (:func:`spectral_preservation_check`), and searched for by
 :func:`search_p_tilde`, which scores one stream of candidates over budgeted
-restarts and stops at the first exact one.
+restarts and stops at the first candidate within ``EQUIV_RTOL``.
 
 Verdicts are three-valued.  Only :func:`invariant_filter` may declare a pair
 ``inequivalent`` (from sound invariants); a failed search or certificate is
@@ -91,8 +91,6 @@ UNITARY_ATOL = 1e-10
 COND_LIMIT = 1e6
 # Condition number above which a matrix counts as numerically singular.
 SINGULAR_COND = 1e12
-# Search objective below which search_p_tilde keeps its candidate and stops.
-_SOLVED = 1e-13
 
 
 def _rel_err(actual, target) -> float:
@@ -471,7 +469,8 @@ def realign_rank1_check(u, u_prime, p_tilde, i1: int, i2: int, mode: str = SLOCC
 
     Returns ``(passed, factors)`` where ``factors`` is the ``(A_1, A_2)``
     split of ``U P~ U'^{-1}`` on success and ``None`` otherwise.  The operator
-    must be invertible, and unitary in LU mode.
+    must be invertible, and unitary in LU mode; :func:`kron_factorize` then
+    decides rank one.
     """
     side = i1 * i2
     u = np.asarray(u, dtype=np.complex128)
@@ -483,12 +482,12 @@ def realign_rank1_check(u, u_prime, p_tilde, i1: int, i2: int, mode: str = SLOCC
     if _condition(up) > SINGULAR_COND:
         raise ValueError("u_prime is numerically singular")
     phi = u @ pt @ np.linalg.inv(up)
-    passed = bool(_realign_ratio(phi, i1, i2) <= EQUIV_RTOL and _condition(phi) < SINGULAR_COND)
-    if mode == LU and passed:
-        passed = _unitarity_defect(phi) <= EQUIV_RTOL
-    if not passed:
+    if _condition(phi) >= SINGULAR_COND or (mode == LU and _unitarity_defect(phi) > EQUIV_RTOL):
         return False, None
-    return True, kron_factorize(phi, i1, i2)
+    try:
+        return True, kron_factorize(phi, i1, i2)
+    except ValueError:
+        return False, None
 
 
 @dataclass(frozen=True)
@@ -544,17 +543,21 @@ def spectral_preservation_check(
     matricized image match the input's: exact rank equality for the rank
     functional, agreement to ``tol`` otherwise.  ``True`` means "never
     refuted" (no certificate); ``False`` refutes Kronecker structure.
+
+    Raises ``ValueError`` when ``phi`` is not ``i1*i2`` square or
+    ``samples`` is not a non-negative integer.
     """
     phi = np.asarray(phi, dtype=np.complex128)
     side = i1 * i2
     if phi.shape != (side, side):
         raise ValueError(f"phi must be {side}x{side}, got {phi.shape}")
+    samples = _check_count(samples, "samples")
     rng = np.random.default_rng(seed)
 
     def _rand_vec(n):
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    for n in range(int(samples)):
+    for n in range(samples):
         style = n % 3
         if style == 0:
             m = np.outer(_rand_vec(i1), _rand_vec(i2))
@@ -712,19 +715,21 @@ class SearchResult:
         return _block_upper(self.p, self.y, self.p_bar)
 
 
+def _check_count(value, name: str) -> int:
+    """``value`` as an ``int``; raises ``ValueError`` unless it is a non-negative integer."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _seed_entropy(seed) -> tuple:
+    """``seed`` as a flat tuple of ints; raises ``ValueError`` unless it is ``None``
+    (read as 0), a non-negative integer or a (nested) sequence of these."""
     if seed is None:
         return (0,)
     if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return (int(seed),)
-
-
-def _check_budget(budget) -> int:
-    """``budget`` as an ``int``; raises ``ValueError`` unless it is a non-negative integer."""
-    if not isinstance(budget, numbers.Integral) or budget < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {budget!r}")
-    return int(budget)
+        return tuple(e for s in seed for e in _seed_entropy(s))
+    return (_check_count(seed, "seed"),)
 
 
 def _als_operators(u_inv, up, r, i1, i2):
@@ -972,9 +977,10 @@ def search_p_tilde(
 ):
     """Multi-start search for block upper triangular ``P~`` with rank-one realignment.
 
-    Minimizes ``sigma2/sigma1`` of ``realign(U P~ U'^{-1})`` over the block
-    structure fixed by ``r``: unitary blocks (with ``Y = 0``) in LU mode,
-    unconstrained invertible with a condition-number barrier in SLOCC mode.
+    Scores candidates by ``sigma2/sigma1`` of ``realign(U P~ U'^{-1})`` over
+    the block structure fixed by ``r``: unitary blocks (with ``Y = 0``) in LU
+    mode, unconstrained invertible with a condition-number barrier in SLOCC
+    mode.
 
     Candidates come as one stream over ``budget`` restarts.  Restart 0 opens
     with the deterministic ones: the direct basis change, product-vector
@@ -988,13 +994,16 @@ def search_p_tilde(
     in lockstep, and the stream yields their candidates in restart order.
     Each start's iterates are those it has alone, so the candidates and
     their order do not depend on the stacking.  The stream stops at the
-    first candidate below ``1e-13``.  Returns the best :class:`SearchResult`
-    (``strategy`` names its source) when its objective is below
-    ``EQUIV_RTOL``, else ``None`` (never a proof of inequivalence).
+    first candidate within ``EQUIV_RTOL``: the first whose projected ``P~``
+    clears the ``COND_LIMIT`` barrier and whose objective is at most
+    ``EQUIV_RTOL``.  Returns it as a :class:`SearchResult` (``strategy``
+    names its source), or ``None`` when no candidate qualifies (never a
+    proof of inequivalence).
 
     Raises ``ValueError`` for an unknown ``mode``, bases that are not
-    ``i1*i2`` square, ``r`` outside ``1..i1*i2``, or a ``budget`` that is
-    not a non-negative integer.
+    ``i1*i2`` square, ``r`` outside ``1..i1*i2``, a ``budget`` that is not
+    a non-negative integer, or a ``seed`` that is not ``None``, a
+    non-negative integer or a sequence of these.
     """
     if mode not in (LU, SLOCC):
         raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
@@ -1005,7 +1014,8 @@ def search_p_tilde(
         raise ValueError(f"u and u_prime must be {side}x{side}")
     if not 1 <= r <= side:
         raise ValueError(f"rank split {r} out of range 1..{side}")
-    budget = _check_budget(budget)
+    budget = _check_count(budget, "budget")
+    entropy = _seed_entropy(seed)
     u_inv = np.linalg.inv(u)
     up_inv = np.linalg.inv(up)
     structured = _unitarity_defect(u) < 1e-6 and _unitarity_defect(up) < 1e-6
@@ -1015,7 +1025,6 @@ def search_p_tilde(
 
     def candidates():
         # (restart, strategy, unprojected P~), computed only as far as consumed
-        entropy = _seed_entropy(seed)
         t = None
         for restart in range(budget):
             rng = None if restart == 0 else np.random.default_rng(entropy + (restart,))
@@ -1049,24 +1058,18 @@ def search_p_tilde(
                     a1s, a2s = _als_kron_factors(*constraints, *starts)
                 yield restart, "als", pair(a1s[restart - stack.start], a2s[restart - stack.start])
 
-    best: SearchResult | None = None
     for restart, strategy, pt_full in candidates():
         p, y, pbar = pt_full[:r, :r], pt_full[:r, r:], pt_full[r:, r:]
         if mode == LU:
             p = _polar(p)
             pbar = _polar(pbar) if pbar.size else pbar
             y = np.zeros_like(y)
-        cand = SearchResult(p.copy(), y.copy(), pbar.copy(), np.inf, restart, strategy)
-        pt = cand.p_tilde()
+        pt = _block_upper(p, y, pbar)
         if _condition(pt) > COND_LIMIT:
             continue  # degenerate-minimizer barrier
-        cand.objective = _realign_ratio(u @ pt @ up_inv, i1, i2)
-        if best is None or cand.objective < best.objective:
-            best = cand
-            if best.objective < _SOLVED:
-                break  # a later candidate could only win by float noise
-    if best is not None and best.objective <= EQUIV_RTOL:
-        return best
+        objective = _realign_ratio(u @ pt @ up_inv, i1, i2)
+        if objective <= EQUIV_RTOL:
+            return SearchResult(p, y, pbar, objective, restart, strategy)
     return None
 
 
@@ -1083,11 +1086,12 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     else new ones built only that deep.  They are handed on to the
     :func:`derive_certificate` call, or dropped if the search gives up first.
 
-    Raises ``ValueError`` for a ``budget`` that is not a non-negative
-    integer, for states of different shapes and, before any walk, for a zero
-    state on either side.
+    Raises ``ValueError``, before any walk, for a ``budget`` that is not a
+    non-negative integer, a ``seed`` that :func:`search_p_tilde` would
+    reject, states of different shapes or a zero state on either side.
     """
-    budget = _check_budget(budget)
+    budget = _check_count(budget, "budget")
+    _seed_entropy(seed)  # checked here, before any walk
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
     if psi.shape != psip.shape:
@@ -1107,7 +1111,7 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
             f"local ranks differ: {h.local_ranks} vs {hp.local_ranks}",
             {"searched_modes": 0},
         )
-    recovered = []
+    connectors = []  # (connector, (i_a, i_b) split to factor it at); None for the trailing mode
     objectives = []
     for k, ((ia, ib), u, up) in enumerate(zip(pair_dims(psi.shape), h.factors, hp.factors)):
         uk, upk = complete_basis(u), complete_basis(up)
@@ -1116,11 +1120,7 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
             # elsewhere still holds two parties): the connecting operator is
             # the inverse of the single local operator, so any invertible
             # choice is formally admissible; take the direct basis change.
-            phi = uk @ np.linalg.inv(upk)
-            candidate = np.linalg.inv(phi)
-            if mode == LU:
-                candidate = _polar(candidate)
-            recovered.append(candidate)
+            connectors.append((uk @ np.linalg.inv(upk), None))
             continue
         found = search_p_tilde(uk, upk, u.shape[1], ia, ib, mode, budget, (seed, k))
         if found is None:
@@ -1130,18 +1130,14 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
                 {"searched_modes": k, "objectives": objectives},
             )
         objectives.append(found.objective)
-        phi = uk @ found.p_tilde() @ np.linalg.inv(upk)
-        try:
-            g1, g2 = kron_factorize(phi, ia, ib)
-        except ValueError as exc:
-            return EquivalenceVerdict(
-                INCONCLUSIVE, f"mode {k}: {exc}", {"searched_modes": k, "objectives": objectives}
-            )
-        a_first, a_second = np.linalg.inv(g1), np.linalg.inv(g2)
-        if mode == LU:
-            a_first, a_second = _polar(a_first), _polar(a_second)
-        recovered.extend([a_first, a_second])
+        connectors.append((uk @ found.p_tilde() @ np.linalg.inv(upk), (ia, ib)))
     try:
+        recovered = []
+        for phi, split in connectors:
+            # each local operator is the inverse of its factor of the connector
+            for g in (phi,) if split is None else kron_factorize(phi, *split):
+                a = np.linalg.inv(g)
+                recovered.append(_polar(a) if mode == LU else a)
         ops = LocalOperatorSet(tuple(recovered), mode)
         premise = _rel_err(apply_local(psi, ops), psip)
         if premise > EQUIV_RTOL:

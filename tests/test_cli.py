@@ -46,6 +46,15 @@ class TestGen:
         code, _, err = run(capsys, "gen", "paper4", "1.0", tmp_path / "x.json")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "2.7", "many"])
+    def test_bad_seed_rejected_at_parse_time(self, tmp_path, capsys, seed):
+        out_path = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "gen", "random", "2", "2", out_path, "--seed", seed)
+        assert exc.value.code == 2
+        assert f"seed must be a non-negative integer, got {seed!r}" in capsys.readouterr().err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "params, usage",
         [(("ghz",), "ghz takes: n [d]"), (("w", "3", "4"), "w takes: n"), (("random",), "random takes: dim")],
@@ -208,6 +217,17 @@ class TestCheck:
             run(capsys, "check", a, b, "--mode", "lu", "--budget", budget)
         assert exc.value.code == 2
         assert f"budget must be a non-negative integer, got {budget!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "2.7", "many"])
+    def test_bad_seed_rejected_at_parse_time(self, tmp_path, capsys, seed):
+        # -1 once reached numpy only at the first seeded restart: exit 3 on a
+        # pair restart 0 leaves unsolved, a verdict on one that restart 0 solves
+        a = tmp_path / "a.json"
+        write_tensor(a, random_state((2, 2, 2), seed=14))
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "check", a, a, "--mode", "lu", "--seed", seed)
+        assert exc.value.code == 2
+        assert f"seed must be a non-negative integer, got {seed!r}" in capsys.readouterr().err
 
     def test_wrong_ops_exit_4(self, tmp_path, capsys):
         a, b, ops_path = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ops.json"

@@ -318,6 +318,23 @@ class TestRealignRankOne:
         with pytest.raises(ValueError, match="singular"):
             realign_rank1_check(np.eye(4), np.zeros((4, 4)), np.eye(4), 2, 2)
 
+    def test_one_realignment_per_call(self, monkeypatch):
+        # kron_factorize alone decides rank one, on a product and on a generic operator
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return realign(*args)
+
+        monkeypatch.setattr(equivalence, "realign", counting)
+        product = np.kron(haar_unitary(2, seed=0), haar_unitary(2, seed=1))
+        rng = np.random.default_rng(2)
+        generic = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for pt, mode, passes in ((product, LU, True), (generic, SLOCC, False)):
+            calls.clear()
+            assert realign_rank1_check(np.eye(4), np.eye(4), pt, 2, 2, mode)[0] is passes
+            assert len(calls) == 1
+
 
 class TestKronFactorize:
     def test_real_structured_factors(self):
@@ -370,6 +387,16 @@ class TestSpectralPreservation:
             if not spectral_preservation_check(phi, MATRIX_RANK, 64, seed, 2, 2):
                 refuted += 1
         assert refuted >= 19
+
+    @pytest.mark.parametrize("samples", [-5, 2.7, "64", None])
+    def test_samples_must_be_a_non_negative_integer(self, samples):
+        # a negative count once drew nothing and so never refuted this operator
+        rng = np.random.default_rng(2)
+        phi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert not spectral_preservation_check(phi, MATRIX_RANK, 64, 0, 2, 2)
+        assert spectral_preservation_check(phi, MATRIX_RANK, 0, 0, 2, 2)
+        with pytest.raises(ValueError, match="samples must be a non-negative integer"):
+            spectral_preservation_check(phi, MATRIX_RANK, samples, 0, 2, 2)
 
     def test_nonsquare_pair_dims(self):
         a1 = random_invertible(2, 5.0, seed=6)
@@ -845,6 +872,31 @@ class TestSearchPTilde:
         with pytest.raises(ValueError, match="budget must be a non-negative integer"):
             search_p_tilde(u, u, 2, 2, 2, budget=budget)
 
+    @pytest.mark.parametrize("seed", [-1, 2.7, "3", (1, -2), [0, 1.5], (0, (1, -1))])
+    def test_seed_is_checked_before_any_candidate(self, seed):
+        # the direct basis change solves u against u at restart 0, which
+        # draws nothing: a bad seed must fail all the same
+        u = haar_unitary(4, seed=0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            search_p_tilde(u, u, 2, 2, 2, budget=50, seed=seed)
+
+    def test_seed_forms_naming_one_stream(self):
+        # found on a later restart, so the pick depends on the seed's entropy
+        u, up = planted_lu_problem(11, 7, (3, 3))
+        for same in ([None, 0, (0,), np.int64(0)], [11, (11,), [11], ((11,),)], [(3, 1), [3, (1,)]]):
+            picks = [search_p_tilde(u, up, 7, 3, 3, LU, budget=50, seed=seed) for seed in same]
+            assert len({(res.restart_index, res.strategy, res.p_tilde().tobytes()) for res in picks}) == 1
+
+    def test_first_candidate_within_tolerance_is_returned(self, monkeypatch):
+        # restart 0's phase solve scores 3e-11 here: within EQUIV_RTOL, so the
+        # search takes it and runs no later restart in search of a lower score
+        calls = self.count_candidate_calls(monkeypatch)
+        u, up = planted_lu_problem(5, 2, (3, 3))
+        res = search_p_tilde(u, up, 2, 3, 3, LU, budget=50, seed=5)
+        assert (res.restart_index, res.strategy) == (0, "phase-als")
+        assert 1e-13 < res.objective <= equivalence.EQUIV_RTOL
+        assert calls["_phase_als"] == 1
+
     @pytest.mark.parametrize("mode", [LU, SLOCC])
     @pytest.mark.parametrize("i1, i2, r", [(2, 2, 1), (2, 2, 3), (3, 3, 1), (2, 3, 2)])
     def test_vacuous_zero_block_condition_solved(self, i1, i2, r, mode):
@@ -927,6 +979,37 @@ class TestSearchPTilde:
         assert calls["_reduced_bases"] == calls["_phase_tensor"] == 1
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dims=st.sampled_from(((2, 2), (2, 3))),
+    mode=st.sampled_from((LU, SLOCC)),
+    r=st.integers(1, 5),
+    trial=st.integers(0, 10_000),
+    cond=st.sampled_from((10.0, 1e3)),
+    budget=st.integers(0, 30),
+)
+def test_every_found_connector_passes_the_benchmark_gate(dims, mode, r, trial, cond, budget):
+    # the checks of the search workload's gate, whichever candidate the search
+    # takes; at condition 1e3 the SLOCC scores sit near the rounding floor
+    i1, i2 = dims
+    assume(r < i1 * i2)
+    if mode == LU:
+        u, up = planted_lu_problem(trial, r, dims)
+    else:
+        u, up = planted_slocc_problem(trial, r, dims, cond=cond)
+    res = search_p_tilde(u, up, r, i1, i2, mode, budget=budget, seed=trial)
+    if res is None:
+        return
+    pt = res.p_tilde()
+    assert res.p.shape == (r, r)
+    assert not pt[r:, :r].any()
+    if mode == LU:
+        assert np.linalg.norm(pt.conj().T @ pt - np.eye(i1 * i2)) <= equivalence.EQUIV_RTOL
+    assert res.objective <= equivalence.EQUIV_RTOL
+    s = np.linalg.svd(realign(u @ pt @ np.linalg.inv(up), i1, i2), compute_uv=False)
+    assert s[1] <= equivalence.EQUIV_RTOL * s[0]
+
+
 class TestSearchEquivalence:
     def test_unrelated_pair_is_inconclusive(self):
         psi = random_state((2, 2, 2, 2), seed=12)
@@ -959,9 +1042,9 @@ class TestSearchEquivalence:
         ids=[f"{f.__name__}-{'x'.join(map(str, d))}-{m}-{s}" for f, d, m, s in IDENTICAL_PAIRS],
     )
     def test_identical_pair_is_certified(self, family, dims, mode, seed):
-        # the direct basis change solves each mode to ~1e-16 at restart 0; a
-        # later candidate (e.g. -I on one mode) that scores lower only by
-        # float noise must not replace it
+        # the direct basis change solves each mode to ~1e-16 at restart 0, and
+        # the search stops at the first candidate within EQUIV_RTOL, so no
+        # later candidate (e.g. -I on one mode) replaces it
         psi = family(dims, seed=seed)
         verdict = search_equivalence(psi, psi.copy(), mode, budget=50, seed=seed)
         assert verdict.status == EQUIVALENT, verdict.witness
@@ -1001,6 +1084,35 @@ class TestSearchEquivalence:
         psi = random_state((2,) * 4, seed=3)
         with pytest.raises(ValueError, match="budget must be a non-negative integer"):
             search_equivalence(psi, psi, LU, budget=budget)
+
+    @pytest.mark.parametrize("seed", [-1, 2.7, (0, -1)])
+    def test_seed_is_checked_before_any_walk(self, seed, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before checking the seed")
+
+        monkeypatch.setattr(equivalence, "walk", no_walk)
+        psi = random_state((2,) * 4, seed=3)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            search_equivalence(psi, psi, LU, seed=seed)
+
+    def test_factorisation_failure_is_inconclusive(self, monkeypatch):
+        def not_rank_one(*args):
+            raise ValueError("realignment is not rank one")
+
+        equivalence._HANDOFF.clear()
+        monkeypatch.setattr(equivalence, "kron_factorize", not_rank_one)
+        psi = random_state((2, 2, 2, 2), seed=0)
+        verdict = search_equivalence(psi, psi.copy(), SLOCC, budget=5, seed=0)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness == "realignment is not rank one"
+        assert not equivalence._HANDOFF
+
+    @pytest.mark.parametrize("seed", [None, (3, 1), [3, 1]])
+    def test_seed_may_be_none_or_a_sequence(self, seed):
+        # each mode's search is seeded by (seed, mode), so a sequence nests
+        psi = random_state((2, 2, 2), seed=0)
+        verdict = search_equivalence(psi, psi.copy(), SLOCC, budget=5, seed=seed)
+        assert verdict.status == EQUIVALENT, verdict.witness
 
 
 @pytest.mark.parametrize("mode", [LU, SLOCC])
