@@ -93,6 +93,12 @@ COND_LIMIT = 1e6
 SINGULAR_COND = 1e12
 
 
+def _check_mode(mode) -> None:
+    """Raise ``ValueError`` unless ``mode`` is ``LU`` or ``SLOCC``."""
+    if mode not in (LU, SLOCC):
+        raise ValueError(f"mode must be {LU!r} or {SLOCC!r}, got {mode!r}")
+
+
 def _rel_err(actual, target) -> float:
     scale = max(float(np.linalg.norm(np.ravel(target))), 1e-300)
     return float(np.linalg.norm(np.ravel(actual) - np.ravel(target))) / scale
@@ -132,8 +138,7 @@ class LocalOperatorSet:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in (LU, SLOCC):
-            raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
+        _check_mode(self.mode)
         mats = []
         for i, a in enumerate(self.ops):
             a = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
@@ -471,7 +476,11 @@ def realign_rank1_check(u, u_prime, p_tilde, i1: int, i2: int, mode: str = SLOCC
     split of ``U P~ U'^{-1}`` on success and ``None`` otherwise.  The operator
     must be invertible, and unitary in LU mode; :func:`kron_factorize` then
     decides rank one.
+
+    Raises ``ValueError`` for an unknown ``mode``, matrices that are not
+    ``i1*i2`` square, or a numerically singular ``u_prime``.
     """
+    _check_mode(mode)
     side = i1 * i2
     u = np.asarray(u, dtype=np.complex128)
     up = np.asarray(u_prime, dtype=np.complex128)
@@ -645,8 +654,7 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
     Raises ``ValueError`` for an unknown ``mode`` and, before any walk, for
     a zero state on either side.
     """
-    if mode not in (LU, SLOCC):
-        raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
+    _check_mode(mode)
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
     if psi.shape != psip.shape:
@@ -709,7 +717,7 @@ class SearchResult:
     p_bar: np.ndarray
     objective: float
     restart_index: int
-    strategy: str | None = None  # "direct", "matching", "pencil", "phase-als" or "als"
+    strategy: str | None = None  # "direct", "matching", "null", "pencil", "phase-als" or "als"
 
     def p_tilde(self) -> np.ndarray:
         return _block_upper(self.p, self.y, self.p_bar)
@@ -937,6 +945,26 @@ def _pencil_phase_candidates(t, i1, i2, entropy):
     return out
 
 
+def _unit_phases(z, w):
+    """Unit-modulus phases of the unit vectors ``z`` and ``w``, or ``None`` when
+    an entry is below a tenth of the uniform modulus: its phase is then noise."""
+    if np.min(np.abs(z)) < 0.1 / np.sqrt(z.size) or np.min(np.abs(w)) < 0.1 / np.sqrt(w.size):
+        return None
+    return z / np.abs(z), w / np.abs(w)
+
+
+def _null_phases(t, i1, i2):
+    # The zero-block condition sum_pq z_p w_q T[p, q] = 0 is linear in
+    # y = z (x) w: when T's map has a one-dimensional null space, its null
+    # vector is y, split through the dominant singular pair of y as a matrix.
+    m = t.reshape(i1 * i2, -1).T
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    if cutoff_rank(s) != i1 * i2 - 1:
+        return None
+    uz, _, wh = np.linalg.svd(vh[-1].conj().reshape(i1, i2))
+    return _unit_phases(uz[:, 0], wh[0])
+
+
 def _phase_als(t, i1, i2, rng, iters=40):
     # Fallback for factors larger than qubits: alternate minimum-singular-
     # vector steps over the two phase vectors, then project to unit modulus.
@@ -960,9 +988,7 @@ def _phase_als(t, i1, i2, rng, iters=40):
         z = vh[-1].conj()
         if sv.size >= i1 and sv[-1] < 1e-14:
             break
-    if np.min(np.abs(z)) < 0.1 / np.sqrt(i1) or np.min(np.abs(w)) < 0.1 / np.sqrt(i2):
-        return None
-    return z / np.abs(z), w / np.abs(w)
+    return _unit_phases(z, w)
 
 
 def search_p_tilde(
@@ -984,11 +1010,15 @@ def search_p_tilde(
 
     Candidates come as one stream over ``budget`` restarts.  Restart 0 opens
     with the deterministic ones: the direct basis change, product-vector
-    matches (rank-2 qubit pairs), reduced-basis phase pencils (unitary bases
-    with a qubit factor).  Every restart then adds an alternating phase solve
-    (unitary bases) and an alternating least-squares solve of the zero-block
-    condition (SLOCC or non-unitary bases), from fixed starts on restart 0
-    and starts seeded by ``(seed, restart)`` later.  Restart 0's
+    matches (rank-2 qubit pairs), and two reduced-basis phase solves for
+    unitary bases.  The first is the null-space solve: the zero-block
+    condition on the phases ``z, w`` is linear in ``z (x) w``, so when that
+    map has a one-dimensional null space its null vector, split through its
+    dominant singular pair, is the solution.  The second is the phase
+    pencils (a qubit factor).  Every restart then adds an alternating phase
+    solve (unitary bases) and an alternating least-squares solve of the
+    zero-block condition (SLOCC or non-unitary bases), from fixed starts on
+    restart 0 and starts seeded by ``(seed, restart)`` later.  Restart 0's
     least-squares solve runs alone; the first time the stream needs restart
     1's, one stacked solve runs the starts of restarts 1 to ``budget - 1``
     in lockstep, and the stream yields their candidates in restart order.
@@ -1005,8 +1035,7 @@ def search_p_tilde(
     a non-negative integer, or a ``seed`` that is not ``None``, a
     non-negative integer or a sequence of these.
     """
-    if mode not in (LU, SLOCC):
-        raise ValueError(f"mode must be {LU!r} or {SLOCC!r}")
+    _check_mode(mode)
     side = i1 * i2
     u = np.asarray(u, dtype=np.complex128)
     up = np.asarray(u_prime, dtype=np.complex128)
@@ -1041,6 +1070,9 @@ def search_p_tilde(
                         return pair(v1 @ np.diag(z) @ v1p.conj().T, v2 @ np.diag(w) @ v2p.conj().T)
 
                     t = _phase_tensor(u_inv, up, bases, r, i1, i2)
+                    zw = _null_phases(t, i1, i2)
+                    if zw is not None:
+                        yield restart, "null", phased(*zw)
                     if i1 == 2 or i2 == 2:
                         for z, w in _pencil_phase_candidates(t, i1, i2, entropy):
                             yield restart, "pencil", phased(z, w)
@@ -1086,10 +1118,12 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     else new ones built only that deep.  They are handed on to the
     :func:`derive_certificate` call, or dropped if the search gives up first.
 
-    Raises ``ValueError``, before any walk, for a ``budget`` that is not a
-    non-negative integer, a ``seed`` that :func:`search_p_tilde` would
-    reject, states of different shapes or a zero state on either side.
+    Raises ``ValueError``, before any walk, for an unknown ``mode``, a
+    ``budget`` that is not a non-negative integer, a ``seed`` that
+    :func:`search_p_tilde` would reject, states of different shapes or a
+    zero state on either side.
     """
+    _check_mode(mode)
     budget = _check_count(budget, "budget")
     _seed_entropy(seed)  # checked here, before any walk
     psi = as_tensor(psi)

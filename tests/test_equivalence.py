@@ -318,6 +318,12 @@ class TestRealignRankOne:
         with pytest.raises(ValueError, match="singular"):
             realign_rank1_check(np.eye(4), np.zeros((4, 4)), np.eye(4), 2, 2)
 
+    def test_lu_mode_demands_a_unitary_operator(self):
+        # 2 I is a Kronecker product, but not unitary
+        u = haar_unitary(4, seed=0)
+        assert realign_rank1_check(u, u, 2 * np.eye(4), 2, 2, mode=SLOCC)[0]
+        assert realign_rank1_check(u, u, 2 * np.eye(4), 2, 2, mode=LU) == (False, None)
+
     def test_one_realignment_per_call(self, monkeypatch):
         # kron_factorize alone decides rank one, on a product and on a generic operator
         calls = []
@@ -703,6 +709,13 @@ def planted_lu_problem(trial, r, dims=(2, 2), base=5000):
     return u, k.conj().T @ u @ p0
 
 
+def non_local_rotation(side, size, seed=9):
+    """``exp(i size H)``, ``H`` random Hermitian: moves a planted problem off its orbit by about ``size``."""
+    g = np.random.default_rng(seed).standard_normal((side, side, 2)) @ [1, 1j]
+    lam, v = np.linalg.eigh(g + g.conj().T)
+    return v @ np.diag(np.exp(1j * size * lam)) @ v.conj().T
+
+
 def planted_slocc_problem(trial, r, dims=(2, 2), base=7000, cond=10.0):
     i1, i2 = dims
     side = i1 * i2
@@ -731,7 +744,7 @@ class TestSearchPTilde:
         u = haar_unitary(4, seed=0)
         assert search_p_tilde(u, u, 4, 2, 2, budget=0) is None
 
-    # (3, 2) puts the qubit factor second, so the pencil solves the transposed tensor
+    # (3, 2) puts the qubit factor second, so the pencil runs on the transposed tensor
     PLANTED_LU = [(2, 2, r) for r in (1, 2, 3)] + [(3, 2, r) for r in range(1, 6)]
 
     @pytest.mark.parametrize(
@@ -750,6 +763,43 @@ class TestSearchPTilde:
             if (i1, i2, r, trial) == (2, 2, 2, 1):
                 # no other candidate source solves this one
                 assert res.strategy == "pencil"
+
+    # every split of a 2x3 or 3x3 pair whose zero-block map has a one-dimensional null space
+    NULL_SOLVED = [(i1, i2, r) for i1, i2 in ((2, 3), (3, 2), (3, 3)) for r in range(2, i1 * i2 - 1)]
+
+    @pytest.mark.parametrize("i1, i2, r", NULL_SOLVED, ids=[f"{i1}x{i2}-{r}" for i1, i2, r in NULL_SOLVED])
+    def test_null_space_solves_planted_lu_problems(self, i1, i2, r, monkeypatch):
+        # the zero-block condition is linear in z (x) w: one SVD solves it
+        # at restart 0, before the phase ALS runs
+        calls = self.count_candidate_calls(monkeypatch)
+        for trial in range(5):
+            u, up = planted_lu_problem(trial, r, (i1, i2))
+            res = search_p_tilde(u, up, r, i1, i2, LU, budget=50, seed=trial)
+            assert (res.restart_index, res.strategy) == (0, "null")
+            assert res.objective <= 1e-13
+        assert calls["_null_phases"] == 5
+        assert calls["_phase_als"] == 0
+
+    @pytest.mark.parametrize("r", [1, 8])
+    def test_null_space_of_several_dimensions_gives_no_candidate(self, r, monkeypatch):
+        # at r = 1 and 8 of a 3x3 pair the zero-block map has rank 2 on these
+        # problems, a null space of 7 dimensions: the null-space solve yields
+        # nothing, and the phase ALS solves them
+        returned = []
+        real = equivalence._null_phases
+
+        def recording(*args):
+            returned.append(real(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(equivalence, "_null_phases", recording)
+        for trial in range(5):
+            u, up = planted_lu_problem(trial, r, (3, 3))
+            res = search_p_tilde(u, up, r, 3, 3, LU, budget=50, seed=trial)
+            assert res is not None
+            assert res.objective <= equivalence.EQUIV_RTOL
+            assert res.strategy != "null"
+        assert returned == [None] * 5
 
     def test_singular_pencil_gives_no_candidate(self):
         # at r = 1 on a qubit pair both pencil matrices have rank one, so every
@@ -881,18 +931,21 @@ class TestSearchPTilde:
             search_p_tilde(u, u, 2, 2, 2, budget=50, seed=seed)
 
     def test_seed_forms_naming_one_stream(self):
-        # found on a later restart, so the pick depends on the seed's entropy
-        u, up = planted_lu_problem(11, 7, (3, 3))
+        # found on a later restart (2, 1 and 3 for the three seeds), so the
+        # pick depends on the seed's entropy
+        u, up = planted_lu_problem(6, 1, (2, 3))
         for same in ([None, 0, (0,), np.int64(0)], [11, (11,), [11], ((11,),)], [(3, 1), [3, (1,)]]):
-            picks = [search_p_tilde(u, up, 7, 3, 3, LU, budget=50, seed=seed) for seed in same]
+            picks = [search_p_tilde(u, up, 1, 2, 3, LU, budget=50, seed=seed) for seed in same]
             assert len({(res.restart_index, res.strategy, res.p_tilde().tobytes()) for res in picks}) == 1
 
     def test_first_candidate_within_tolerance_is_returned(self, monkeypatch):
-        # restart 0's phase solve scores 3e-11 here: within EQUIV_RTOL, so the
-        # search takes it and runs no later restart in search of a lower score
+        # a 3x3 r = 1 problem moved off its orbit by 1e-10, so no null-space
+        # candidate comes first: restart 0's phase solve scores 2.6e-11, within
+        # EQUIV_RTOL, so the search takes it and runs no later restart in
+        # search of a lower score
         calls = self.count_candidate_calls(monkeypatch)
-        u, up = planted_lu_problem(5, 2, (3, 3))
-        res = search_p_tilde(u, up, 2, 3, 3, LU, budget=50, seed=5)
+        u, up = planted_lu_problem(0, 1, (3, 3))
+        res = search_p_tilde(u, non_local_rotation(9, 1e-10) @ up, 1, 3, 3, LU, budget=50, seed=0)
         assert (res.restart_index, res.strategy) == (0, "phase-als")
         assert 1e-13 < res.objective <= equivalence.EQUIV_RTOL
         assert calls["_phase_als"] == 1
@@ -945,6 +998,7 @@ class TestSearchPTilde:
             "_matching_candidates",
             "_reduced_bases",
             "_phase_tensor",
+            "_null_phases",
             "_pencil_phase_candidates",
             "_phase_als",
             "_als_kron_factors",
@@ -971,28 +1025,34 @@ class TestSearchPTilde:
         # the phase solve, and no candidate reaches EQUIV_RTOL
         calls = self.count_candidate_calls(monkeypatch)
         u, up = planted_lu_problem(0, 2)
-        g = np.random.default_rng(9).standard_normal((4, 4, 2)) @ [1, 1j]
-        lam, v = np.linalg.eigh(g + g.conj().T)
-        nudge = v @ np.diag(np.exp(1e-7j * lam)) @ v.conj().T
-        assert search_p_tilde(u, nudge @ up, 2, 2, 2, LU, budget=5, seed=0) is None
+        assert search_p_tilde(u, non_local_rotation(4, 1e-7) @ up, 2, 2, 2, LU, budget=5, seed=0) is None
         assert calls["_phase_als"] == 5
         assert calls["_reduced_bases"] == calls["_phase_tensor"] == 1
 
 
+# (dims, r, mode) of the gate property: 3x3 SLOCC problems, mostly unsolved, are left out
+GATE_PROBLEMS = [
+    ((i1, i2), r, mode)
+    for i1, i2 in ((2, 2), (2, 3), (3, 3))
+    for r in range(1, i1 * i2)
+    for mode in (LU, SLOCC)
+    if mode == LU or (i1, i2) != (3, 3)
+]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    dims=st.sampled_from(((2, 2), (2, 3))),
-    mode=st.sampled_from((LU, SLOCC)),
-    r=st.integers(1, 5),
+    problem=st.sampled_from(GATE_PROBLEMS),
     trial=st.integers(0, 10_000),
     cond=st.sampled_from((10.0, 1e3)),
-    budget=st.integers(0, 30),
+    budget=st.integers(1, 30),
 )
-def test_every_found_connector_passes_the_benchmark_gate(dims, mode, r, trial, cond, budget):
+def test_every_found_connector_passes_the_benchmark_gate(problem, trial, cond, budget):
     # the checks of the search workload's gate, whichever candidate the search
-    # takes; at condition 1e3 the SLOCC scores sit near the rounding floor
+    # takes, the null-space solve's on 2x3 and 3x3 LU problems included; at
+    # condition 1e3 the SLOCC scores sit near the rounding floor
+    dims, r, mode = problem
     i1, i2 = dims
-    assume(r < i1 * i2)
     if mode == LU:
         u, up = planted_lu_problem(trial, r, dims)
     else:
@@ -1138,6 +1198,29 @@ def test_zero_state_is_rejected_before_any_walk(monkeypatch, n, mode, pair):
     ):
         with pytest.raises(ValueError, match=message):
             stage()
+
+
+MODE_STAGES = {
+    "invariant_filter": lambda mode: invariant_filter(ghz_state(2), ghz_state(2), mode),
+    "LocalOperatorSet": lambda mode: LocalOperatorSet((np.eye(2),), mode),
+    "search_p_tilde": lambda mode: search_p_tilde(np.eye(4), np.eye(4), 2, 2, 2, mode),
+    "search_equivalence": lambda mode: search_equivalence(ghz_state(2), ghz_state(2), mode),
+    "realign_rank1_check": lambda mode: realign_rank1_check(np.eye(4), np.eye(4), 2 * np.eye(4), 2, 2, mode),
+}
+
+
+@pytest.mark.parametrize("mode", ["bogus", "LU", "Slocc", None])
+@pytest.mark.parametrize("stage", sorted(MODE_STAGES))
+def test_unknown_mode_is_rejected_before_any_work(monkeypatch, stage, mode):
+    # search_equivalence once walked both states and answered inconclusive,
+    # and realign_rank1_check read "LU" as SLOCC and passed 2 I
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before checking the mode")
+
+    monkeypatch.setattr(equivalence, "walk", no_walk)
+    monkeypatch.setattr(equivalence, "left_svd", no_walk)
+    with pytest.raises(ValueError, match=re.escape(f"mode must be 'lu' or 'slocc', got {mode!r}")):
+        MODE_STAGES[stage](mode)
 
 
 def test_import_does_not_load_scipy():
