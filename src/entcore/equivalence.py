@@ -367,9 +367,11 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     Verification hands nothing on, so a second verification walks afresh.
     Only the factorisations are reused: every check above is made afresh.
 
-    Raises ``ValueError`` only for caller errors: states of different shapes,
-    or operators whose dims do not match the states'.
+    Raises ``ValueError`` only for caller errors: an unknown certificate
+    mode, states of different shapes, or operators whose dims do not match
+    the states'.
     """
+    _check_mode(cert.mode)
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
     walks = (take(psi), take(psip))
@@ -913,22 +915,18 @@ def _phase_tensor(u_inv, u_prime, bases, r, i1, i2):
     return t
 
 
-def _pencil_phase_candidates(t, i1, i2, entropy):
-    # With one factor of size two, gauge its phases to (1, zeta); the zero-block
+def _pencil_phase_candidates(t, entropy):
+    # On a qubit pair, gauge the first factor's phases to (1, zeta); the zero-block
     # condition becomes (M0 + zeta*M1) w = 0, so the admissible zeta are the
     # eigenvalues of C^{-1} A of each random square compression A = G M0, C = -G M1.
     # A numerically singular C is skipped: its pencil's eigenvalues are rounding noise.
-    swapped = i1 != 2
-    if swapped:
-        t = np.transpose(t, (1, 0, 2, 3))
-        i1, i2 = i2, i1
-    m0 = np.moveaxis(t[0], 0, -1).reshape(-1, i2)
-    m1 = np.moveaxis(t[1], 0, -1).reshape(-1, i2)
+    m0 = np.moveaxis(t[0], 0, -1).reshape(-1, 2)
+    m1 = np.moveaxis(t[1], 0, -1).reshape(-1, 2)
     rows = m0.shape[0]
     out = []
     for k in range(2):
         rng = np.random.default_rng(entropy + (7001, k))
-        g = rng.standard_normal((i2, rows)) + 1j * rng.standard_normal((i2, rows))
+        g = rng.standard_normal((2, rows)) + 1j * rng.standard_normal((2, rows))
         c = -(g @ m1)
         if _condition(c) > SINGULAR_COND:
             continue
@@ -941,7 +939,7 @@ def _pencil_phase_candidates(t, i1, i2, entropy):
                 continue
             z = np.array([1.0, zeta], dtype=np.complex128)
             z, w = z / np.abs(z), w / np.abs(w)
-            out.append((w, z) if swapped else (z, w))
+            out.append((z, w))
     return out
 
 
@@ -1015,7 +1013,7 @@ def search_p_tilde(
     condition on the phases ``z, w`` is linear in ``z (x) w``, so when that
     map has a one-dimensional null space its null vector, split through its
     dominant singular pair, is the solution.  The second is the phase
-    pencils (a qubit factor).  Every restart then adds an alternating phase
+    pencils (a qubit pair).  Every restart then adds an alternating phase
     solve (unitary bases) and an alternating least-squares solve of the
     zero-block condition (SLOCC or non-unitary bases), from fixed starts on
     restart 0 and starts seeded by ``(seed, restart)`` later.  Restart 0's
@@ -1073,8 +1071,8 @@ def search_p_tilde(
                     zw = _null_phases(t, i1, i2)
                     if zw is not None:
                         yield restart, "null", phased(*zw)
-                    if i1 == 2 or i2 == 2:
-                        for z, w in _pencil_phase_candidates(t, i1, i2, entropy):
+                    if i1 == i2 == 2:
+                        for z, w in _pencil_phase_candidates(t, entropy):
                             yield restart, "pencil", phased(z, w)
             if t is not None:
                 zw = _phase_als(t, i1, i2, rng)

@@ -744,7 +744,7 @@ class TestSearchPTilde:
         u = haar_unitary(4, seed=0)
         assert search_p_tilde(u, u, 4, 2, 2, budget=0) is None
 
-    # (3, 2) puts the qubit factor second, so the pencil runs on the transposed tensor
+    # the pencil runs on the qubit pairs only; (3, 2) r = 1 and 5 fall to the phase ALS
     PLANTED_LU = [(2, 2, r) for r in (1, 2, 3)] + [(3, 2, r) for r in range(1, 6)]
 
     @pytest.mark.parametrize(
@@ -1206,6 +1206,9 @@ MODE_STAGES = {
     "search_p_tilde": lambda mode: search_p_tilde(np.eye(4), np.eye(4), 2, 2, 2, mode),
     "search_equivalence": lambda mode: search_equivalence(ghz_state(2), ghz_state(2), mode),
     "realign_rank1_check": lambda mode: realign_rank1_check(np.eye(4), np.eye(4), 2 * np.eye(4), 2, 2, mode),
+    "verify_certificate": lambda mode: verify_certificate(
+        ghz_state(2), ghz_state(2), EquivalenceCertificate(mode, LocalOperatorSet((np.eye(2),) * 2, LU), [])
+    ),
 }
 
 
@@ -1213,7 +1216,8 @@ MODE_STAGES = {
 @pytest.mark.parametrize("stage", sorted(MODE_STAGES))
 def test_unknown_mode_is_rejected_before_any_work(monkeypatch, stage, mode):
     # search_equivalence once walked both states and answered inconclusive,
-    # and realign_rank1_check read "LU" as SLOCC and passed 2 I
+    # realign_rank1_check read "LU" as SLOCC and passed 2 I, and
+    # verify_certificate skipped the LU checks for any mode but "lu"
     def no_walk(*args, **kwargs):
         raise AssertionError("walked before checking the mode")
 
