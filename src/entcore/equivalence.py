@@ -719,7 +719,7 @@ class SearchResult:
     p_bar: np.ndarray
     objective: float
     restart_index: int
-    strategy: str | None = None  # "direct", "matching", "null", "pencil", "phase-als" or "als"
+    strategy: str | None = None  # "direct", "matching", "null", "phase-als" or "als"
 
     def p_tilde(self) -> np.ndarray:
         return _block_upper(self.p, self.y, self.p_bar)
@@ -830,7 +830,7 @@ def _rank1_factors_2x2(s1, s2):
     b = np.linalg.det(m1 + m2) - a - c
     scale = max(abs(a), abs(b), abs(c))
     if scale < 1e-24:
-        return None  # a whole pencil of product vectors; no isolated anchors
+        return None  # every vector of the span is a product vector; no isolated anchors
     a, b, c = a / scale, b / scale, c / scale
     if abs(a) < 1e-13:
         if abs(b) < 1e-13:
@@ -915,34 +915,6 @@ def _phase_tensor(u_inv, u_prime, bases, r, i1, i2):
     return t
 
 
-def _pencil_phase_candidates(t, entropy):
-    # On a qubit pair, gauge the first factor's phases to (1, zeta); the zero-block
-    # condition becomes (M0 + zeta*M1) w = 0, so the admissible zeta are the
-    # eigenvalues of C^{-1} A of each random square compression A = G M0, C = -G M1.
-    # A numerically singular C is skipped: its pencil's eigenvalues are rounding noise.
-    m0 = np.moveaxis(t[0], 0, -1).reshape(-1, 2)
-    m1 = np.moveaxis(t[1], 0, -1).reshape(-1, 2)
-    rows = m0.shape[0]
-    out = []
-    for k in range(2):
-        rng = np.random.default_rng(entropy + (7001, k))
-        g = rng.standard_normal((2, rows)) + 1j * rng.standard_normal((2, rows))
-        c = -(g @ m1)
-        if _condition(c) > SINGULAR_COND:
-            continue
-        for zeta in np.linalg.eigvals(np.linalg.solve(c, g @ m0)):
-            if not 1e-8 < abs(zeta) < 1e8:
-                continue
-            _, _, vh = np.linalg.svd(m0 + zeta * m1, full_matrices=True)
-            w = vh[-1].conj()
-            if np.min(np.abs(w)) < 1e-6:
-                continue
-            z = np.array([1.0, zeta], dtype=np.complex128)
-            z, w = z / np.abs(z), w / np.abs(w)
-            out.append((z, w))
-    return out
-
-
 def _unit_phases(z, w):
     """Unit-modulus phases of the unit vectors ``z`` and ``w``, or ``None`` when
     an entry is below a tenth of the uniform modulus: its phase is then noise."""
@@ -953,14 +925,22 @@ def _unit_phases(z, w):
 
 def _null_phases(t, i1, i2):
     # The zero-block condition sum_pq z_p w_q T[p, q] = 0 is linear in
-    # y = z (x) w: when T's map has a one-dimensional null space, its null
+    # y = z (x) w.  When T's map has a one-dimensional null space, its null
     # vector is y, split through the dominant singular pair of y as a matrix.
+    # When it has a two-dimensional one on a qubit pair, y is a product
+    # vector of that plane, found in closed form by _rank1_factors_2x2.
     m = t.reshape(i1 * i2, -1).T
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    if cutoff_rank(s) != i1 * i2 - 1:
-        return None
-    uz, _, wh = np.linalg.svd(vh[-1].conj().reshape(i1, i2))
-    return _unit_phases(uz[:, 0], wh[0])
+    nullity = i1 * i2 - cutoff_rank(s)
+    if nullity == 1:
+        uz, _, wh = np.linalg.svd(vh[-1].conj().reshape(i1, i2))
+        factors = [(uz[:, 0], wh[0])]
+    elif nullity == 2 and i1 == i2 == 2:
+        plane = _rank1_factors_2x2(vh[-1].conj(), vh[-2].conj()) or []
+        factors = [(z / np.linalg.norm(z), w / np.linalg.norm(w)) for z, w in plane]
+    else:
+        return []
+    return [zw for zw in (_unit_phases(z, w) for z, w in factors) if zw is not None]
 
 
 def _phase_als(t, i1, i2, rng, iters=40):
@@ -1008,12 +988,13 @@ def search_p_tilde(
 
     Candidates come as one stream over ``budget`` restarts.  Restart 0 opens
     with the deterministic ones: the direct basis change, product-vector
-    matches (rank-2 qubit pairs), and two reduced-basis phase solves for
-    unitary bases.  The first is the null-space solve: the zero-block
-    condition on the phases ``z, w`` is linear in ``z (x) w``, so when that
-    map has a one-dimensional null space its null vector, split through its
-    dominant singular pair, is the solution.  The second is the phase
-    pencils (a qubit pair).  Every restart then adds an alternating phase
+    matches (rank-2 qubit pairs), and the reduced-basis null-space phase
+    solve for unitary bases: the zero-block condition on the phases
+    ``z, w`` is linear in ``z (x) w``, so when that map has a
+    one-dimensional null space its null vector, split through its dominant
+    singular pair, is the solution; when it has a two-dimensional one on a
+    qubit pair, the plane's two product vectors, roots of one quadratic,
+    are the candidates.  Every restart then adds an alternating phase
     solve (unitary bases) and an alternating least-squares solve of the
     zero-block condition (SLOCC or non-unitary bases), from fixed starts on
     restart 0 and starts seeded by ``(seed, restart)`` later.  Restart 0's
@@ -1030,8 +1011,10 @@ def search_p_tilde(
 
     Raises ``ValueError`` for an unknown ``mode``, bases that are not
     ``i1*i2`` square, ``r`` outside ``1..i1*i2``, a ``budget`` that is not
-    a non-negative integer, or a ``seed`` that is not ``None``, a
-    non-negative integer or a sequence of these.
+    a non-negative integer, a ``seed`` that is not ``None``, a
+    non-negative integer or a sequence of these, or, before any candidate,
+    a basis with a non-finite entry or one that is numerically singular
+    (condition number above ``SINGULAR_COND``).
     """
     _check_mode(mode)
     side = i1 * i2
@@ -1043,9 +1026,17 @@ def search_p_tilde(
         raise ValueError(f"rank split {r} out of range 1..{side}")
     budget = _check_count(budget, "budget")
     entropy = _seed_entropy(seed)
+    unitary = []
+    for name, m in (("u", u), ("u_prime", up)):
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{name} has non-finite entries")
+        # a unitary basis is perfectly conditioned; only another one needs the SVD
+        unitary.append(_unitarity_defect(m) < 1e-6)
+        if not unitary[-1] and _condition(m) > SINGULAR_COND:
+            raise ValueError(f"{name} is numerically singular")
+    structured = all(unitary)
     u_inv = np.linalg.inv(u)
     up_inv = np.linalg.inv(up)
-    structured = _unitarity_defect(u) < 1e-6 and _unitarity_defect(up) < 1e-6
 
     def pair(a1, a2):
         return u_inv @ _kron(a1, a2) @ up
@@ -1068,12 +1059,8 @@ def search_p_tilde(
                         return pair(v1 @ np.diag(z) @ v1p.conj().T, v2 @ np.diag(w) @ v2p.conj().T)
 
                     t = _phase_tensor(u_inv, up, bases, r, i1, i2)
-                    zw = _null_phases(t, i1, i2)
-                    if zw is not None:
-                        yield restart, "null", phased(*zw)
-                    if i1 == i2 == 2:
-                        for z, w in _pencil_phase_candidates(t, entropy):
-                            yield restart, "pencil", phased(z, w)
+                    for z, w in _null_phases(t, i1, i2):
+                        yield restart, "null", phased(z, w)
             if t is not None:
                 zw = _phase_als(t, i1, i2, rng)
                 if zw is not None:

@@ -697,6 +697,28 @@ def test_kron_is_numpy_kron():
         assert np.array_equal(equivalence._kron(a, b), np.kron(a, b))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rank1_factors_of_a_plane_are_its_product_vectors(seed):
+    # the plane spanned by a (x) b and c (x) d, given by any basis of it,
+    # holds exactly these two product directions
+    rng = np.random.default_rng(seed)
+    a, b, c, d = rng.standard_normal((4, 2, 2)) @ [1, 1j]
+    assume(abs(np.linalg.det(np.column_stack([a, c]))) > 0.1 * np.linalg.norm(a) * np.linalg.norm(c))
+    assume(abs(np.linalg.det(np.column_stack([b, d]))) > 0.1 * np.linalg.norm(b) * np.linalg.norm(d))
+    mix = rng.standard_normal((2, 2, 2)) @ [1, 1j]
+    assume(np.linalg.cond(mix) < 100)
+    planted = np.stack([np.kron(a, b), np.kron(c, d)])
+    s1, s2 = mix.T @ planted
+    found = equivalence._rank1_factors_2x2(s1, s2)
+    assert found is not None and len(found) == 2
+    # |cos| of the angle between each found direction (row) and each planted one (column)
+    dirs = np.stack([np.kron(z, w) for z, w in found])
+    cos = np.abs(dirs.conj() @ planted.T) / np.outer(np.linalg.norm(dirs, axis=1), np.linalg.norm(planted, axis=1))
+    # in one order or the other, each found direction is one planted direction
+    assert max(cos[0, 0] + cos[1, 1], cos[0, 1] + cos[1, 0]) > 2 - 1e-9
+
+
 def planted_lu_problem(trial, r, dims=(2, 2), base=5000):
     i1, i2 = dims
     side = i1 * i2
@@ -744,7 +766,7 @@ class TestSearchPTilde:
         u = haar_unitary(4, seed=0)
         assert search_p_tilde(u, u, 4, 2, 2, budget=0) is None
 
-    # the pencil runs on the qubit pairs only; (3, 2) r = 1 and 5 fall to the phase ALS
+    # (2, 2) r = 2 and (3, 2) r = 2..4 fall to the null-space solve; r = 1, 3 and 5 to the phase ALS
     PLANTED_LU = [(2, 2, r) for r in (1, 2, 3)] + [(3, 2, r) for r in range(1, 6)]
 
     @pytest.mark.parametrize(
@@ -762,15 +784,19 @@ class TestSearchPTilde:
             assert np.linalg.norm(pt.conj().T @ pt - np.eye(i1 * i2)) < 1e-8
             if (i1, i2, r, trial) == (2, 2, 2, 1):
                 # no other candidate source solves this one
-                assert res.strategy == "pencil"
+                assert res.strategy == "null"
 
-    # every split of a 2x3 or 3x3 pair whose zero-block map has a one-dimensional null space
-    NULL_SOLVED = [(i1, i2, r) for i1, i2 in ((2, 3), (3, 2), (3, 3)) for r in range(2, i1 * i2 - 1)]
+    # every split of a 2x3 or 3x3 pair whose zero-block map has a one-dimensional null
+    # space, and the 2x2 r = 2 split, whose map has a two-dimensional one
+    NULL_SOLVED = [(2, 2, 2)] + [
+        (i1, i2, r) for i1, i2 in ((2, 3), (3, 2), (3, 3)) for r in range(2, i1 * i2 - 1)
+    ]
 
     @pytest.mark.parametrize("i1, i2, r", NULL_SOLVED, ids=[f"{i1}x{i2}-{r}" for i1, i2, r in NULL_SOLVED])
     def test_null_space_solves_planted_lu_problems(self, i1, i2, r, monkeypatch):
         # the zero-block condition is linear in z (x) w: one SVD solves it
-        # at restart 0, before the phase ALS runs
+        # at restart 0 (on a qubit pair with a quadratic for the plane's
+        # product vectors), before the phase ALS runs
         calls = self.count_candidate_calls(monkeypatch)
         for trial in range(5):
             u, up = planted_lu_problem(trial, r, (i1, i2))
@@ -799,18 +825,7 @@ class TestSearchPTilde:
             assert res is not None
             assert res.objective <= equivalence.EQUIV_RTOL
             assert res.strategy != "null"
-        assert returned == [None] * 5
-
-    def test_singular_pencil_gives_no_candidate(self):
-        # at r = 1 on a qubit pair both pencil matrices have rank one, so every
-        # compression is numerically singular and its eigenvalues are rounding
-        # noise: the phase ALS, not the pencil, must solve these
-        for trial in range(5):
-            u, up = planted_lu_problem(trial, 1)
-            res = search_p_tilde(u, up, 1, 2, 2, mode=LU, budget=50, seed=trial)
-            assert res is not None
-            assert res.objective <= 1e-8
-            assert res.strategy != "pencil"
+        assert returned == [[]] * 5
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_planted_slocc_problems_solved(self, r):
@@ -954,7 +969,8 @@ class TestSearchPTilde:
     @pytest.mark.parametrize("i1, i2, r", [(2, 2, 1), (2, 2, 3), (3, 3, 1), (2, 3, 2)])
     def test_vacuous_zero_block_condition_solved(self, i1, i2, r, mode):
         # in the product basis the phase tensor vanishes, so unit phases
-        # already solve the zero-block condition while the pencil is 0/0
+        # already solve the zero-block condition, though its null space, the
+        # whole space, gives the null-space solve no candidate
         side = i1 * i2
         p0 = np.zeros((side, side), dtype=complex)
         p0[:r, :r] = haar_unitary(r, seed=1)
@@ -991,6 +1007,25 @@ class TestSearchPTilde:
         with pytest.raises(ValueError):
             search_p_tilde(np.eye(4), np.eye(4), 0, 2, 2)
 
+    @pytest.mark.parametrize("side", ["u", "u_prime"])
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (np.zeros((4, 4)), "is numerically singular"),
+            (np.diag([1.0, 1.0, 1.0, 0.0]), "is numerically singular"),
+            (np.full((4, 4), np.nan), "has non-finite entries"),
+        ],
+        ids=["zeros", "diag-1110", "nan"],
+    )
+    def test_bad_bases_rejected_before_any_candidate(self, bad, reason, side, monkeypatch):
+        # a ValueError naming the basis, not a LinAlgError from inverting it
+        calls = self.count_candidate_calls(monkeypatch)
+        u = haar_unitary(4, seed=0)
+        bases = {"u": u, "u_prime": u, side: bad}
+        with pytest.raises(ValueError, match=f"^{side} {reason}$"):
+            search_p_tilde(bases["u"], bases["u_prime"], 2, 2, 2, SLOCC, budget=50, seed=0)
+        assert calls == Counter()
+
     @staticmethod
     def count_candidate_calls(monkeypatch) -> Counter:
         calls = Counter()
@@ -999,7 +1034,6 @@ class TestSearchPTilde:
             "_reduced_bases",
             "_phase_tensor",
             "_null_phases",
-            "_pencil_phase_candidates",
             "_phase_als",
             "_als_kron_factors",
         ):
@@ -1229,7 +1263,7 @@ def test_unknown_mode_is_rejected_before_any_work(monkeypatch, stage, mode):
 
 def test_import_does_not_load_scipy():
     # entcore depends on numpy alone: neither the import nor a search that
-    # only the phase pencil (numpy eigenvalues of C^{-1} A) solves loads scipy
+    # only the null-space phase solve (one SVD plus a quadratic) solves loads scipy
     src = os.path.dirname(os.path.dirname(entcore.__file__))
     u, up = planted_lu_problem(1, 2)
     code = (
@@ -1239,4 +1273,4 @@ def test_import_does_not_load_scipy():
         "print(res.strategy, 'scipy' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["pencil", "False"]
+    assert out.stdout.split() == ["null", "False"]
