@@ -726,8 +726,9 @@ class SearchResult:
 
 
 def _check_count(value, name: str) -> int:
-    """``value`` as an ``int``; raises ``ValueError`` unless it is a non-negative integer."""
-    if not isinstance(value, numbers.Integral) or value < 0:
+    """``value`` as an ``int``; raises ``ValueError`` unless it is a non-negative
+    integer (a ``bool`` is not one)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
 
@@ -767,13 +768,20 @@ def _min_right_vectors(m, cols):
     return vh[:, -1].conj(), sv
 
 
-def _als_kron_factors(w2, w1, a1, a2, iters=60, ctol=1e-14):
+def _als_kron_factors(w2, w1, a1, a2, cond_bound, iters=60, ctol=1e-14):
     # Alternating least squares on the bilinear condition
     # lower-left(U^{-1} kron(A1, A2) U') = 0, run on a stack of starts
     # ``a1[n], a2[n]`` in lockstep; each half-step takes the smallest right
-    # singular vector of the linearized constraint ``vec(A) @ w``.  Every
-    # start keeps its own stopping rules and leaves the stack once it stops.
-    # The stacked matmul and SVD treat each slice as a matrix of its own, so
+    # singular vector of the linearized constraint ``vec(A) @ w``.  A start
+    # stops when it converges (``resid < ctol``), stalls (3 iterations
+    # without a 0.1% gain) or leaves the barrier: cond(A1) cond(A2) above
+    # ``cond_bound`` (a zero singular value reads as infinite condition).
+    # The caller sets that bound to COND_LIMIT cond(U) cond(U'), and
+    # cond(U^{-1} kron(A1, A2) U') >= cond(A1) cond(A2) / (cond(U) cond(U')),
+    # so past it the iterate's unprojected P~ already fails the barrier;
+    # on the planted problems tried, no start that leaves it comes back
+    # to an acceptable candidate.  A stopped start leaves the stack.  The
+    # stacked matmul and SVDs treat each slice as a matrix of its own, so
     # a start's iterates do not depend on which others share the stack.
     (n, i1, _), i2 = a1.shape, a2.shape[1]
     a1, a2 = a1.copy(), a2.copy()
@@ -792,6 +800,10 @@ def _als_kron_factors(w2, w1, a1, a2, iters=60, ctol=1e-14):
         stalls[live] = np.where(stalled, stalls[live] + 1, 0)
         prev[live] = resid
         stopped = (resid < ctol) | (stalls[live] >= 3)
+        if cond_bound < np.inf:
+            s1 = np.linalg.svd(a1[live], compute_uv=False)
+            s2 = np.linalg.svd(a2[live], compute_uv=False)
+            stopped |= s1[:, 0] * s2[:, 0] > cond_bound * (s1[:, -1] * s2[:, -1])
         live = live[~stopped]
         if live.size == 0:
             break
@@ -1001,20 +1013,26 @@ def search_p_tilde(
     least-squares solve runs alone; the first time the stream needs restart
     1's, one stacked solve runs the starts of restarts 1 to ``budget - 1``
     in lockstep, and the stream yields their candidates in restart order.
-    Each start's iterates are those it has alone, so the candidates and
-    their order do not depend on the stacking.  The stream stops at the
-    first candidate within ``EQUIV_RTOL``: the first whose projected ``P~``
-    clears the ``COND_LIMIT`` barrier and whose objective is at most
-    ``EQUIV_RTOL``.  Returns it as a :class:`SearchResult` (``strategy``
-    names its source), or ``None`` when no candidate qualifies (never a
-    proof of inequivalence).
+    A start stops when it converges, when it stalls, or, in SLOCC mode,
+    when its Kronecker pair leaves the barrier: past
+    ``cond(A1) cond(A2) > COND_LIMIT cond(U) cond(U')`` its unprojected
+    ``P~`` is conditioned beyond ``COND_LIMIT``, and on the planted problems
+    tested no start comes back from there to a candidate the barrier
+    accepts.  Each start's iterates are those it has alone, so the
+    candidates and their order do not depend on the stacking.  The stream
+    stops at the first candidate within ``EQUIV_RTOL``: the first whose
+    projected ``P~`` clears the ``COND_LIMIT`` barrier and whose objective
+    is at most ``EQUIV_RTOL``.  Returns it as a :class:`SearchResult`
+    (``strategy`` names its source), or ``None`` when no candidate
+    qualifies (never a proof of inequivalence).
 
     Raises ``ValueError`` for an unknown ``mode``, bases that are not
-    ``i1*i2`` square, ``r`` outside ``1..i1*i2``, a ``budget`` that is not
-    a non-negative integer, a ``seed`` that is not ``None``, a
-    non-negative integer or a sequence of these, or, before any candidate,
-    a basis with a non-finite entry or one that is numerically singular
-    (condition number above ``SINGULAR_COND``).
+    ``i1*i2`` square, an ``r`` that is not an integer in ``1..i1*i2``
+    (a ``bool`` is not one), a ``budget`` that is not a non-negative
+    integer, a ``seed`` that is not ``None``, a non-negative integer or a
+    sequence of these, or, before any candidate, a basis with a non-finite
+    entry or one that is numerically singular (condition number above
+    ``SINGULAR_COND``).
     """
     _check_mode(mode)
     side = i1 * i2
@@ -1022,18 +1040,25 @@ def search_p_tilde(
     up = np.asarray(u_prime, dtype=np.complex128)
     if u.shape != (side, side) or up.shape != (side, side):
         raise ValueError(f"u and u_prime must be {side}x{side}")
+    r = _check_count(r, "r")
     if not 1 <= r <= side:
         raise ValueError(f"rank split {r} out of range 1..{side}")
     budget = _check_count(budget, "budget")
     entropy = _seed_entropy(seed)
     unitary = []
+    cond_bound = COND_LIMIT  # an ALS start past it gives no candidate the barrier accepts
     for name, m in (("u", u), ("u_prime", up)):
         if not np.all(np.isfinite(m)):
             raise ValueError(f"{name} has non-finite entries")
         # a unitary basis is perfectly conditioned; only another one needs the SVD
         unitary.append(_unitarity_defect(m) < 1e-6)
-        if not unitary[-1] and _condition(m) > SINGULAR_COND:
-            raise ValueError(f"{name} is numerically singular")
+        if not unitary[-1]:
+            cond = _condition(m)
+            if cond > SINGULAR_COND:
+                raise ValueError(f"{name} is numerically singular")
+            cond_bound *= cond
+    if mode == LU:
+        cond_bound = np.inf  # the barrier sees the blocks' polar factors, of condition 1
     structured = all(unitary)
     u_inv = np.linalg.inv(u)
     up_inv = np.linalg.inv(up)
@@ -1072,7 +1097,7 @@ def search_p_tilde(
                     # restart 0 alone, then every later restart as one stack
                     stack = range(restart, budget if restart else 1)
                     starts = _als_starts(entropy, stack, i1, i2, t is not None)
-                    a1s, a2s = _als_kron_factors(*constraints, *starts)
+                    a1s, a2s = _als_kron_factors(*constraints, *starts, cond_bound)
                 yield restart, "als", pair(a1s[restart - stack.start], a2s[restart - stack.start])
 
     for restart, strategy, pt_full in candidates():

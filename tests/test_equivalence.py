@@ -394,7 +394,7 @@ class TestSpectralPreservation:
                 refuted += 1
         assert refuted >= 19
 
-    @pytest.mark.parametrize("samples", [-5, 2.7, "64", None])
+    @pytest.mark.parametrize("samples", [-5, 2.7, "64", None, True])
     def test_samples_must_be_a_non_negative_integer(self, samples):
         # a negative count once drew nothing and so never refuted this operator
         rng = np.random.default_rng(2)
@@ -861,17 +861,20 @@ class TestSearchPTilde:
         assert not pt[r:, :r].any()
         assert realign_rank1_check(u, up, pt, *dims, SLOCC)[0]
 
-    @pytest.mark.parametrize("r", [6, 9])
+    @pytest.mark.parametrize("r", [4, 9])
     def test_stacking_changes_no_start(self, r, monkeypatch):
-        # eight starts on a planted 3x3 problem: the planted factors, the
-        # identity and six seeded restarts.  At r = 6 some converge and some
-        # stall while the others run all 60 iterations; at r = 9 there is no
-        # lower-left block, so no start moves.
-        u, up = planted_slocc_problem(2, r, (3, 3))
+        # eight starts on a planted 3x3 problem of condition 1e3, under the
+        # search's barrier bound: the planted factors, the identity and six
+        # seeded restarts.  At r = 4 the planted factors converge at once,
+        # restart 18 stalls, restarts 13 and 23 run all 60 iterations and the
+        # others leave the barrier; at r = 9 there is no lower-left block, so
+        # no start moves.
+        u, up = planted_slocc_problem(1, r, (3, 3), cond=1e3)
+        bound = equivalence.COND_LIMIT * equivalence._condition(up)
         w2, w1 = equivalence._als_operators(np.linalg.inv(u), up, r, 3, 3)
-        a1, a2 = equivalence._als_starts((2,), [0, 0, 4, 9, 22, 31, 40, 48], 3, 3, False)
+        a1, a2 = equivalence._als_starts((1,), [0, 0, 7, 9, 13, 18, 19, 23], 3, 3, False)
         # the first identity start becomes the planted factors, which converge at once
-        a1[0], a2[0] = random_invertible(3, 10.0, seed=7102), random_invertible(3, 10.0, seed=7202)
+        a1[0], a2[0] = random_invertible(3, 1e3, seed=7101), random_invertible(3, 1e3, seed=7201)
         sizes = []
         real = equivalence._min_right_vectors
 
@@ -880,25 +883,73 @@ class TestSearchPTilde:
             return real(m, cols)
 
         monkeypatch.setattr(equivalence, "_min_right_vectors", recording)
-        b1, b2 = equivalence._als_kron_factors(w2, w1, a1, a2)
+        b1, b2 = equivalence._als_kron_factors(w2, w1, a1, a2, bound)
         stacked_sizes = sizes[::2]
-        stops = set()
+        stops = []
         iterations = []
         for j in range(8):
             sizes.clear()
-            c1, c2 = equivalence._als_kron_factors(w2, w1, a1[j : j + 1], a2[j : j + 1])
+            c1, c2 = equivalence._als_kron_factors(w2, w1, a1[j : j + 1], a2[j : j + 1], bound)
             assert np.array_equal(c1[0], b1[j]) and np.array_equal(c2[0], b2[j])
             iterations.append(len(sizes) // 2)
             if sizes:
                 resid = real(c2.reshape(1, 1, 9) @ w1, 9)[1][0, -1]
-                stops.add("ran out" if iterations[-1] == 60 else "converged" if resid < 1e-14 else "stalled")
+                cond = equivalence._condition(c1[0]) * equivalence._condition(c2[0])
+                stops.append(
+                    "converged"
+                    if resid < 1e-14
+                    else "left the barrier"
+                    if cond > bound
+                    else "ran out"
+                    if iterations[-1] == 60
+                    else "stalled"
+                )
         # at each iteration the stack holds exactly the starts still going
         assert stacked_sizes == [sum(n > k for n in iterations) for k in range(max(iterations))]
         if r == 9:
             assert iterations == [0] * 8
             assert np.array_equal(b1, a1) and np.array_equal(b2, a2)
         else:
-            assert stops == {"converged", "stalled", "ran out"}
+            assert stops[0] == "converged" and stops[5] == "stalled"
+            assert stops[4] == stops[7] == "ran out"
+            assert {stops[k] for k in (1, 2, 3, 6)} == {"left the barrier"}
+
+    def test_start_stops_at_the_first_iteration_past_the_barrier(self, monkeypatch):
+        # the search bounds cond(A1) cond(A2) by COND_LIMIT cond(U) cond(U');
+        # a start stops at the first iterate past it, where the unprojected
+        # P~ = U^{-1} kron(A1, A2) U' already fails the barrier
+        bounds = []
+        real = equivalence._als_kron_factors
+
+        def recording(*args):
+            bounds.append(args[4])
+            return real(*args)
+
+        u, up = planted_slocc_problem(1, 4, (3, 3), cond=1e3)
+        monkeypatch.setattr(equivalence, "_als_kron_factors", recording)
+        search_p_tilde(u, up, 4, 3, 3, SLOCC, budget=2, seed=1)
+        bound = equivalence.COND_LIMIT * equivalence._condition(up)
+        assert bounds == [bound, bound]
+        # LU mode projects the blocks to unitaries, which the barrier never rejects
+        search_p_tilde(u, up, 4, 3, 3, LU, budget=1, seed=1)
+        assert bounds[2:] == [np.inf]
+        monkeypatch.undo()
+
+        u_inv = np.linalg.inv(u)
+        w2, w1 = equivalence._als_operators(u_inv, up, 4, 3, 3)
+        a1, a2 = equivalence._als_starts((1,), [0, 7, 9, 19], 3, 3, False)
+        for j in range(4):
+            start = a1[j : j + 1], a2[j : j + 1]
+            for k in range(1, 61):
+                c1, c2 = equivalence._als_kron_factors(w2, w1, *start, np.inf, k)
+                if equivalence._condition(c1[0]) * equivalence._condition(c2[0]) > bound:
+                    break
+            assert k < 60
+            # the bounded start runs k iterations, then stops where the unbounded one was
+            b1, b2 = equivalence._als_kron_factors(w2, w1, *start, bound)
+            assert np.array_equal(b1, c1) and np.array_equal(b2, c2)
+            assert not np.array_equal(b1, equivalence._als_kron_factors(w2, w1, *start, np.inf, k + 1)[0])
+            assert equivalence._condition(u_inv @ np.kron(b1[0], b2[0]) @ up) > equivalence.COND_LIMIT
 
     def test_constraint_operators_match_the_einsum_reference(self):
         # vec(A1) @ w2 and vec(A2) @ w1 are the half-steps' constraint matrices,
@@ -931,13 +982,13 @@ class TestSearchPTilde:
                 assert np.array_equal(a1[restart - 1], g1 / np.linalg.norm(g1))
                 assert np.array_equal(a2[restart - 1], g2 / np.linalg.norm(g2))
 
-    @pytest.mark.parametrize("budget", [-1, 2.7, 3.0, "5", None])
+    @pytest.mark.parametrize("budget", [-1, 2.7, 3.0, "5", None, True])
     def test_budget_must_be_a_non_negative_integer(self, budget):
         u = haar_unitary(4, seed=0)
         with pytest.raises(ValueError, match="budget must be a non-negative integer"):
             search_p_tilde(u, u, 2, 2, 2, budget=budget)
 
-    @pytest.mark.parametrize("seed", [-1, 2.7, "3", (1, -2), [0, 1.5], (0, (1, -1))])
+    @pytest.mark.parametrize("seed", [-1, 2.7, "3", (1, -2), [0, 1.5], (0, (1, -1)), False, (1, True)])
     def test_seed_is_checked_before_any_candidate(self, seed):
         # the direct basis change solves u against u at restart 0, which
         # draws nothing: a bad seed must fail all the same
@@ -1003,9 +1054,17 @@ class TestSearchPTilde:
         assert r1.objective == r2.objective
         assert np.array_equal(r1.p_tilde(), r2.p_tilde())
 
-    def test_rank_range_validated(self):
-        with pytest.raises(ValueError):
-            search_p_tilde(np.eye(4), np.eye(4), 0, 2, 2)
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_rank_range_validated(self, r):
+        with pytest.raises(ValueError, match="out of range 1..4"):
+            search_p_tilde(np.eye(4), np.eye(4), r, 2, 2)
+
+    @pytest.mark.parametrize("r", [-1, 2.5, np.float64(2.0), 2.0, "2", None, True])
+    def test_rank_split_must_be_an_integer(self, r):
+        # a ValueError, not a TypeError from slicing the blocks or comparing a
+        # string; a bool is not an integer here
+        with pytest.raises(ValueError, match="r must be a non-negative integer"):
+            search_p_tilde(np.eye(4), np.eye(4), r, 2, 2)
 
     @pytest.mark.parametrize("side", ["u", "u_prime"])
     @pytest.mark.parametrize(
@@ -1039,9 +1098,9 @@ class TestSearchPTilde:
         ):
             real = getattr(equivalence, name)
 
-            def counting(*args, _real=real, _name=name):
+            def counting(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
-                return _real(*args)
+                return _real(*args, **kwargs)
 
             monkeypatch.setattr(equivalence, name, counting)
         return calls
@@ -1102,6 +1161,41 @@ def test_every_found_connector_passes_the_benchmark_gate(problem, trial, cond, b
     assert res.objective <= equivalence.EQUIV_RTOL
     s = np.linalg.svd(realign(u @ pt @ np.linalg.inv(up), i1, i2), compute_uv=False)
     assert s[1] <= equivalence.EQUIV_RTOL * s[0]
+
+
+def barrier_accepts(u, up, r, i1, i2, a1, a2):
+    """Whether the search takes the SLOCC candidate of the factors ``a1, a2``."""
+    pt = np.linalg.inv(u) @ np.kron(a1, a2) @ up
+    pt[r:, :r] = 0
+    if equivalence._condition(pt) > equivalence.COND_LIMIT:
+        return False
+    return equivalence._realign_ratio(u @ pt @ np.linalg.inv(up), i1, i2) <= equivalence.EQUIV_RTOL
+
+
+SLOCC_SPLITS = [((i1, i2), r) for i1, i2 in ((2, 2), (2, 3), (3, 3)) for r in range(1, i1 * i2)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    split=st.sampled_from(SLOCC_SPLITS),
+    trial=st.integers(0, 10_000),
+    cond=st.sampled_from((10.0, 1e3)),
+)
+def test_barrier_bound_loses_no_accepted_start(split, trial, cond):
+    # sixteen starts as the search draws them, with the search's bound and
+    # with none: a start whose unbounded run ends in a candidate the search
+    # takes never leaves the barrier, so the bound leaves its factors as they were
+    dims, r = split
+    i1, i2 = dims
+    u, up = planted_slocc_problem(trial, r, dims, cond=cond)
+    w2, w1 = equivalence._als_operators(np.linalg.inv(u), up, r, i1, i2)
+    starts = equivalence._als_starts((trial,), range(16), i1, i2, False)
+    bound = equivalence.COND_LIMIT * equivalence._condition(up)
+    b1, b2 = equivalence._als_kron_factors(w2, w1, *starts, bound)
+    c1, c2 = equivalence._als_kron_factors(w2, w1, *starts, np.inf)
+    for j in range(16):
+        if barrier_accepts(u, up, r, i1, i2, c1[j], c2[j]):
+            assert np.array_equal(b1[j], c1[j]) and np.array_equal(b2[j], c2[j])
 
 
 class TestSearchEquivalence:
@@ -1169,7 +1263,7 @@ class TestSearchEquivalence:
         assert verdict.residuals == {"searched_modes": 0, "objectives": []}
         assert not equivalence._HANDOFF
 
-    @pytest.mark.parametrize("budget", [-3, 2.7])
+    @pytest.mark.parametrize("budget", [-3, 2.7, True])
     def test_budget_is_checked_before_any_walk(self, budget, monkeypatch):
         def no_walk(*args, **kwargs):
             raise AssertionError("walked before checking the budget")
@@ -1179,7 +1273,7 @@ class TestSearchEquivalence:
         with pytest.raises(ValueError, match="budget must be a non-negative integer"):
             search_equivalence(psi, psi, LU, budget=budget)
 
-    @pytest.mark.parametrize("seed", [-1, 2.7, (0, -1)])
+    @pytest.mark.parametrize("seed", [-1, 2.7, (0, -1), True])
     def test_seed_is_checked_before_any_walk(self, seed, monkeypatch):
         def no_walk(*args, **kwargs):
             raise AssertionError("walked before checking the seed")
