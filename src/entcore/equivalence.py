@@ -719,7 +719,7 @@ class SearchResult:
     p_bar: np.ndarray
     objective: float
     restart_index: int
-    strategy: str | None = None  # "direct", "matching", "null", "phase-als" or "als"
+    strategy: str | None = None  # "direct", "matching", "null" (all restart 0) or "als"
 
     def p_tilde(self) -> np.ndarray:
         return _block_upper(self.p, self.y, self.p_bar)
@@ -810,12 +810,11 @@ def _als_kron_factors(w2, w1, a1, a2, cond_bound, iters=60, ctol=1e-14):
     return a1, a2
 
 
-def _als_starts(entropy, restarts, i1, i2, phased):
+def _als_starts(entropy, restarts, i1, i2):
     """Stacked ALS starts ``(a1, a2)``, one per restart.
 
     Restart 0 starts at the identity pair; a later one at a normalized complex
-    Gaussian pair drawn from ``(seed, restart)``, after the draws of that
-    restart's phase solve when ``phased``.
+    Gaussian pair drawn from ``(seed, restart)``.
     """
     a1, a2 = [], []
     for restart in restarts:
@@ -823,8 +822,6 @@ def _als_starts(entropy, restarts, i1, i2, phased):
             g = [np.eye(d, dtype=np.complex128) for d in (i1, i2)]
         else:
             rng = np.random.default_rng(entropy + (restart,))
-            if phased:
-                rng.random(i1 + i2)  # the starting phases _phase_als draws first
             g = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (i1, i2)]
             g = [m / np.linalg.norm(m) for m in g]
         a1.append(g[0])
@@ -927,23 +924,43 @@ def _phase_tensor(u_inv, u_prime, bases, r, i1, i2):
     return t
 
 
-def _unit_phases(z, w):
-    """Unit-modulus phases of the unit vectors ``z`` and ``w``, or ``None`` when
-    an entry is below a tenth of the uniform modulus: its phase is then noise."""
-    if np.min(np.abs(z)) < 0.1 / np.sqrt(z.size) or np.min(np.abs(w)) < 0.1 / np.sqrt(w.size):
+def _unit_phases(*vs):
+    """Unit-modulus phases of the unit vectors ``vs``, or ``None`` when an entry
+    is below a tenth of its vector's uniform modulus: its phase is then noise."""
+    if any(np.min(np.abs(v)) < 0.1 / np.sqrt(v.size) for v in vs):
         return None
-    return z / np.abs(z), w / np.abs(w)
+    return tuple(v / np.abs(v) for v in vs)
 
 
 def _null_phases(t, i1, i2):
     # The zero-block condition sum_pq z_p w_q T[p, q] = 0 is linear in
-    # y = z (x) w.  When T's map has a one-dimensional null space, its null
-    # vector is y, split through the dominant singular pair of y as a matrix.
-    # When it has a two-dimensional one on a qubit pair, y is a product
+    # y = z (x) w.  A column (p, q) of its map below EQUIV_RTOL is not read
+    # (T's scale is 1: the bases are unitary), so y_pq is free there; a map
+    # that reads no column is met by any phases, the unit ones included.
+    # When every column is read and the null space is one-dimensional, its
+    # null vector is y, split through the dominant singular pair of y as a
+    # matrix; when it is two-dimensional on a qubit pair, y is a product
     # vector of that plane, found in closed form by _rank1_factors_2x2.
+    # When some columns are unread (the splits r = 1 and side - 1 read
+    # only the Schmidt pairs), the read columns have a one-dimensional null
+    # space and pair each p with one q and each q with one p, the phases
+    # of y on them are those of z_p w_q: z = 1 and w_q = y_pq / |y_pq|,
+    # with w_q = 1 on an unread q.
     m = t.reshape(i1 * i2, -1).T
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    nullity = i1 * i2 - cutoff_rank(s)
+    read = np.linalg.norm(m, axis=0) > EQUIV_RTOL
+    if not read.any():
+        return [(np.ones(i1, dtype=np.complex128), np.ones(i2, dtype=np.complex128))]
+    cols = np.count_nonzero(read)
+    _, s, vh = np.linalg.svd(m[:, read], full_matrices=m.shape[0] < cols)
+    nullity = cols - cutoff_rank(s)
+    if not read.all():
+        p, q = np.nonzero(read.reshape(i1, i2))
+        phases = _unit_phases(vh[-1].conj())
+        if nullity != 1 or len(set(p)) < p.size or len(set(q)) < q.size or phases is None:
+            return []
+        w = np.ones(i2, dtype=np.complex128)
+        w[q] = phases[0]
+        return [(np.ones(i1, dtype=np.complex128), w)]
     if nullity == 1:
         uz, _, wh = np.linalg.svd(vh[-1].conj().reshape(i1, i2))
         factors = [(uz[:, 0], wh[0])]
@@ -953,32 +970,6 @@ def _null_phases(t, i1, i2):
     else:
         return []
     return [zw for zw in (_unit_phases(z, w) for z, w in factors) if zw is not None]
-
-
-def _phase_als(t, i1, i2, rng, iters=40):
-    # Fallback for factors larger than qubits: alternate minimum-singular-
-    # vector steps over the two phase vectors, then project to unit modulus.
-    if rng is None:
-        z = np.ones(i1, dtype=np.complex128) / np.sqrt(i1)
-        w = np.ones(i2, dtype=np.complex128) / np.sqrt(i2)
-    else:
-        z = np.exp(2j * np.pi * rng.random(i1)) / np.sqrt(i1)
-        w = np.exp(2j * np.pi * rng.random(i2)) / np.sqrt(i2)
-    # Starting phases that already meet the zero-block condition are a
-    # solution; on a vanishing tensor the steps below would pick arbitrary
-    # minimum singular vectors instead.
-    if np.linalg.norm(np.einsum("pqab,p,q->ab", t, z, w)) < 1e-14:
-        return z / np.abs(z), w / np.abs(w)
-    for _ in range(iters):
-        mw = np.einsum("pqab,p->abq", t, z).reshape(-1, i2)
-        _, _, vh = np.linalg.svd(mw, full_matrices=True)
-        w = vh[-1].conj()
-        mz = np.einsum("pqab,q->abp", t, w).reshape(-1, i1)
-        _, sv, vh = np.linalg.svd(mz, full_matrices=True)
-        z = vh[-1].conj()
-        if sv.size >= i1 and sv[-1] < 1e-14:
-            break
-    return _unit_phases(z, w)
 
 
 def search_p_tilde(
@@ -998,33 +989,36 @@ def search_p_tilde(
     mode, unconstrained invertible with a condition-number barrier in SLOCC
     mode.
 
-    Candidates come as one stream over ``budget`` restarts.  Restart 0 opens
-    with the deterministic ones: the direct basis change, product-vector
+    Candidates come as one stream over ``budget`` restarts.  Restart 0
+    holds the deterministic ones: the direct basis change, product-vector
     matches (rank-2 qubit pairs), and the reduced-basis null-space phase
-    solve for unitary bases: the zero-block condition on the phases
-    ``z, w`` is linear in ``z (x) w``, so when that map has a
-    one-dimensional null space its null vector, split through its dominant
-    singular pair, is the solution; when it has a two-dimensional one on a
-    qubit pair, the plane's two product vectors, roots of one quadratic,
-    are the candidates.  Every restart then adds an alternating phase
-    solve (unitary bases) and an alternating least-squares solve of the
-    zero-block condition (SLOCC or non-unitary bases), from fixed starts on
-    restart 0 and starts seeded by ``(seed, restart)`` later.  Restart 0's
-    least-squares solve runs alone; the first time the stream needs restart
-    1's, one stacked solve runs the starts of restarts 1 to ``budget - 1``
-    in lockstep, and the stream yields their candidates in restart order.
-    A start stops when it converges, when it stalls, or, in SLOCC mode,
-    when its Kronecker pair leaves the barrier: past
-    ``cond(A1) cond(A2) > COND_LIMIT cond(U) cond(U')`` its unprojected
-    ``P~`` is conditioned beyond ``COND_LIMIT``, and on the planted problems
-    tested no start comes back from there to a candidate the barrier
-    accepts.  Each start's iterates are those it has alone, so the
-    candidates and their order do not depend on the stacking.  The stream
-    stops at the first candidate within ``EQUIV_RTOL``: the first whose
-    projected ``P~`` clears the ``COND_LIMIT`` barrier and whose objective
-    is at most ``EQUIV_RTOL``.  Returns it as a :class:`SearchResult`
-    (``strategy`` names its source), or ``None`` when no candidate
-    qualifies (never a proof of inequivalence).
+    solve for unitary bases.  Its zero-block condition on the phases
+    ``z, w`` is linear in ``z (x) w``: when that map's null space is one-
+    dimensional its null vector, split through its dominant singular pair,
+    is the solution; when it is two-dimensional on a qubit pair, the
+    plane's two product vectors, roots of one quadratic, are the
+    candidates; when the map reads only paired columns (the splits
+    ``r = 1`` and ``side - 1`` read the Schmidt pairs), the phases of the
+    null vector on them are those of ``z (x) w``; and when it reads none,
+    the unit phases solve it.  So LU mode on unitary bases is decided at
+    restart 0.  In SLOCC mode or on non-unitary bases an alternating
+    least-squares solve of the zero-block condition follows: restart 0's
+    from the identity pair alone, then, the first time the stream needs
+    restart 1's, one stacked solve runs the starts of restarts 1 to
+    ``budget - 1``, seeded by ``(seed, restart)``, in lockstep, and the
+    stream yields their candidates in restart order.  A start stops when it
+    converges, when it stalls, or, in SLOCC mode, when its Kronecker pair
+    leaves the barrier: past ``cond(A1) cond(A2) > COND_LIMIT cond(U)
+    cond(U')`` its unprojected ``P~`` is conditioned beyond ``COND_LIMIT``,
+    and on the planted problems tested no start comes back from there to a
+    candidate the barrier accepts.  Each start's iterates are those it has
+    alone, so the candidates and their order do not depend on the
+    stacking.  The stream stops at the first candidate within
+    ``EQUIV_RTOL``: the first whose projected ``P~`` clears the
+    ``COND_LIMIT`` barrier and whose objective is at most ``EQUIV_RTOL``.
+    Returns it as a :class:`SearchResult` (``strategy`` names its source),
+    or ``None`` when no candidate qualifies (never a proof of
+    inequivalence); ``budget = 0`` tries none.
 
     Raises ``ValueError`` for an unknown ``mode``, bases that are not
     ``i1*i2`` square, an ``r`` that is not an integer in ``1..i1*i2``
@@ -1060,6 +1054,8 @@ def search_p_tilde(
     if mode == LU:
         cond_bound = np.inf  # the barrier sees the blocks' polar factors, of condition 1
     structured = all(unitary)
+    if budget == 0:
+        return None
     u_inv = np.linalg.inv(u)
     up_inv = np.linalg.inv(up)
 
@@ -1068,37 +1064,24 @@ def search_p_tilde(
 
     def candidates():
         # (restart, strategy, unprojected P~), computed only as far as consumed
-        t = None
-        for restart in range(budget):
-            rng = None if restart == 0 else np.random.default_rng(entropy + (restart,))
-            if restart == 0:
-                yield restart, "direct", u_inv @ up
-                if r == 2 and i1 == 2 and i2 == 2:
-                    for a1, a2 in _matching_candidates(u, up):
-                        yield restart, "matching", pair(a1, a2)
-                bases = _reduced_bases(u, up, r, i1, i2) if structured and r < side else None
-                if bases is not None:
-                    (v1, v1p), (v2, v2p) = bases
-
-                    def phased(z, w):
-                        return pair(v1 @ np.diag(z) @ v1p.conj().T, v2 @ np.diag(w) @ v2p.conj().T)
-
-                    t = _phase_tensor(u_inv, up, bases, r, i1, i2)
-                    for z, w in _null_phases(t, i1, i2):
-                        yield restart, "null", phased(z, w)
-            if t is not None:
-                zw = _phase_als(t, i1, i2, rng)
-                if zw is not None:
-                    yield restart, "phase-als", phased(*zw)
-            if mode == SLOCC or not structured:
-                if restart == 0:
-                    constraints = _als_operators(u_inv, up, r, i1, i2)
-                if restart < 2:
-                    # restart 0 alone, then every later restart as one stack
-                    stack = range(restart, budget if restart else 1)
-                    starts = _als_starts(entropy, stack, i1, i2, t is not None)
+        yield 0, "direct", u_inv @ up
+        if r == 2 and i1 == 2 and i2 == 2:
+            for a1, a2 in _matching_candidates(u, up):
+                yield 0, "matching", pair(a1, a2)
+        bases = _reduced_bases(u, up, r, i1, i2) if structured and r < side else None
+        if bases is not None:
+            (v1, v1p), (v2, v2p) = bases
+            for z, w in _null_phases(_phase_tensor(u_inv, up, bases, r, i1, i2), i1, i2):
+                yield 0, "null", pair(v1 @ np.diag(z) @ v1p.conj().T, v2 @ np.diag(w) @ v2p.conj().T)
+        if mode == SLOCC or not structured:
+            constraints = _als_operators(u_inv, up, r, i1, i2)
+            # restart 0 alone, then every later restart as one stack
+            for stack in (range(1), range(1, budget)):
+                if stack:
+                    starts = _als_starts(entropy, stack, i1, i2)
                     a1s, a2s = _als_kron_factors(*constraints, *starts, cond_bound)
-                yield restart, "als", pair(a1s[restart - stack.start], a2s[restart - stack.start])
+                    for restart, a1, a2 in zip(stack, a1s, a2s):
+                        yield restart, "als", pair(a1, a2)
 
     for restart, strategy, pt_full in candidates():
         p, y, pbar = pt_full[:r, :r], pt_full[:r, r:], pt_full[r:, r:]

@@ -766,7 +766,8 @@ class TestSearchPTilde:
         u = haar_unitary(4, seed=0)
         assert search_p_tilde(u, u, 4, 2, 2, budget=0) is None
 
-    # (2, 2) r = 2 and (3, 2) r = 2..4 fall to the null-space solve; r = 1, 3 and 5 to the phase ALS
+    # every split falls to the null-space solve at restart 0: (2, 2) r = 2 through the plane's
+    # product vectors, r = 1, 3 and 5 through the Schmidt pairs the zero-block map reads
     PLANTED_LU = [(2, 2, r) for r in (1, 2, 3)] + [(3, 2, r) for r in range(1, 6)]
 
     @pytest.mark.parametrize(
@@ -796,7 +797,7 @@ class TestSearchPTilde:
     def test_null_space_solves_planted_lu_problems(self, i1, i2, r, monkeypatch):
         # the zero-block condition is linear in z (x) w: one SVD solves it
         # at restart 0 (on a qubit pair with a quadratic for the plane's
-        # product vectors), before the phase ALS runs
+        # product vectors)
         calls = self.count_candidate_calls(monkeypatch)
         for trial in range(5):
             u, up = planted_lu_problem(trial, r, (i1, i2))
@@ -804,13 +805,13 @@ class TestSearchPTilde:
             assert (res.restart_index, res.strategy) == (0, "null")
             assert res.objective <= 1e-13
         assert calls["_null_phases"] == 5
-        assert calls["_phase_als"] == 0
 
     @pytest.mark.parametrize("r", [1, 8])
-    def test_null_space_of_several_dimensions_gives_no_candidate(self, r, monkeypatch):
-        # at r = 1 and 8 of a 3x3 pair the zero-block map has rank 2 on these
-        # problems, a null space of 7 dimensions: the null-space solve yields
-        # nothing, and the phase ALS solves them
+    def test_null_space_on_the_read_columns_solves_the_outer_splits(self, r, monkeypatch):
+        # at r = 1 and 8 of a 3x3 pair the zero-block map reads only the three
+        # Schmidt-paired columns, so on all nine its null space has 7
+        # dimensions; on the three it reads it is a line, whose phases are
+        # those of z (x) w there
         returned = []
         real = equivalence._null_phases
 
@@ -821,11 +822,14 @@ class TestSearchPTilde:
         monkeypatch.setattr(equivalence, "_null_phases", recording)
         for trial in range(5):
             u, up = planted_lu_problem(trial, r, (3, 3))
+            m = equivalence._phase_tensor(
+                np.linalg.inv(u), up, equivalence._reduced_bases(u, up, r, 3, 3), r, 3, 3
+            ).reshape(9, -1).T
+            assert 9 - cutoff_rank(np.linalg.svd(m, compute_uv=False)) == 7
             res = search_p_tilde(u, up, r, 3, 3, LU, budget=50, seed=trial)
-            assert res is not None
-            assert res.objective <= equivalence.EQUIV_RTOL
-            assert res.strategy != "null"
-        assert returned == [[]] * 5
+            assert (res.restart_index, res.strategy) == (0, "null")
+            assert res.objective <= 1e-13
+        assert [len(zw) for zw in returned] == [1] * 5
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_planted_slocc_problems_solved(self, r):
@@ -872,7 +876,7 @@ class TestSearchPTilde:
         u, up = planted_slocc_problem(1, r, (3, 3), cond=1e3)
         bound = equivalence.COND_LIMIT * equivalence._condition(up)
         w2, w1 = equivalence._als_operators(np.linalg.inv(u), up, r, 3, 3)
-        a1, a2 = equivalence._als_starts((1,), [0, 0, 7, 9, 13, 18, 19, 23], 3, 3, False)
+        a1, a2 = equivalence._als_starts((1,), [0, 0, 7, 9, 13, 18, 19, 23], 3, 3)
         # the first identity start becomes the planted factors, which converge at once
         a1[0], a2[0] = random_invertible(3, 1e3, seed=7101), random_invertible(3, 1e3, seed=7201)
         sizes = []
@@ -937,7 +941,7 @@ class TestSearchPTilde:
 
         u_inv = np.linalg.inv(u)
         w2, w1 = equivalence._als_operators(u_inv, up, 4, 3, 3)
-        a1, a2 = equivalence._als_starts((1,), [0, 7, 9, 19], 3, 3, False)
+        a1, a2 = equivalence._als_starts((1,), [0, 7, 9, 19], 3, 3)
         for j in range(4):
             start = a1[j : j + 1], a2[j : j + 1]
             for k in range(1, 61):
@@ -967,21 +971,6 @@ class TestSearchPTilde:
         assert np.linalg.norm(got2 - m2) <= 1e-14 * np.linalg.norm(m2)
         assert np.linalg.norm(got1 - m1) <= 1e-14 * np.linalg.norm(m1)
 
-    def test_als_starts_follow_the_phase_solve(self):
-        # a later restart's generator yields the phase solve's starting phases
-        # first, then the ALS start: each restart starts where it did unstacked
-        t = np.ones((3, 2, 3, 3), dtype=complex)
-        for phased in (False, True):
-            a1, a2 = equivalence._als_starts((5, 1), range(1, 4), 3, 2, phased)
-            for restart in range(1, 4):
-                rng = np.random.default_rng((5, 1, restart))
-                if phased:
-                    equivalence._phase_als(t, 3, 2, rng)
-                g1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                g2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                assert np.array_equal(a1[restart - 1], g1 / np.linalg.norm(g1))
-                assert np.array_equal(a2[restart - 1], g2 / np.linalg.norm(g2))
-
     @pytest.mark.parametrize("budget", [-1, 2.7, 3.0, "5", None, True])
     def test_budget_must_be_a_non_negative_integer(self, budget):
         u = haar_unitary(4, seed=0)
@@ -997,24 +986,24 @@ class TestSearchPTilde:
             search_p_tilde(u, u, 2, 2, 2, budget=50, seed=seed)
 
     def test_seed_forms_naming_one_stream(self):
-        # found on a later restart (2, 1 and 3 for the three seeds), so the
-        # pick depends on the seed's entropy
-        u, up = planted_lu_problem(6, 1, (2, 3))
+        # found by a seeded ALS start on a later restart (13, 2 and 15 for the
+        # three seeds), so the pick depends on the seed's entropy
+        u, up = planted_slocc_problem(3, 2, (2, 3), cond=1e3)
         for same in ([None, 0, (0,), np.int64(0)], [11, (11,), [11], ((11,),)], [(3, 1), [3, (1,)]]):
-            picks = [search_p_tilde(u, up, 1, 2, 3, LU, budget=50, seed=seed) for seed in same]
+            picks = [search_p_tilde(u, up, 2, 2, 3, SLOCC, budget=50, seed=seed) for seed in same]
             assert len({(res.restart_index, res.strategy, res.p_tilde().tobytes()) for res in picks}) == 1
+            assert picks[0].restart_index > 0
 
     def test_first_candidate_within_tolerance_is_returned(self, monkeypatch):
-        # a 3x3 r = 1 problem moved off its orbit by 1e-10, so no null-space
-        # candidate comes first: restart 0's phase solve scores 2.6e-11, within
-        # EQUIV_RTOL, so the search takes it and runs no later restart in
-        # search of a lower score
+        # a 3x3 r = 1 problem moved off its orbit by 1e-10: the null-space
+        # phase solve scores 2.6e-11, within EQUIV_RTOL, so the search takes
+        # it and tries no other candidate in search of a lower score
         calls = self.count_candidate_calls(monkeypatch)
         u, up = planted_lu_problem(0, 1, (3, 3))
         res = search_p_tilde(u, non_local_rotation(9, 1e-10) @ up, 1, 3, 3, LU, budget=50, seed=0)
-        assert (res.restart_index, res.strategy) == (0, "phase-als")
+        assert (res.restart_index, res.strategy) == (0, "null")
         assert 1e-13 < res.objective <= equivalence.EQUIV_RTOL
-        assert calls["_phase_als"] == 1
+        assert calls["_null_phases"] == 1
 
     @pytest.mark.parametrize("mode", [LU, SLOCC])
     @pytest.mark.parametrize("i1, i2, r", [(2, 2, 1), (2, 2, 3), (3, 3, 1), (2, 3, 2)])
@@ -1093,7 +1082,6 @@ class TestSearchPTilde:
             "_reduced_bases",
             "_phase_tensor",
             "_null_phases",
-            "_phase_als",
             "_als_kron_factors",
         ):
             real = getattr(equivalence, name)
@@ -1114,13 +1102,39 @@ class TestSearchPTilde:
 
     def test_reduced_bases_built_once_per_search(self, monkeypatch):
         # a planted problem moved off its orbit by a non-local rotation of size
-        # 1e-7: the reduced spectra still match to 1e-6, so every restart runs
-        # the phase solve, and no candidate reaches EQUIV_RTOL
+        # 1e-7: the reduced spectra still match to 1e-6, so the phase solve
+        # runs, and no candidate reaches EQUIV_RTOL
         calls = self.count_candidate_calls(monkeypatch)
         u, up = planted_lu_problem(0, 2)
         assert search_p_tilde(u, non_local_rotation(4, 1e-7) @ up, 2, 2, 2, LU, budget=5, seed=0) is None
-        assert calls["_phase_als"] == 5
         assert calls["_reduced_bases"] == calls["_phase_tensor"] == 1
+
+
+LU_SPLITS = [((i1, i2), r) for i1, i2 in ((2, 2), (2, 3), (3, 2), (3, 3)) for r in range(1, i1 * i2)]
+
+
+def reduced_spectra_gap(u, r, i1, i2):
+    """Smallest gap between eigenvalues of either partial trace of ``u``'s rank-``r`` projector."""
+    proj = (u[:, :r] @ u[:, :r].conj().T).reshape(i1, i2, i1, i2)
+    return min(
+        np.min(np.diff(np.linalg.eigvalsh(rho)))
+        for rho in (np.einsum("iqjq->ij", proj), np.einsum("aiaj->ij", proj))
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(split=st.sampled_from(LU_SPLITS), trial=st.integers(0, 10_000))
+def test_lu_phases_closed_form_at_every_split(split, trial):
+    # with non-degenerate reduced spectra, the null-space phase solve finds
+    # every planted LU problem at restart 0, the outer splits r = 1 and
+    # side - 1 included, so one restart is budget enough
+    dims, r = split
+    u, up = planted_lu_problem(trial, r, dims)
+    assume(reduced_spectra_gap(u, r, *dims) > 1e-3)
+    res = search_p_tilde(u, up, r, *dims, LU, budget=1, seed=trial)
+    assert res is not None
+    assert (res.restart_index, res.strategy) == (0, "null")
+    assert res.objective <= equivalence.EQUIV_RTOL
 
 
 # (dims, r, mode) of the gate property: 3x3 SLOCC problems, mostly unsolved, are left out
@@ -1189,7 +1203,7 @@ def test_barrier_bound_loses_no_accepted_start(split, trial, cond):
     i1, i2 = dims
     u, up = planted_slocc_problem(trial, r, dims, cond=cond)
     w2, w1 = equivalence._als_operators(np.linalg.inv(u), up, r, i1, i2)
-    starts = equivalence._als_starts((trial,), range(16), i1, i2, False)
+    starts = equivalence._als_starts((trial,), range(16), i1, i2)
     bound = equivalence.COND_LIMIT * equivalence._condition(up)
     b1, b2 = equivalence._als_kron_factors(w2, w1, *starts, bound)
     c1, c2 = equivalence._als_kron_factors(w2, w1, *starts, np.inf)
