@@ -772,34 +772,33 @@ def _als_kron_factors(w2, w1, a1, a2, cond_bound, iters=60, ctol=1e-14):
     # Alternating least squares on the bilinear condition
     # lower-left(U^{-1} kron(A1, A2) U') = 0, run on a stack of starts
     # ``a1[n], a2[n]`` in lockstep; each half-step takes the smallest right
-    # singular vector of the linearized constraint ``vec(A) @ w``.  A start
-    # stops when it converges (``resid < ctol``), stalls (3 iterations
-    # without a 0.1% gain) or leaves the barrier: cond(A1) cond(A2) above
-    # ``cond_bound`` (a zero singular value reads as infinite condition).
-    # The caller sets that bound to COND_LIMIT cond(U) cond(U'), and
-    # cond(U^{-1} kron(A1, A2) U') >= cond(A1) cond(A2) / (cond(U) cond(U')),
-    # so past it the iterate's unprojected P~ already fails the barrier;
-    # on the planted problems tried, no start that leaves it comes back
-    # to an acceptable candidate.  A stopped start leaves the stack.  The
-    # stacked matmul and SVDs treat each slice as a matrix of its own, so
-    # a start's iterates do not depend on which others share the stack.
+    # singular vector of the linearized constraint ``vec(A) @ w``.  A start stops
+    # when it converges (``resid < ctol``), when it cannot converge in the
+    # iterations left (cut at each by its last rate ``rho <= 1``, 0 at first,
+    # ``resid`` would end above ``ctol``, as in a stall) or when it leaves the
+    # barrier: cond(A1) cond(A2) above ``cond_bound`` (a zero singular value
+    # reads as infinite condition).  The caller sets that bound to COND_LIMIT
+    # cond(U) cond(U'), and cond(U^{-1} kron(A1, A2) U') >= cond(A1) cond(A2) /
+    # (cond(U) cond(U')), so past it the iterate's unprojected P~ already fails
+    # the barrier; on the planted problems tried, no start that leaves it comes
+    # back to an acceptable candidate.  A stopped start leaves the stack.  The
+    # stacked matmul and SVDs treat each slice as a matrix of its own, so a
+    # start's iterates do not depend on which others share the stack.
     (n, i1, _), i2 = a1.shape, a2.shape[1]
     a1, a2 = a1.copy(), a2.copy()
     if w2.shape[1] == 0:
         return a1, a2
     live = np.arange(n)
     prev = np.full(n, np.inf)
-    stalls = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for it in range(iters):
         v2, _ = _min_right_vectors(a1[live].reshape(-1, 1, i1 * i1) @ w2, i2 * i2)
         a2[live] = v2.reshape(-1, i2, i2)
         v1, sv = _min_right_vectors(a2[live].reshape(-1, 1, i2 * i2) @ w1, i1 * i1)
         a1[live] = v1.reshape(-1, i1, i1)
         resid = sv[:, -1] if sv.shape[1] >= i1 * i1 else np.zeros(live.size)
-        stalled = resid > prev[live] * 0.999
-        stalls[live] = np.where(stalled, stalls[live] + 1, 0)
+        rho = np.minimum(resid / prev[live], 1.0)
         prev[live] = resid
-        stopped = (resid < ctol) | (stalls[live] >= 3)
+        stopped = (resid < ctol) | (resid * rho ** (iters - it - 1) > ctol)
         if cond_bound < np.inf:
             s1 = np.linalg.svd(a1[live], compute_uv=False)
             s2 = np.linalg.svd(a2[live], compute_uv=False)
@@ -1007,18 +1006,19 @@ def search_p_tilde(
     restart 1's, one stacked solve runs the starts of restarts 1 to
     ``budget - 1``, seeded by ``(seed, restart)``, in lockstep, and the
     stream yields their candidates in restart order.  A start stops when it
-    converges, when it stalls, or, in SLOCC mode, when its Kronecker pair
-    leaves the barrier: past ``cond(A1) cond(A2) > COND_LIMIT cond(U)
+    converges, when at its last rate it cannot converge in the iterations
+    left (as a stalled one cannot), or, in SLOCC mode, when its Kronecker
+    pair leaves the barrier: past ``cond(A1) cond(A2) > COND_LIMIT cond(U)
     cond(U')`` its unprojected ``P~`` is conditioned beyond ``COND_LIMIT``,
     and on the planted problems tested no start comes back from there to a
     candidate the barrier accepts.  Each start's iterates are those it has
-    alone, so the candidates and their order do not depend on the
-    stacking.  The stream stops at the first candidate within
-    ``EQUIV_RTOL``: the first whose projected ``P~`` clears the
-    ``COND_LIMIT`` barrier and whose objective is at most ``EQUIV_RTOL``.
-    Returns it as a :class:`SearchResult` (``strategy`` names its source),
-    or ``None`` when no candidate qualifies (never a proof of
-    inequivalence); ``budget = 0`` tries none.
+    alone, so the candidates and their order do not depend on the stacking.
+    The stream stops at the first candidate within ``EQUIV_RTOL``: the
+    first whose projected ``P~`` clears the ``COND_LIMIT`` barrier and whose
+    objective is at most ``EQUIV_RTOL``.  Returns it as a
+    :class:`SearchResult` (``strategy`` names its source), or ``None`` when
+    no candidate qualifies (never a proof of inequivalence); ``budget = 0``
+    tries none.
 
     Raises ``ValueError`` for an unknown ``mode``, bases that are not
     ``i1*i2`` square, an ``r`` that is not an integer in ``1..i1*i2``

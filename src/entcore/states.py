@@ -48,10 +48,14 @@ class StateSpec:
             if self.params is None or len(self.params) != 4:
                 raise ValueError(f"family {self.family!r} needs exactly 4 real parameters")
             params = np.asarray(self.params, dtype=float)
-            nrm = np.linalg.norm(params)
-            if nrm == 0.0:
+            if not np.all(np.isfinite(params)):
+                raise ValueError(f"family {self.family!r} needs finite parameters, got {self.params}")
+            peak = np.max(np.abs(params))
+            if peak == 0.0:
                 raise ValueError("parameters must not all be zero")
-            object.__setattr__(self, "params", tuple(params / nrm))
+            # scaled to a largest entry of 1 first, so the norm neither overflows nor underflows
+            params = params / peak
+            object.__setattr__(self, "params", tuple(params / np.linalg.norm(params)))
             expected = (2,) * (4 if self.family == "paper4" else 6)
             if self.dims is None:
                 object.__setattr__(self, "dims", expected)
@@ -139,9 +143,9 @@ def make_state(spec: StateSpec) -> np.ndarray:
     """Build the state described by ``spec``; always unit norm."""
     if spec.family == "ghz":
         dims = spec.dims if spec.dims is not None else (2, 2)
-        if len(set(dims)) != 1:
+        if len(set(dims)) > 1:
             raise ValueError("ghz needs uniform local dimensions")
-        return ghz_state(len(dims), dims[0])
+        return ghz_state(len(dims), dims[0] if dims else 2)
     if spec.family == "w":
         dims = spec.dims if spec.dims is not None else (2, 2, 2)
         if any(d != 2 for d in dims):

@@ -46,6 +46,22 @@ class TestGen:
         code, _, err = run(capsys, "gen", "paper4", "1.0", tmp_path / "x.json")
         assert code == 2
 
+    @pytest.mark.parametrize("family", ["paper4", "paper6"])
+    @pytest.mark.parametrize("bad", ["inf", "nan", "1e999"])
+    def test_non_finite_family_parameter_exit_2(self, tmp_path, capsys, family, bad):
+        out_path = tmp_path / "x.json"
+        code, _, err = run(capsys, "gen", family, bad, "1", "1", "1", out_path)
+        assert code == 2
+        assert "bad generator arguments" in err and "finite parameters" in err
+        assert not out_path.exists()
+
+    def test_ghz_of_no_parties_names_the_party_count_rule(self, tmp_path, capsys):
+        out_path = tmp_path / "x.json"
+        code, _, err = run(capsys, "gen", "ghz", "0", out_path)
+        assert code == 3
+        assert "ghz needs n >= 2 parties" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("seed", ["-1", "2.7", "many"])
     def test_bad_seed_rejected_at_parse_time(self, tmp_path, capsys, seed):
         out_path = tmp_path / "x.json"

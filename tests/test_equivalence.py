@@ -870,9 +870,10 @@ class TestSearchPTilde:
         # eight starts on a planted 3x3 problem of condition 1e3, under the
         # search's barrier bound: the planted factors, the identity and six
         # seeded restarts.  At r = 4 the planted factors converge at once,
-        # restart 18 stalls, restarts 13 and 23 run all 60 iterations and the
-        # others leave the barrier; at r = 9 there is no lower-left block, so
-        # no start moves.
+        # restarts 7, 9 and 19 leave the barrier, and the identity and
+        # restarts 13, 18 and 23 stop when, at their last rate, they cannot
+        # converge in the iterations left; at r = 9 there is no lower-left
+        # block, so no start moves.
         u, up = planted_slocc_problem(1, r, (3, 3), cond=1e3)
         bound = equivalence.COND_LIMIT * equivalence._condition(up)
         w2, w1 = equivalence._als_operators(np.linalg.inv(u), up, r, 3, 3)
@@ -880,11 +881,14 @@ class TestSearchPTilde:
         # the first identity start becomes the planted factors, which converge at once
         a1[0], a2[0] = random_invertible(3, 1e3, seed=7101), random_invertible(3, 1e3, seed=7201)
         sizes = []
+        resids = []
         real = equivalence._min_right_vectors
 
         def recording(m, cols):
             sizes.append(len(m))
-            return real(m, cols)
+            v, sv = real(m, cols)
+            resids.append(sv[:, -1])
+            return v, sv
 
         monkeypatch.setattr(equivalence, "_min_right_vectors", recording)
         b1, b2 = equivalence._als_kron_factors(w2, w1, a1, a2, bound)
@@ -893,20 +897,24 @@ class TestSearchPTilde:
         iterations = []
         for j in range(8):
             sizes.clear()
+            resids.clear()
             c1, c2 = equivalence._als_kron_factors(w2, w1, a1[j : j + 1], a2[j : j + 1], bound)
             assert np.array_equal(c1[0], b1[j]) and np.array_equal(c2[0], b2[j])
             iterations.append(len(sizes) // 2)
             if sizes:
-                resid = real(c2.reshape(1, 1, 9) @ w1, 9)[1][0, -1]
+                # each iteration's residual is the second half-step's smallest singular value
+                res = [s[0] for s in resids[1::2]]
+                k = len(res)
+                rate = min(res[-1] / res[-2], 1.0) if k > 1 else 0.0
                 cond = equivalence._condition(c1[0]) * equivalence._condition(c2[0])
                 stops.append(
                     "converged"
-                    if resid < 1e-14
-                    else "left the barrier"
+                    if res[-1] < 1e-14
+                    else "past the barrier"
                     if cond > bound
+                    else "cannot converge"
+                    if res[-1] * rate ** (60 - k) > 1e-14
                     else "ran out"
-                    if iterations[-1] == 60
-                    else "stalled"
                 )
         # at each iteration the stack holds exactly the starts still going
         assert stacked_sizes == [sum(n > k for n in iterations) for k in range(max(iterations))]
@@ -914,9 +922,16 @@ class TestSearchPTilde:
             assert iterations == [0] * 8
             assert np.array_equal(b1, a1) and np.array_equal(b2, a2)
         else:
-            assert stops[0] == "converged" and stops[5] == "stalled"
-            assert stops[4] == stops[7] == "ran out"
-            assert {stops[k] for k in (1, 2, 3, 6)} == {"left the barrier"}
+            assert stops == [
+                "converged",
+                "cannot converge",
+                "past the barrier",
+                "past the barrier",
+                "cannot converge",
+                "cannot converge",
+                "past the barrier",
+                "cannot converge",
+            ]
 
     def test_start_stops_at_the_first_iteration_past_the_barrier(self, monkeypatch):
         # the search bounds cond(A1) cond(A2) by COND_LIMIT cond(U) cond(U');
@@ -939,21 +954,38 @@ class TestSearchPTilde:
         assert bounds[2:] == [np.inf]
         monkeypatch.undo()
 
+        iterates = []
+        real_vectors = equivalence._min_right_vectors
+
+        def recording_vectors(m, cols):
+            v, sv = real_vectors(m, cols)
+            iterates.append(v[0])
+            return v, sv
+
+        monkeypatch.setattr(equivalence, "_min_right_vectors", recording_vectors)
         u_inv = np.linalg.inv(u)
         w2, w1 = equivalence._als_operators(u_inv, up, 4, 3, 3)
-        a1, a2 = equivalence._als_starts((1,), [0, 7, 9, 19], 3, 3)
+        # restarts that leave the barrier after 2 to 4 iterations, while still
+        # able to converge in the iterations left
+        a1, a2 = equivalence._als_starts((1,), [7, 19, 24, 34], 3, 3)
         for j in range(4):
             start = a1[j : j + 1], a2[j : j + 1]
-            for k in range(1, 61):
-                c1, c2 = equivalence._als_kron_factors(w2, w1, *start, np.inf, k)
-                if equivalence._condition(c1[0]) * equivalence._condition(c2[0]) > bound:
-                    break
-            assert k < 60
-            # the bounded start runs k iterations, then stops where the unbounded one was
+            iterates.clear()
             b1, b2 = equivalence._als_kron_factors(w2, w1, *start, bound)
-            assert np.array_equal(b1, c1) and np.array_equal(b2, c2)
-            assert not np.array_equal(b1, equivalence._als_kron_factors(w2, w1, *start, np.inf, k + 1)[0])
+            # each iteration sets A2, then A1
+            pairs = [(v1.reshape(3, 3), v2.reshape(3, 3)) for v2, v1 in zip(iterates[::2], iterates[1::2])]
+            conds = [equivalence._condition(c1) * equivalence._condition(c2) for c1, c2 in pairs]
+            k = len(pairs)
+            assert 1 < k < 60
+            assert max(conds[:-1]) <= bound < conds[-1]
+            assert np.array_equal(b1[0], pairs[-1][0]) and np.array_equal(b2[0], pairs[-1][1])
             assert equivalence._condition(u_inv @ np.kron(b1[0], b2[0]) @ up) > equivalence.COND_LIMIT
+            # without the bound the start goes on from there
+            iterates.clear()
+            equivalence._als_kron_factors(w2, w1, *start, np.inf)
+            assert len(iterates) > 2 * k
+            assert np.array_equal(iterates[2 * k - 1].reshape(3, 3), b1[0])
+            assert np.array_equal(iterates[2 * k - 2].reshape(3, 3), b2[0])
 
     def test_constraint_operators_match_the_einsum_reference(self):
         # vec(A1) @ w2 and vec(A2) @ w1 are the half-steps' constraint matrices,
@@ -1210,6 +1242,57 @@ def test_barrier_bound_loses_no_accepted_start(split, trial, cond):
     for j in range(16):
         if barrier_accepts(u, up, r, i1, i2, c1[j], c2[j]):
             assert np.array_equal(b1[j], c1[j]) and np.array_equal(b2[j], c2[j])
+
+
+def stall_rule_kron_factors(w2, w1, a1, a2, cond_bound, iters=60, ctol=1e-14):
+    """``_als_kron_factors`` with the stall rule that the projection rule
+    replaced: a start stops on convergence, past the barrier, or after three
+    iterations in a row without a 0.1% gain, else runs all ``iters``."""
+    (n, i1, _), i2 = a1.shape, a2.shape[1]
+    a1, a2 = a1.copy(), a2.copy()
+    if w2.shape[1] == 0:
+        return a1, a2
+    live = np.arange(n)
+    prev = np.full(n, np.inf)
+    stalls = np.zeros(n, dtype=int)
+    for _ in range(iters):
+        v2, _ = equivalence._min_right_vectors(a1[live].reshape(-1, 1, i1 * i1) @ w2, i2 * i2)
+        a2[live] = v2.reshape(-1, i2, i2)
+        v1, sv = equivalence._min_right_vectors(a2[live].reshape(-1, 1, i2 * i2) @ w1, i1 * i1)
+        a1[live] = v1.reshape(-1, i1, i1)
+        resid = sv[:, -1] if sv.shape[1] >= i1 * i1 else np.zeros(live.size)
+        stalled = resid > prev[live] * 0.999
+        stalls[live] = np.where(stalled, stalls[live] + 1, 0)
+        prev[live] = resid
+        stopped = (resid < ctol) | (stalls[live] >= 3)
+        if cond_bound < np.inf:
+            s1 = np.linalg.svd(a1[live], compute_uv=False)
+            s2 = np.linalg.svd(a2[live], compute_uv=False)
+            stopped |= s1[:, 0] * s2[:, 0] > cond_bound * (s1[:, -1] * s2[:, -1])
+        live = live[~stopped]
+        if live.size == 0:
+            break
+    return a1, a2
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e3], ids=["cond10", "cond1e3"])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
+def test_retiring_starts_loses_no_candidate(dims, cond, monkeypatch):
+    # a start that cannot converge in the iterations left gives no candidate
+    # the search takes: on every split of planted SLOCC problems, the search
+    # picks the same candidate as with the stall rule
+    i1, i2 = dims
+    picks = []
+    for als in (equivalence._als_kron_factors, stall_rule_kron_factors):
+        monkeypatch.setattr(equivalence, "_als_kron_factors", als)
+        picks.append([])
+        for r in range(1, i1 * i2):
+            for trial in range(3):
+                u, up = planted_slocc_problem(trial, r, dims, cond=cond)
+                res = search_p_tilde(u, up, r, i1, i2, SLOCC, budget=50, seed=trial)
+                picks[-1].append(res and (res.strategy, res.restart_index, repr(res.objective)))
+    assert picks[0] == picks[1]
+    assert any(pick and pick[0] == "als" for pick in picks[0])
 
 
 class TestSearchEquivalence:

@@ -85,6 +85,28 @@ class TestFamilies:
         with pytest.raises(ValueError):
             make_state(StateSpec("ghz", dims=(2, 3)))
 
+    @pytest.mark.parametrize("family", ["paper4", "paper6"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_family_parameters_rejected(self, family, bad):
+        with pytest.raises(ValueError, match="needs finite parameters"):
+            StateSpec(family, params=(bad, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="needs finite parameters"):
+            (paper4_state if family == "paper4" else paper6_state)((1.0, bad, 1.0, 1.0))
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-320])
+    def test_extreme_family_parameters_normalize(self, scale):
+        # the squared norm of these overflows or underflows; the state's does not
+        t = paper4_state((scale, scale, 0.0, -scale))
+        assert tensor_norm(t) == pytest.approx(1.0, abs=1e-12)
+        assert t[0, 0, 0, 1] == pytest.approx(1 / np.sqrt(3))
+        assert t[1, 0, 0, 0] == pytest.approx(-1 / np.sqrt(3))
+        assert t[0, 1, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("dims", [(), (2,)])
+    def test_ghz_spec_of_fewer_than_two_parties_names_the_rule(self, dims):
+        with pytest.raises(ValueError, match="n >= 2"):
+            make_state(StateSpec("ghz", dims=dims))
+
     def test_determinism_and_seed_separation(self):
         a = random_state((2, 2, 2), seed=42)
         b = random_state((2, 2, 2), seed=42)
