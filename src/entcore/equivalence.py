@@ -115,18 +115,27 @@ def _condition(a: np.ndarray) -> float:
     return float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
 
 
+def _conditions(a: np.ndarray) -> np.ndarray:
+    """:func:`_condition` of each matrix of a stack, from one stacked SVD."""
+    s = np.linalg.svd(a, compute_uv=False)
+    cond = np.full(len(s), np.inf)
+    np.divide(s[:, 0], s[:, -1], out=cond, where=s[:, -1] > 0.0)
+    return cond
+
+
 def _polar(a: np.ndarray) -> np.ndarray:
+    """The unitary polar factor of ``a``, or of each matrix of a stack."""
     u, _, vh = np.linalg.svd(a)
     return u @ vh
 
 
 def _block_upper(p: np.ndarray, y: np.ndarray, p_bar: np.ndarray) -> np.ndarray:
-    """Assemble ``[[P, Y], [0, P_bar]]``."""
-    r = p.shape[0]
-    out = np.zeros((r + p_bar.shape[0],) * 2, dtype=np.complex128)
-    out[:r, :r] = p
-    out[:r, r:] = y
-    out[r:, r:] = p_bar
+    """Assemble ``[[P, Y], [0, P_bar]]``, or one such matrix per slice of stacked blocks."""
+    r = p.shape[-1]
+    out = np.zeros(p.shape[:-2] + (r + p_bar.shape[-1],) * 2, dtype=np.complex128)
+    out[..., :r, :r] = p
+    out[..., :r, r:] = y
+    out[..., r:, r:] = p_bar
     return out
 
 
@@ -260,9 +269,11 @@ def _pair_operators(ops) -> list[np.ndarray]:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two matrices as one broadcast product: each entry is one product."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """``np.kron(a, b)`` of two matrices, or of each pair of two equal stacks of them, as one
+    broadcast product: each entry is one product."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
 
 
 def _reject_zero(psi: np.ndarray, psip: np.ndarray) -> None:
@@ -446,6 +457,17 @@ def _realign_ratio(phi, i1: int, i2: int) -> float:
     """``sigma2/sigma1`` of ``realign(phi)``; 0 when it has one singular value or none nonzero."""
     s = np.linalg.svd(realign(phi, i1, i2), compute_uv=False)
     return float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
+
+
+def _realign_ratios(phis: np.ndarray, i1: int, i2: int) -> np.ndarray:
+    """:func:`_realign_ratio` of each matrix of a stack, from one stacked SVD."""
+    n = len(phis)
+    blocks = phis.reshape(n, i1, i2, i1, i2).transpose(0, 3, 1, 4, 2)
+    s = np.linalg.svd(blocks.reshape(n, i1 * i1, i2 * i2), compute_uv=False)
+    ratios = np.zeros(n)
+    if s.shape[1] > 1:
+        np.divide(s[:, 1], s[:, 0], out=ratios, where=s[:, 0] > 0)
+    return ratios
 
 
 def kron_factorize(phi, i1: int, i2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -813,15 +835,17 @@ def _als_starts(entropy, restarts, i1, i2):
     """Stacked ALS starts ``(a1, a2)``, one per restart.
 
     Restart 0 starts at the identity pair; a later one at a normalized complex
-    Gaussian pair drawn from ``(seed, restart)``.
+    Gaussian pair drawn from ``(seed, restart)``: the real then imaginary
+    parts of ``A1``, then of ``A2``, in one draw.
     """
     a1, a2 = [], []
     for restart in restarts:
         if restart == 0:
             g = [np.eye(d, dtype=np.complex128) for d in (i1, i2)]
         else:
-            rng = np.random.default_rng(entropy + (restart,))
-            g = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (i1, i2)]
+            x = np.random.default_rng(entropy + (restart,)).standard_normal(2 * (i1 * i1 + i2 * i2))
+            n1 = 2 * i1 * i1
+            g = [m[0] + 1j * m[1] for m in (x[:n1].reshape(2, i1, i1), x[n1:].reshape(2, i2, i2))]
             g = [m / np.linalg.norm(m) for m in g]
         a1.append(g[0])
         a2.append(g[1])
@@ -911,16 +935,14 @@ def _reduced_bases(u, u_prime, r, i1, i2):
 
 def _phase_tensor(u_inv, u_prime, bases, r, i1, i2):
     # T[p, q] = lower-left block of U^{-1} kron(E1_p, E2_q) U' for the
-    # rank-one intertwiners E_p built from the reduced eigenbases.
+    # rank-one intertwiners E_p built from the reduced eigenbases.  Each
+    # kron(E1_p, E2_q) is (v1_p (x) v2_q)(v1'_p (x) v2'_q)^H, so T[p, q] is the
+    # outer product of column (p, q) of U^{-1}[r:] kron(v1, v2) with row
+    # (p, q) of kron(v1', v2')^H U'[:, :r]: two basis changes, one broadcast.
     (v1, v1p), (v2, v2p) = bases
-    side = i1 * i2
-    t = np.empty((i1, i2, side - r, r), dtype=np.complex128)
-    for p in range(i1):
-        e1 = np.outer(v1[:, p], v1p[:, p].conj())
-        for q in range(i2):
-            e2 = np.outer(v2[:, q], v2p[:, q].conj())
-            t[p, q] = (u_inv @ _kron(e1, e2) @ u_prime)[r:, :r]
-    return t
+    left = u_inv[r:] @ _kron(v1, v2)
+    right = _kron(v1p, v2p).conj().T @ u_prime[:, :r]
+    return (left.T[:, :, None] * right[:, None, :]).reshape(i1, i2, i1 * i2 - r, r)
 
 
 def _unit_phases(*vs):
@@ -971,6 +993,38 @@ def _null_phases(t, i1, i2):
     return [zw for zw in (_unit_phases(z, w) for z, w in factors) if zw is not None]
 
 
+def _blocks(pt_full, r: int, mode: str):
+    """``(P, Y, P_bar)`` of an unprojected ``P~`` split at ``r``, or of each of a stack; in LU
+    mode the polar factors of ``P`` and ``P_bar``, with ``Y = 0``."""
+    p, y, pbar = pt_full[..., :r, :r], pt_full[..., :r, r:], pt_full[..., r:, r:]
+    if mode == LU:
+        return _polar(p), np.zeros_like(y), _polar(pbar) if pbar.size else pbar
+    return p, y, pbar
+
+
+def _first_found(restarts, a1, a2, u, u_inv, up, up_inv, r: int, mode: str) -> SearchResult | None:
+    """The first ALS candidate of the stacked Kronecker factors ``a1, a2`` that
+    :func:`search_p_tilde` accepts, as a :class:`SearchResult` of its restart in
+    ``restarts``, or ``None``.
+
+    Each is built and scored as it would be alone, all in one pass: one
+    stacked Kronecker product and two stacked matmuls give every unprojected
+    ``P~ = U^{-1} kron(A1, A2) U'``, in SLOCC mode one stacked SVD keeps
+    those that clear the ``COND_LIMIT`` barrier, and one more gives the
+    realignment ratios of those kept.
+    """
+    p, y, pbar = _blocks(u_inv @ _kron(a1, a2) @ up, r, mode)
+    pt = _block_upper(p, y, pbar)
+    kept = np.arange(len(pt))
+    if mode == SLOCC:
+        kept = kept[~(_conditions(pt) > COND_LIMIT)]
+    objectives = _realign_ratios(u @ pt[kept] @ up_inv, a1.shape[-1], a2.shape[-1])
+    for j, objective in zip(kept, objectives):
+        if objective <= EQUIV_RTOL:
+            return SearchResult(p[j].copy(), y[j].copy(), pbar[j].copy(), float(objective), restarts[j], "als")
+    return None
+
+
 def search_p_tilde(
     u,
     u_prime,
@@ -986,39 +1040,41 @@ def search_p_tilde(
     Scores candidates by ``sigma2/sigma1`` of ``realign(U P~ U'^{-1})`` over
     the block structure fixed by ``r``: unitary blocks (with ``Y = 0``) in LU
     mode, unconstrained invertible with a condition-number barrier in SLOCC
-    mode.
+    mode.  The barrier applies in SLOCC mode only: an LU candidate, the
+    polar factors of its blocks with ``Y = 0``, is unitary, of condition 1.
 
-    Candidates come as one stream over ``budget`` restarts.  Restart 0
-    holds the deterministic ones: the direct basis change, product-vector
-    matches (rank-2 qubit pairs), and the reduced-basis null-space phase
-    solve for unitary bases.  Its zero-block condition on the phases
-    ``z, w`` is linear in ``z (x) w``: when that map's null space is one-
-    dimensional its null vector, split through its dominant singular pair,
-    is the solution; when it is two-dimensional on a qubit pair, the
-    plane's two product vectors, roots of one quadratic, are the
-    candidates; when the map reads only paired columns (the splits
-    ``r = 1`` and ``side - 1`` read the Schmidt pairs), the phases of the
-    null vector on them are those of ``z (x) w``; and when it reads none,
-    the unit phases solve it.  So LU mode on unitary bases is decided at
-    restart 0.  In SLOCC mode or on non-unitary bases an alternating
-    least-squares solve of the zero-block condition follows: restart 0's
-    from the identity pair alone, then, the first time the stream needs
-    restart 1's, one stacked solve runs the starts of restarts 1 to
-    ``budget - 1``, seeded by ``(seed, restart)``, in lockstep, and the
-    stream yields their candidates in restart order.  A start stops when it
-    converges, when at its last rate it cannot converge in the iterations
-    left (as a stalled one cannot), or, in SLOCC mode, when its Kronecker
-    pair leaves the barrier: past ``cond(A1) cond(A2) > COND_LIMIT cond(U)
-    cond(U')`` its unprojected ``P~`` is conditioned beyond ``COND_LIMIT``,
-    and on the planted problems tested no start comes back from there to a
-    candidate the barrier accepts.  Each start's iterates are those it has
-    alone, so the candidates and their order do not depend on the stacking.
-    The stream stops at the first candidate within ``EQUIV_RTOL``: the
-    first whose projected ``P~`` clears the ``COND_LIMIT`` barrier and whose
-    objective is at most ``EQUIV_RTOL``.  Returns it as a
-    :class:`SearchResult` (``strategy`` names its source), or ``None`` when
-    no candidate qualifies (never a proof of inequivalence); ``budget = 0``
-    tries none.
+    Candidates come as one stream over ``budget`` restarts.  Restart 0 holds
+    the deterministic ones: the direct basis change, product-vector matches
+    (rank-2 qubit pairs), and the reduced-basis null-space phase solve for
+    unitary bases.  Its zero-block condition on the phases ``z, w`` is
+    linear in ``z (x) w``, through a phase tensor that is one outer product
+    of two basis changes of the reduced eigenbases: when that map's null
+    space is one-dimensional its null vector, split through its dominant
+    singular pair, is the solution; when it is two-dimensional on a qubit
+    pair, the plane's two product vectors, roots of one quadratic, are the
+    candidates; when the map reads only paired columns (the splits ``r = 1``
+    and ``side - 1`` read the Schmidt pairs), the phases of the null vector
+    on them are those of ``z (x) w``; and when it reads none, the unit
+    phases solve it.  So LU mode on unitary bases is decided at restart 0.
+    In SLOCC mode or on non-unitary bases an alternating least-squares solve
+    of the zero-block condition follows: restart 0's from the identity pair
+    alone, then, when no candidate of restart 0 qualifies, one stacked solve
+    runs the starts of restarts 1 to ``budget - 1``, seeded by ``(seed,
+    restart)``, in lockstep, and their candidates are built and scored in
+    one pass of stacked products and SVDs, each as it would be alone, and
+    taken in restart order.  A start stops when it converges, when at its
+    last rate it cannot converge in the iterations left (as a stalled one
+    cannot), or, in SLOCC mode, when its Kronecker pair leaves the barrier:
+    past ``cond(A1) cond(A2) > COND_LIMIT cond(U) cond(U')`` its unprojected
+    ``P~`` is conditioned beyond ``COND_LIMIT``, and on the planted problems
+    tested no start comes back from there to a candidate the barrier
+    accepts.  Each start's iterates are those it has alone, so the
+    candidates and their order do not depend on the stacking.  The search
+    stops at the first candidate within ``EQUIV_RTOL``: the first whose
+    projected ``P~`` clears the barrier (in SLOCC mode) and whose objective
+    is at most ``EQUIV_RTOL``.  Returns it as a :class:`SearchResult`
+    (``strategy`` names its source), or ``None`` when no candidate qualifies
+    (never a proof of inequivalence); ``budget = 0`` tries none.
 
     Raises ``ValueError`` for an unknown ``mode``, bases that are not
     ``i1*i2`` square, an ``r`` that is not an integer in ``1..i1*i2``
@@ -1058,12 +1114,14 @@ def search_p_tilde(
         return None
     u_inv = np.linalg.inv(u)
     up_inv = np.linalg.inv(up)
+    als = mode == SLOCC or not structured
+    constraints = _als_operators(u_inv, up, r, i1, i2) if als else None
 
     def pair(a1, a2):
         return u_inv @ _kron(a1, a2) @ up
 
     def candidates():
-        # (restart, strategy, unprojected P~), computed only as far as consumed
+        # (restart, strategy, unprojected P~) of restart 0, computed only as far as consumed
         yield 0, "direct", u_inv @ up
         if r == 2 and i1 == 2 and i2 == 2:
             for a1, a2 in _matching_candidates(u, up):
@@ -1073,29 +1131,25 @@ def search_p_tilde(
             (v1, v1p), (v2, v2p) = bases
             for z, w in _null_phases(_phase_tensor(u_inv, up, bases, r, i1, i2), i1, i2):
                 yield 0, "null", pair(v1 @ np.diag(z) @ v1p.conj().T, v2 @ np.diag(w) @ v2p.conj().T)
-        if mode == SLOCC or not structured:
-            constraints = _als_operators(u_inv, up, r, i1, i2)
-            # restart 0 alone, then every later restart as one stack
-            for stack in (range(1), range(1, budget)):
-                if stack:
-                    starts = _als_starts(entropy, stack, i1, i2)
-                    a1s, a2s = _als_kron_factors(*constraints, *starts, cond_bound)
-                    for restart, a1, a2 in zip(stack, a1s, a2s):
-                        yield restart, "als", pair(a1, a2)
+        if als:
+            a1, a2 = _als_kron_factors(*constraints, *_als_starts(entropy, [0], i1, i2), cond_bound)
+            yield 0, "als", pair(a1[0], a2[0])
 
     for restart, strategy, pt_full in candidates():
-        p, y, pbar = pt_full[:r, :r], pt_full[:r, r:], pt_full[r:, r:]
-        if mode == LU:
-            p = _polar(p)
-            pbar = _polar(pbar) if pbar.size else pbar
-            y = np.zeros_like(y)
+        p, y, pbar = _blocks(pt_full, r, mode)
         pt = _block_upper(p, y, pbar)
-        if _condition(pt) > COND_LIMIT:
-            continue  # degenerate-minimizer barrier
+        # LU candidates are unitary, so only SLOCC ones can fail the degenerate-minimizer barrier
+        if mode == SLOCC and _condition(pt) > COND_LIMIT:
+            continue
         objective = _realign_ratio(u @ pt @ up_inv, i1, i2)
         if objective <= EQUIV_RTOL:
             return SearchResult(p, y, pbar, objective, restart, strategy)
-    return None
+    if not als or budget < 2:
+        return None
+    # every later restart as one stack, solved in lockstep and scored in one pass
+    stack = range(1, budget)
+    a1, a2 = _als_kron_factors(*constraints, *_als_starts(entropy, stack, i1, i2), cond_bound)
+    return _first_found(stack, a1, a2, u, u_inv, up, up_inv, r, mode)
 
 
 def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> EquivalenceVerdict:

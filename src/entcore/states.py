@@ -44,6 +44,11 @@ class StateSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.dims is not None:
             object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+            # checked here too, not only by ghz_state and w_state, so a bad spec fails where it is made
+            if self.family == "ghz" and (len(self.dims) < 2 or min(self.dims) < 2):
+                raise ValueError("ghz needs n >= 2 parties of dimension >= 2")
+            if self.family == "w" and len(self.dims) < 2:
+                raise ValueError("w needs n >= 2 qubits")
         if self.family in ("paper4", "paper6"):
             if self.params is None or len(self.params) != 4:
                 raise ValueError(f"family {self.family!r} needs exactly 4 real parameters")
@@ -145,7 +150,7 @@ def make_state(spec: StateSpec) -> np.ndarray:
         dims = spec.dims if spec.dims is not None else (2, 2)
         if len(set(dims)) > 1:
             raise ValueError("ghz needs uniform local dimensions")
-        return ghz_state(len(dims), dims[0] if dims else 2)
+        return ghz_state(len(dims), dims[0])
     if spec.family == "w":
         dims = spec.dims if spec.dims is not None else (2, 2, 2)
         if any(d != 2 for d in dims):

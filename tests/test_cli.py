@@ -55,11 +55,22 @@ class TestGen:
         assert "bad generator arguments" in err and "finite parameters" in err
         assert not out_path.exists()
 
-    def test_ghz_of_no_parties_names_the_party_count_rule(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "params, rule",
+        [
+            (("ghz", "0"), "ghz needs n >= 2 parties of dimension >= 2"),
+            (("ghz", "1"), "ghz needs n >= 2 parties of dimension >= 2"),
+            (("ghz", "2", "1"), "ghz needs n >= 2 parties of dimension >= 2"),
+            (("w", "1"), "w needs n >= 2 qubits"),
+        ],
+        ids=["ghz-0", "ghz-1", "ghz-2-1", "w-1"],
+    )
+    def test_too_few_parties_or_levels_name_the_rule(self, tmp_path, capsys, params, rule):
+        # bad generator arguments (2), not a dimension error (3)
         out_path = tmp_path / "x.json"
-        code, _, err = run(capsys, "gen", "ghz", "0", out_path)
-        assert code == 3
-        assert "ghz needs n >= 2 parties" in err
+        code, _, err = run(capsys, "gen", *params, out_path)
+        assert code == 2
+        assert "bad generator arguments" in err and rule in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("seed", ["-1", "2.7", "many"])

@@ -1295,6 +1295,134 @@ def test_retiring_starts_loses_no_candidate(dims, cond, monkeypatch):
     assert any(pick and pick[0] == "als" for pick in picks[0])
 
 
+def loop_phase_tensor(u_inv, u_prime, bases, r, i1, i2):
+    """``_phase_tensor`` as one Kronecker product of the two intertwiners and two
+    matmuls per ``(p, q)``: the reference for the two-basis-change form."""
+    (v1, v1p), (v2, v2p) = bases
+    t = np.empty((i1, i2, i1 * i2 - r, r), dtype=np.complex128)
+    for p in range(i1):
+        e1 = np.outer(v1[:, p], v1p[:, p].conj())
+        for q in range(i2):
+            e2 = np.outer(v2[:, q], v2p[:, q].conj())
+            t[p, q] = (u_inv @ np.kron(e1, e2) @ u_prime)[r:, :r]
+    return t
+
+
+@pytest.mark.parametrize("dims, r", LU_SPLITS, ids=[f"{i1}x{i2}-{r}" for (i1, i2), r in LU_SPLITS])
+def test_phase_tensor_matches_the_loop(dims, r):
+    # the entries are bounded by 1 on unitary bases, so the two orders of
+    # summation agree to rounding, absolutely
+    i1, i2 = dims
+    side = i1 * i2
+    for trial in range(3):
+        u, up = haar_unitary(side, seed=trial), haar_unitary(side, seed=50 + trial)
+        haar = [(haar_unitary(d, seed=100 + 10 * trial + k), haar_unitary(d, seed=200 + 10 * trial + k))
+                for k, d in enumerate(dims)]
+        pu, pup = planted_lu_problem(trial, r, dims)
+        for a, b, bases in ((u, up, haar), (pu, pup, equivalence._reduced_bases(pu, pup, r, i1, i2))):
+            a_inv = np.linalg.inv(a)
+            got = equivalence._phase_tensor(a_inv, b, bases, r, i1, i2)
+            want = loop_phase_tensor(a_inv, b, bases, r, i1, i2)
+            assert got.shape == want.shape == (i1, i2, side - r, r)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def four_draw_als_starts(entropy, restarts, i1, i2):
+    """``_als_starts`` drawing each seeded pair in four ``standard_normal`` calls,
+    the real then imaginary part of ``A1``, then of ``A2``: the reference for its one draw."""
+    a1, a2 = [], []
+    for restart in restarts:
+        if restart == 0:
+            g = [np.eye(d, dtype=np.complex128) for d in (i1, i2)]
+        else:
+            rng = np.random.default_rng(entropy + (restart,))
+            g = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (i1, i2)]
+            g = [m / np.linalg.norm(m) for m in g]
+        a1.append(g[0])
+        a2.append(g[1])
+    return np.stack(a1), np.stack(a2)
+
+
+def one_at_a_time_first_found(restarts, a1, a2, u, u_inv, up, up_inv, r, mode):
+    """``_first_found`` as one candidate at a time, each built from its own Kronecker
+    product and scored with the barrier in both modes: the reference for the one pass."""
+    i1, i2 = a1.shape[-1], a2.shape[-1]
+    for restart, b1, b2 in zip(restarts, a1, a2):
+        pt_full = u_inv @ np.kron(b1, b2) @ up
+        p, y, pbar = pt_full[:r, :r], pt_full[:r, r:], pt_full[r:, r:]
+        if mode == LU:
+            p = equivalence._polar(p)
+            pbar = equivalence._polar(pbar) if pbar.size else pbar
+            y = np.zeros_like(y)
+        pt = equivalence._block_upper(p, y, pbar)
+        if equivalence._condition(pt) > equivalence.COND_LIMIT:
+            continue
+        objective = equivalence._realign_ratio(u @ pt @ up_inv, i1, i2)
+        if objective <= equivalence.EQUIV_RTOL:
+            return equivalence.SearchResult(p, y, pbar, objective, restart, "als")
+    return None
+
+
+@pytest.mark.parametrize("entropy", [(0,), (1,), (3, 1)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_one_draw_starts_are_the_four_draw_starts(dims, entropy):
+    # bit for bit: one standard_normal call reads the stream the four calls read
+    got = equivalence._als_starts(entropy, range(50), *dims)
+    want = four_draw_als_starts(entropy, range(50), *dims)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+# planted SLOCC problems of every split, with the four of condition 1e3 that
+# PLANTED_SLOCC pins, two of which are found only on a later restart; and
+# unrelated non-unitary bases in LU mode, which take the stacked polar path
+ONE_PASS_PROBLEMS = [
+    *[(SLOCC, dims, r, trial, cond) for dims, r in SLOCC_SPLITS for trial in (0, 1) for cond in (10.0, 1e3)],
+    *[(SLOCC, dims, r, trial, cond) for dims, r, trial, cond in TestSearchPTilde.PLANTED_SLOCC if cond == 1e3],
+    *[(LU, dims, r, trial, 10.0) for dims, r in SLOCC_SPLITS for trial in (0, 1)],
+]
+
+
+def test_one_pass_scoring_loses_nothing(monkeypatch):
+    # the later restarts built and scored in one pass pick the candidate that
+    # one-at-a-time scoring with four-draw starts picks, to the last byte
+    picks = []
+    for first_found, starts in (
+        (equivalence._first_found, equivalence._als_starts),
+        (one_at_a_time_first_found, four_draw_als_starts),
+    ):
+        monkeypatch.setattr(equivalence, "_first_found", first_found)
+        monkeypatch.setattr(equivalence, "_als_starts", starts)
+        picks.append([])
+        for mode, dims, r, trial, cond in ONE_PASS_PROBLEMS:
+            i1, i2 = dims
+            if mode == SLOCC:
+                u, up = planted_slocc_problem(trial, r, dims, cond=cond)
+            else:
+                u, up = (random_invertible(i1 * i2, cond, seed=300 + 10 * trial + k) for k in range(2))
+            res = search_p_tilde(u, up, r, i1, i2, mode, budget=50, seed=trial)
+            picks[-1].append(res and (res.strategy, res.restart_index, repr(res.objective),
+                                      res.p.tobytes(), res.y.tobytes(), res.p_bar.tobytes()))
+    assert picks[0] == picks[1]
+    # the stacked restarts give some of the picks
+    assert any(pick is not None and pick[1] > 0 for pick in picks[0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(side=st.sampled_from((2, 4, 6, 9)), seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 12.0))
+def test_lu_candidates_never_meet_the_barrier(side, seed, spread):
+    # an LU candidate is block_upper(polar(P), 0, polar(P_bar)), unitary to
+    # rounding whatever P~ it comes from, ill-conditioned or singular, so the
+    # COND_LIMIT barrier, which search_p_tilde applies in SLOCC mode only,
+    # could never reject it
+    rng = np.random.default_rng(seed)
+    pt = (rng.standard_normal((side, side, 2)) @ [1, 1j]) * 10.0 ** rng.uniform(-spread, spread, side)
+    pt[:, rng.integers(side)] *= rng.integers(2)
+    for r in range(1, side + 1):
+        p, y, pbar = equivalence._blocks(pt, r, LU)
+        assert not y.any()
+        assert equivalence._condition(equivalence._block_upper(p, y, pbar)) <= 1 + 1e-12
+
+
 class TestSearchEquivalence:
     def test_unrelated_pair_is_inconclusive(self):
         psi = random_state((2, 2, 2, 2), seed=12)

@@ -102,10 +102,22 @@ class TestFamilies:
         assert t[1, 0, 0, 0] == pytest.approx(-1 / np.sqrt(3))
         assert t[0, 1, 0, 0] == 0.0
 
-    @pytest.mark.parametrize("dims", [(), (2,)])
-    def test_ghz_spec_of_fewer_than_two_parties_names_the_rule(self, dims):
-        with pytest.raises(ValueError, match="n >= 2"):
-            make_state(StateSpec("ghz", dims=dims))
+    @pytest.mark.parametrize(
+        "family, dims, rule",
+        [
+            ("ghz", (), "ghz needs n >= 2 parties of dimension >= 2"),
+            ("ghz", (2,), "ghz needs n >= 2 parties of dimension >= 2"),
+            ("ghz", (2, 1), "ghz needs n >= 2 parties of dimension >= 2"),
+            ("w", (2,), "w needs n >= 2 qubits"),
+        ],
+        ids=["ghz-0", "ghz-1", "ghz-2x1", "w-1"],
+    )
+    def test_spec_of_too_few_parties_or_levels_names_the_rule(self, family, dims, rule):
+        # the spec itself is rejected, before make_state, as the generators reject such arguments
+        with pytest.raises(ValueError, match=rule):
+            StateSpec(family, dims=dims)
+        with pytest.raises(ValueError, match=rule):
+            (ghz_state(len(dims), min(dims, default=2)) if family == "ghz" else w_state(len(dims)))
 
     def test_determinism_and_seed_separation(self):
         a = random_state((2, 2, 2), seed=42)
