@@ -30,25 +30,9 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _adjacent_groups(n: int) -> list[list[int]]:
-    """Mode indices of the adjacent pairing of ``n`` modes, the only pairing."""
-    return [list(range(i, min(i + 2, n))) for i in range(0, n, 2)]
-
-
 def _pairing_label(n: int) -> str:
-    return "".join("(" + "-".join(map(str, g)) + ")" for g in _adjacent_groups(n))
-
-
-def _pairing_flag(text: str) -> int:
-    """Mode count of a spec like ``"0-1,2-3,4"``, which must spell an adjacent pairing."""
-    try:
-        groups = [[int(p) for p in chunk.split("-")] for chunk in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad pairing spec {text!r}: {exc}") from None
-    n = sum(len(g) for g in groups)
-    if groups != _adjacent_groups(n):
-        raise argparse.ArgumentTypeError(f"{text!r} is not the adjacent pairing of {n} modes")
-    return n
+    """The adjacent pairing of ``n`` modes, the only pairing, as ``(0-1)(2-3)(4)``."""
+    return "".join("(" + "-".join(map(str, range(i, min(i + 2, n)))) + ")" for i in range(0, n, 2))
 
 
 def _count_flag(name: str):
@@ -68,10 +52,6 @@ def _count_flag(name: str):
 
 def _cmd_concentrate(args) -> int:
     state = read_tensor(args.input)
-    if args.pairing is not None and args.pairing != state.ndim:
-        raise ValueError(
-            f"pairing plan {_pairing_label(args.pairing)} does not cover an order-{state.ndim} state"
-        )
     tree = concentrate(state, stop_order=args.stop_order)
     write_tree(args.output, tree)
     print(f"state dims {tuple(state.shape)}  norm {_fmt(tensor_norm(state))}")
@@ -201,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--stop-order", type=int, choices=(2, 3), default=3, dest="stop_order")
-    p.add_argument("--pairing", type=_pairing_flag, default=None, help='first-level groups, e.g. "0-1,2-3,4"')
     p.set_defaults(func=_cmd_concentrate)
 
     p = sub.add_parser("reconstruct", help="rebuild the state from a tree file")

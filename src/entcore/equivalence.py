@@ -306,7 +306,8 @@ def derive_certificate(
     certificate itself keeps no walk.
 
     Raises ``ValueError`` when ``stop_order`` is not 2 or 3, either state is
-    zero, or the premise does not hold to ``EQUIV_RTOL``.
+    zero, the premise does not hold to ``EQUIV_RTOL``, or a level's local
+    ranks differ between the states at ``RANK_RTOL``.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
@@ -326,8 +327,8 @@ def derive_certificate(
     for h, hp in zip(*(w.levels(stop_order) for w in walks)):
         if h.core.shape != hp.core.shape:
             raise ValueError(
-                f"local ranks differ ({h.local_ranks} vs {hp.local_ranks}); "
-                "the states cannot be related by invertible local operators"
+                f"local ranks differ at RANK_RTOL ({h.local_ranks} vs {hp.local_ranks}), "
+                "so no level-by-level certificate exists at this cutoff"
             )
         p_blocks, y_blocks, pbar_blocks = [], [], []
         for b_inv, u, up in zip(_pair_operators(inv_ops), h.factors, hp.factors):
@@ -461,10 +462,8 @@ def _realign_ratio(phi, i1: int, i2: int) -> float:
 
 def _realign_ratios(phis: np.ndarray, i1: int, i2: int) -> np.ndarray:
     """:func:`_realign_ratio` of each matrix of a stack, from one stacked SVD."""
-    n = len(phis)
-    blocks = phis.reshape(n, i1, i2, i1, i2).transpose(0, 3, 1, 4, 2)
-    s = np.linalg.svd(blocks.reshape(n, i1 * i1, i2 * i2), compute_uv=False)
-    ratios = np.zeros(n)
+    s = np.linalg.svd(realign(phis, i1, i2), compute_uv=False)
+    ratios = np.zeros(len(phis))
     if s.shape[1] > 1:
         np.divide(s[:, 1], s[:, 0], out=ratios, where=s[:, 0] > 0)
     return ratios
@@ -1002,22 +1001,20 @@ def _blocks(pt_full, r: int, mode: str):
     return p, y, pbar
 
 
-def _first_found(restarts, a1, a2, u, u_inv, up, up_inv, r: int, mode: str) -> SearchResult | None:
+def _first_found(restarts, a1, a2, u, u_inv, up, up_inv, r: int) -> SearchResult | None:
     """The first ALS candidate of the stacked Kronecker factors ``a1, a2`` that
     :func:`search_p_tilde` accepts, as a :class:`SearchResult` of its restart in
     ``restarts``, or ``None``.
 
     Each is built and scored as it would be alone, all in one pass: one
     stacked Kronecker product and two stacked matmuls give every unprojected
-    ``P~ = U^{-1} kron(A1, A2) U'``, in SLOCC mode one stacked SVD keeps
-    those that clear the ``COND_LIMIT`` barrier, and one more gives the
-    realignment ratios of those kept.
+    ``P~ = U^{-1} kron(A1, A2) U'``, one stacked SVD keeps those that clear
+    the ``COND_LIMIT`` barrier, and one more gives the realignment ratios of
+    those kept.
     """
-    p, y, pbar = _blocks(u_inv @ _kron(a1, a2) @ up, r, mode)
+    p, y, pbar = _blocks(u_inv @ _kron(a1, a2) @ up, r, SLOCC)
     pt = _block_upper(p, y, pbar)
-    kept = np.arange(len(pt))
-    if mode == SLOCC:
-        kept = kept[~(_conditions(pt) > COND_LIMIT)]
+    kept = np.flatnonzero(~(_conditions(pt) > COND_LIMIT))
     objectives = _realign_ratios(u @ pt[kept] @ up_inv, a1.shape[-1], a2.shape[-1])
     for j, objective in zip(kept, objectives):
         if objective <= EQUIV_RTOL:
@@ -1055,20 +1052,21 @@ def search_p_tilde(
     candidates; when the map reads only paired columns (the splits ``r = 1``
     and ``side - 1`` read the Schmidt pairs), the phases of the null vector
     on them are those of ``z (x) w``; and when it reads none, the unit
-    phases solve it.  So LU mode on unitary bases is decided at restart 0.
-    In SLOCC mode or on non-unitary bases an alternating least-squares solve
-    of the zero-block condition follows: restart 0's from the identity pair
-    alone, then, when no candidate of restart 0 qualifies, one stacked solve
-    runs the starts of restarts 1 to ``budget - 1``, seeded by ``(seed,
-    restart)``, in lockstep, and their candidates are built and scored in
-    one pass of stacked products and SVDs, each as it would be alone, and
-    taken in restart order.  A start stops when it converges, when at its
-    last rate it cannot converge in the iterations left (as a stalled one
-    cannot), or, in SLOCC mode, when its Kronecker pair leaves the barrier:
-    past ``cond(A1) cond(A2) > COND_LIMIT cond(U) cond(U')`` its unprojected
-    ``P~`` is conditioned beyond ``COND_LIMIT``, and on the planted problems
-    tested no start comes back from there to a candidate the barrier
-    accepts.  Each start's iterates are those it has alone, so the
+    phases solve it.  These closed forms decide LU mode at restart 0 on any
+    bases (on non-unitary ones only the direct change and the matches
+    apply), so the restart budget feeds only SLOCC mode, whose alternating
+    least-squares solve of the zero-block condition follows: restart 0's
+    from the identity pair alone, then, when no candidate of restart 0
+    qualifies, one stacked solve runs the starts of restarts 1 to
+    ``budget - 1``, seeded by ``(seed, restart)``, in lockstep, and their
+    candidates are built and scored in one pass of stacked products and
+    SVDs, each as it would be alone, and taken in restart order.  A start
+    stops when it converges, when at its last rate it cannot converge in the
+    iterations left (as a stalled one cannot), or when its Kronecker pair
+    leaves the barrier: past ``cond(A1) cond(A2) > COND_LIMIT cond(U)
+    cond(U')`` its unprojected ``P~`` is conditioned beyond ``COND_LIMIT``,
+    and on the planted problems tested no start comes back from there to a
+    candidate the barrier accepts.  Each start's iterates are those it has alone, so the
     candidates and their order do not depend on the stacking.  The search
     stops at the first candidate within ``EQUIV_RTOL``: the first whose
     projected ``P~`` clears the barrier (in SLOCC mode) and whose objective
@@ -1107,14 +1105,12 @@ def search_p_tilde(
             if cond > SINGULAR_COND:
                 raise ValueError(f"{name} is numerically singular")
             cond_bound *= cond
-    if mode == LU:
-        cond_bound = np.inf  # the barrier sees the blocks' polar factors, of condition 1
     structured = all(unitary)
     if budget == 0:
         return None
     u_inv = np.linalg.inv(u)
     up_inv = np.linalg.inv(up)
-    als = mode == SLOCC or not structured
+    als = mode == SLOCC
     constraints = _als_operators(u_inv, up, r, i1, i2) if als else None
 
     def pair(a1, a2):
@@ -1149,7 +1145,7 @@ def search_p_tilde(
     # every later restart as one stack, solved in lockstep and scored in one pass
     stack = range(1, budget)
     a1, a2 = _als_kron_factors(*constraints, *_als_starts(entropy, stack, i1, i2), cond_bound)
-    return _first_found(stack, a1, a2, u, u_inv, up, up_inv, r, mode)
+    return _first_found(stack, a1, a2, u, u_inv, up, up_inv, r)
 
 
 def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> EquivalenceVerdict:

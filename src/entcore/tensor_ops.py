@@ -52,7 +52,8 @@ def as_tensor(data, dims=None) -> np.ndarray:
 
     ``dims``, when given, reshapes a flat coefficient sequence interpreted
     with the last index fastest.  Rejects non-finite entries, empty shapes
-    and non-positive dimensions.
+    and non-positive dimensions.  A scalar is a one-mode tensor of dimension
+    1 (``np.ascontiguousarray`` returns at least one dimension).
     """
     arr = np.ascontiguousarray(np.asarray(data, dtype=np.complex128))
     if dims is not None:
@@ -62,8 +63,6 @@ def as_tensor(data, dims=None) -> np.ndarray:
         if arr.size != int(np.prod(dims)):
             raise ValueError(f"got {arr.size} coefficients for dimensions {dims}")
         arr = arr.reshape(dims)
-    if arr.ndim == 0:
-        raise ValueError("a tensor needs at least one mode")
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite")
     return arr
@@ -201,7 +200,7 @@ def vectorize(m) -> np.ndarray:
 
 
 def realign(a, i1: int, i2: int) -> np.ndarray:
-    """Block-to-row rearrangement of a square ``i1*i2`` matrix.
+    """Block-to-row rearrangement of a square ``i1*i2`` matrix, or of each of a stack.
 
     Row ``j*i1 + i`` of the result is the column-major vectorization of the
     ``i2 x i2`` block at block position ``(i, j)``.  The result is ``i1^2 x i2^2``
@@ -210,7 +209,7 @@ def realign(a, i1: int, i2: int) -> np.ndarray:
     """
     a = np.asarray(a)
     side = i1 * i2
-    if a.shape != (side, side):
-        raise ValueError(f"realign expects a {side}x{side} matrix for factors {i1}x{i2}, got {a.shape}")
-    blocks = a.reshape(i1, i2, i1, i2)
-    return np.ascontiguousarray(blocks.transpose(2, 0, 3, 1).reshape(i1 * i1, i2 * i2))
+    if a.shape[-2:] != (side, side):
+        raise ValueError(f"realign expects {side}x{side} matrices for factors {i1}x{i2}, got {a.shape}")
+    blocks = a.reshape(-1, i1, i2, i1, i2).transpose(0, 3, 1, 4, 2)
+    return np.ascontiguousarray(blocks.reshape(a.shape[:-2] + (i1 * i1, i2 * i2)))

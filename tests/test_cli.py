@@ -123,44 +123,17 @@ class TestConcentrateReconstruct:
         assert t1.read_bytes() == t2.read_bytes()
 
     def test_pairing_flag(self, tmp_path, capsys):
+        # the summary labels each level's pairing, the adjacent one of its mode count
         src = tmp_path / "s.json"
         tree = tmp_path / "s.tree.json"
         write_tensor(src, random_state((2, 2, 2, 2, 2), seed=5))
-        code, out, _ = run(capsys, "concentrate", src, tree, "--pairing", "0-1,2-3,4")
+        code, out, _ = run(capsys, "concentrate", src, tree)
         assert code == 0
         assert "(0-1)(2-3)(4)" in out
-
-    @pytest.mark.parametrize(
-        "spec, expected",
-        [
-            ("0-1,2-3", 3),
-            ("0-2,1-3", 2),
-            ("0,1-2", 2),
-            ("0-1,2,3", 2),
-            ("0-1,2,3-4", 2),
-            ("0-1-2", 2),
-            ("0-1,,2", 2),
-        ],
-        ids=[
-            "wrong-mode-count",
-            "non-adjacent",
-            "singleton-first",
-            "two-singletons",
-            "singleton-in-the-middle",
-            "oversized-group",
-            "empty-group",
-        ],
-    )
-    def test_pairing_flag_rejects_other_plans(self, tmp_path, capsys, spec, expected):
-        # the adjacent plan of the wrong mode count is a dimension error (3);
-        # any other spec is malformed and argparse rejects it (2)
-        src = tmp_path / "s.json"
-        write_tensor(src, random_state((2,) * 5, seed=5))
-        try:
-            code = run(capsys, "concentrate", src, tmp_path / "t.json", "--pairing", spec)[0]
-        except SystemExit as exc:
-            code = exc.code
-        assert code == expected
+        # that pairing is derived from the dims, so no flag names it: argparse rejects one (2)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "concentrate", src, tree, "--pairing", "0-1,2-3,4")
+        assert exc.value.code == 2
 
     def test_malformed_coeff_count_exit_2(self, tmp_path, capsys):
         src = tmp_path / "bad.json"

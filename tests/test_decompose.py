@@ -498,3 +498,33 @@ class TestParameterCounts:
         counts = count_tree_parameters(tree)
         assert counts.per_level == []
         assert counts.total == count_parameters((2, 2, 2))
+
+
+def _tree_of_another_shape():
+    tree = concentrate(random_state((2, 2, 2, 2), seed=18))
+    tree.original_shape = (4, 4)
+    return tree
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: extract_tripartites(hosvd(random_state((4, 4, 4), seed=19)), [(2, 2), (2, 2)]),
+            "^2 pair dims for 3 modes$",
+            id="extract-pair-count",
+        ),
+        pytest.param(lambda: concentrate(np.ones(2)), "^need at least two modes$", id="concentrate-order-one"),
+        pytest.param(
+            lambda: reconstruct(_tree_of_another_shape()),
+            r"^reconstructed shape \(2, 2, 2, 2\) != original \(4, 4\)$",
+            id="reconstruct-original-shape",
+        ),
+        pytest.param(
+            lambda: count_parameters([2, 0]), r"^dimensions must be integers >= 1, got \[2, 0\]$", id="count-dims"
+        ),
+    ],
+)
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -141,6 +141,35 @@ class TestDeriveAndVerify:
         with pytest.raises(ValueError, match="not related"):
             derive_certificate(psi, psip, lu_ops((2, 2, 2, 2), seed=400))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rank_mismatch_names_the_cutoff(self, n):
+        # b = product + 3e-10 GHZ and its image under diag(1, 1e-2) x I x ...
+        # are SLOCC-equivalent by construction and the premise holds, but at
+        # RANK_RTOL level 1's ranks read [2, 2] vs [1, 1] (stop order 2, so
+        # that 3 qubits have a level): the error states that measurement, not
+        # that the states are unrelated
+        b = product_state((2,) * n) + 3e-10 * ghz_state(n)
+        ops = LocalOperatorSet((np.diag([1.0, 1e-2]),) + (np.eye(2),) * (n - 1), SLOCC)
+        message = (
+            r"^local ranks differ at RANK_RTOL \(\[2, 2\] vs \[1, 1\]\), "
+            "so no level-by-level certificate exists at this cutoff$"
+        )
+        with pytest.raises(ValueError, match=message):
+            derive_certificate(b, apply_local(b, ops), ops, stop_order=2)
+
+    def test_slocc_certificate_relabelled_lu_is_inconclusive(self):
+        # LU verification rechecks every operator's unitarity, whatever the
+        # certificate's derivation assumed
+        psi = random_state((2,) * 4, seed=6)
+        ops = slocc_ops((2,) * 4, seed=1300)
+        psip = apply_local(psi, ops)
+        cert = derive_certificate(psi, psip, ops)
+        assert verify_certificate(psi, psip, cert).status == EQUIVALENT
+        relabelled = EquivalenceCertificate(LU, cert.operators, cert.levels, cert.stop_order)
+        verdict = verify_certificate(psi, psip, relabelled)
+        assert verdict.status == INCONCLUSIVE
+        assert re.match(r"operator 0 unitarity defect \d\.\d{3}e[+-]\d\d", verdict.witness)
+
     def test_perturbed_block_fails_verification(self):
         psi = random_state((2, 2, 2, 2), seed=5)
         ops = lu_ops((2, 2, 2, 2), seed=500)
@@ -719,10 +748,11 @@ def test_rank1_factors_of_a_plane_are_its_product_vectors(seed):
     assert max(cos[0, 0] + cos[1, 1], cos[0, 1] + cos[1, 0]) > 2 - 1e-9
 
 
-def planted_lu_problem(trial, r, dims=(2, 2), base=5000):
+def planted_lu_problem(trial, r, dims=(2, 2), base=5000, cond=None):
+    """Bases joined by an LU connector; unitary, or of condition up to ``cond`` when it is given."""
     i1, i2 = dims
     side = i1 * i2
-    u = haar_unitary(side, seed=base + trial)
+    u = haar_unitary(side, seed=base + trial) if cond is None else random_invertible(side, cond, seed=base + trial)
     p0 = np.zeros((side, side), dtype=complex)
     p0[:r, :r] = haar_unitary(r, seed=base + 100 + trial)
     if r < side:
@@ -949,9 +979,6 @@ class TestSearchPTilde:
         search_p_tilde(u, up, 4, 3, 3, SLOCC, budget=2, seed=1)
         bound = equivalence.COND_LIMIT * equivalence._condition(up)
         assert bounds == [bound, bound]
-        # LU mode projects the blocks to unitaries, which the barrier never rejects
-        search_p_tilde(u, up, 4, 3, 3, LU, budget=1, seed=1)
-        assert bounds[2:] == [np.inf]
         monkeypatch.undo()
 
         iterates = []
@@ -1131,6 +1158,20 @@ class TestSearchPTilde:
         res = search_p_tilde(u, u, 2, 2, 2, SLOCC)
         assert calls == Counter()
         assert res.strategy == "direct"
+
+    # every split of the three pair shapes the search workload draws
+    NON_UNITARY_LU = [((i1, i2), r) for i1, i2 in ((2, 2), (2, 3), (3, 3)) for r in range(1, i1 * i2)]
+
+    @pytest.mark.parametrize("dims, r", NON_UNITARY_LU, ids=[f"{i1}x{i2}-{r}" for (i1, i2), r in NON_UNITARY_LU])
+    def test_lu_mode_runs_no_als_on_non_unitary_bases(self, dims, r, monkeypatch):
+        # restart 0's closed forms decide LU mode on any bases; on planted LU
+        # problems whose bases are not unitary (condition 10) only the direct
+        # change and the matches apply, and neither finds the connector
+        calls = self.count_candidate_calls(monkeypatch)
+        for trial in range(6):
+            u, up = planted_lu_problem(trial, r, dims, cond=10.0)
+            assert search_p_tilde(u, up, r, *dims, LU, budget=50, seed=trial) is None
+        assert calls["_als_kron_factors"] == calls["_reduced_bases"] == 0
 
     def test_reduced_bases_built_once_per_search(self, monkeypatch):
         # a planted problem moved off its orbit by a non-local rotation of size
@@ -1343,17 +1384,13 @@ def four_draw_als_starts(entropy, restarts, i1, i2):
     return np.stack(a1), np.stack(a2)
 
 
-def one_at_a_time_first_found(restarts, a1, a2, u, u_inv, up, up_inv, r, mode):
+def one_at_a_time_first_found(restarts, a1, a2, u, u_inv, up, up_inv, r):
     """``_first_found`` as one candidate at a time, each built from its own Kronecker
-    product and scored with the barrier in both modes: the reference for the one pass."""
+    product and scored with the barrier: the reference for the one pass."""
     i1, i2 = a1.shape[-1], a2.shape[-1]
     for restart, b1, b2 in zip(restarts, a1, a2):
         pt_full = u_inv @ np.kron(b1, b2) @ up
         p, y, pbar = pt_full[:r, :r], pt_full[:r, r:], pt_full[r:, r:]
-        if mode == LU:
-            p = equivalence._polar(p)
-            pbar = equivalence._polar(pbar) if pbar.size else pbar
-            y = np.zeros_like(y)
         pt = equivalence._block_upper(p, y, pbar)
         if equivalence._condition(pt) > equivalence.COND_LIMIT:
             continue
@@ -1373,12 +1410,10 @@ def test_one_draw_starts_are_the_four_draw_starts(dims, entropy):
 
 
 # planted SLOCC problems of every split, with the four of condition 1e3 that
-# PLANTED_SLOCC pins, two of which are found only on a later restart; and
-# unrelated non-unitary bases in LU mode, which take the stacked polar path
+# PLANTED_SLOCC pins, two of which are found only on a later restart
 ONE_PASS_PROBLEMS = [
-    *[(SLOCC, dims, r, trial, cond) for dims, r in SLOCC_SPLITS for trial in (0, 1) for cond in (10.0, 1e3)],
-    *[(SLOCC, dims, r, trial, cond) for dims, r, trial, cond in TestSearchPTilde.PLANTED_SLOCC if cond == 1e3],
-    *[(LU, dims, r, trial, 10.0) for dims, r in SLOCC_SPLITS for trial in (0, 1)],
+    *[(dims, r, trial, cond) for dims, r in SLOCC_SPLITS for trial in (0, 1) for cond in (10.0, 1e3)],
+    *[(dims, r, trial, cond) for dims, r, trial, cond in TestSearchPTilde.PLANTED_SLOCC if cond == 1e3],
 ]
 
 
@@ -1393,13 +1428,9 @@ def test_one_pass_scoring_loses_nothing(monkeypatch):
         monkeypatch.setattr(equivalence, "_first_found", first_found)
         monkeypatch.setattr(equivalence, "_als_starts", starts)
         picks.append([])
-        for mode, dims, r, trial, cond in ONE_PASS_PROBLEMS:
-            i1, i2 = dims
-            if mode == SLOCC:
-                u, up = planted_slocc_problem(trial, r, dims, cond=cond)
-            else:
-                u, up = (random_invertible(i1 * i2, cond, seed=300 + 10 * trial + k) for k in range(2))
-            res = search_p_tilde(u, up, r, i1, i2, mode, budget=50, seed=trial)
+        for dims, r, trial, cond in ONE_PASS_PROBLEMS:
+            u, up = planted_slocc_problem(trial, r, dims, cond=cond)
+            res = search_p_tilde(u, up, r, *dims, SLOCC, budget=50, seed=trial)
             picks[-1].append(res and (res.strategy, res.restart_index, repr(res.objective),
                                       res.p.tobytes(), res.y.tobytes(), res.p_bar.tobytes()))
     assert picks[0] == picks[1]
@@ -1593,3 +1624,57 @@ def test_import_does_not_load_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["null", "False"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: LocalOperatorSet((np.ones((2, 3)),), SLOCC),
+            r"^operator 0 is not square: shape \(2, 3\)$",
+            id="operator-not-square",
+        ),
+        pytest.param(
+            lambda: LocalOperatorSet((np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])), SLOCC),
+            "^operator 1 has non-finite entries$",
+            id="operator-non-finite",
+        ),
+        pytest.param(
+            lambda: derive_certificate(
+                random_state((2,) * 3, seed=1), random_state((2,) * 4, seed=2), lu_ops((2,) * 3, seed=3)
+            ),
+            r"^shape mismatch: \(2, 2, 2\) vs \(2, 2, 2, 2\)$",
+            id="derive-shapes",
+        ),
+        pytest.param(
+            lambda: derive_certificate(random_state((2,) * 3, seed=1), random_state((2,) * 3, seed=2),
+                                       lu_ops((2,) * 4, seed=3)),
+            r"^operator dims \(2, 2, 2, 2\) do not match state dims \(2, 2, 2\)$",
+            id="derive-operator-dims",
+        ),
+        pytest.param(
+            lambda: realign_rank1_check(np.eye(4), np.eye(4), np.eye(3), 2, 2),
+            r"^p_tilde must be 4x4, got \(3, 3\)$",
+            id="rank1-check-shape",
+        ),
+        pytest.param(
+            lambda: equivalence.SpectralFunctional("trace"), "^unknown functional kind 'trace'$", id="functional"
+        ),
+        pytest.param(
+            lambda: spectral_preservation_check(np.eye(3), MATRIX_RANK, 1, 0, 2, 2),
+            r"^phi must be 4x4, got \(3, 3\)$",
+            id="sampler-shape",
+        ),
+        pytest.param(
+            lambda: search_p_tilde(np.eye(4), np.eye(3), 2, 2, 2), "^u and u_prime must be 4x4$", id="search-bases"
+        ),
+        pytest.param(
+            lambda: search_equivalence(random_state((2,) * 3, seed=1), random_state((2,) * 4, seed=2), LU),
+            r"^shape mismatch: \(2, 2, 2\) vs \(2, 2, 2, 2\)$",
+            id="search-equivalence-shapes",
+        ),
+    ],
+)
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -215,3 +215,20 @@ class TestApplyLocal:
         # each operator's columns must match its own mode, not another one
         with pytest.raises(ValueError, match="do not match mode-0 dimension 2"):
             apply_local(random_state((2, 3), seed=13), [np.eye(3), np.eye(2)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: product_state((2, 0)), r"^bad dims \(2, 0\)$", id="product-state-dims"),
+        pytest.param(lambda: random_state(()), r"^bad dims \(\)$", id="random-state-dims"),
+        pytest.param(lambda: make_state(StateSpec("w", dims=(2, 3))), "^w is a qubit family$", id="w-qutrit"),
+        pytest.param(lambda: make_state(StateSpec("product")), "^product needs dims$", id="product-no-dims"),
+        pytest.param(lambda: make_state(StateSpec("random")), "^random needs dims$", id="random-no-dims"),
+        pytest.param(lambda: haar_unitary(0), "^dimension must be >= 1$", id="haar-dim"),
+        pytest.param(lambda: random_invertible(0, 10.0), "^dimension must be >= 1$", id="invertible-dim"),
+    ],
+)
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

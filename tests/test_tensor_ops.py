@@ -1,11 +1,9 @@
-import argparse
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entcore.cli import _pairing_flag, _pairing_label
+from entcore.cli import _pairing_label
 from entcore.decompose import hosvd
 from entcore.tensor_ops import (
     as_tensor,
@@ -159,7 +157,7 @@ class TestMultiplyModes:
 
 
 class TestPairingPlan:
-    """The adjacent pairing plan: :func:`pair_dims` derives it from the dims, the CLI parses its spec."""
+    """The adjacent pairing plan: :func:`pair_dims` derives it from the dims, the CLI labels it."""
 
     def test_default_even(self):
         assert pair_dims((2, 3, 4, 5, 6, 7)) == ((2, 3), (4, 5), (6, 7))
@@ -168,24 +166,8 @@ class TestPairingPlan:
         assert pair_dims((2, 3, 4, 5, 6)) == ((2, 3), (4, 5), (6, 1))
 
     def test_parse(self):
-        # a spec names the adjacent pairing of its mode count, labelled as in the CLI column
-        assert _pairing_flag("0-1,2-3,4") == 5
+        # the label of the adjacent pairing, as in the CLI column
         assert _pairing_label(5) == "(0-1)(2-3)(4)"
-
-    @pytest.mark.parametrize(
-        "groups",
-        [
-            ((0, 2), (1, 3)),  # not ascending coverage
-            ((0,), (1, 2)),  # singleton not last
-            ((0, 1), (2,), (3,)),  # two singletons
-            ((0, 1), (2,), (3, 4)),  # singleton not last
-            ((0, 1, 2),),  # oversized group
-        ],
-    )
-    def test_invalid_groups_rejected(self, groups):
-        spec = ",".join("-".join(map(str, g)) for g in groups)
-        with pytest.raises(argparse.ArgumentTypeError):
-            _pairing_flag(spec)
 
     def test_trailing_singleton_is_valid_for_odd_count(self):
         assert pair_dims((2, 3, 4)) == ((2, 3), (4, 1))
@@ -304,11 +286,19 @@ class TestRealign:
         assert s[-1] > 1e-3 * s[0]
         assert np.linalg.matrix_rank(realign(a, 2, 2)) == 4
 
+    def test_stack_realigns_matrix_by_matrix(self):
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((2, 3, 6, 6)) + 1j * rng.standard_normal((2, 3, 6, 6))
+        r = realign(a, 2, 3)
+        assert r.shape == (2, 3, 4, 9) and r.flags.c_contiguous
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(r[idx], realign(a[idx], 2, 3))
+
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            realign(np.zeros((4, 5)), 2, 2)
-        with pytest.raises(ValueError):
-            realign(np.zeros((6, 6)), 2, 2)
+        # a matrix, or a stack of them, must be i1*i2 square
+        for shape in ((4, 5), (6, 6), (3, 6, 6), (16,)):
+            with pytest.raises(ValueError, match="realign expects 4x4 matrices"):
+                realign(np.zeros(shape), 2, 2)
 
 
 class TestAsTensor:
@@ -323,8 +313,39 @@ class TestAsTensor:
         with pytest.raises(ValueError):
             as_tensor([1.0, np.inf + 0j])
 
+    def test_scalar_is_a_one_mode_tensor(self):
+        t = as_tensor(2.0)
+        assert t.shape == (1,) and t[0] == 2.0
+
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             as_tensor([1.0], dims=(0,))
         with pytest.raises(ValueError):
             as_tensor([1.0, 2.0], dims=(3,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: mode_multiply(np.zeros((2, 3)), np.ones(2), 0), "^mode operator must be a matrix$", id="mode-op"
+        ),
+        pytest.param(
+            lambda: mode_multiply(np.zeros((2, 3)), np.eye(2), 2),
+            "^mode 2 out of range for an order-2 tensor$",
+            id="mode-range",
+        ),
+        pytest.param(lambda: vectorize(np.ones(3)), "^vectorize expects a matrix$", id="vectorize-vector"),
+    ],
+)
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("entries", [[0j, 0j], [1.0, np.inf], [np.nan, 1.0]], ids=["zero", "inf", "nan"])
+def test_norm_of_a_zero_or_non_finite_tensor_is_its_peak(entries):
+    # no scaling can help: the largest part is returned as it is
+    norm = tensor_norm(np.array(entries, dtype=np.complex128))
+    peak = max(np.max(np.abs(np.real(entries))), np.max(np.abs(np.imag(entries))))
+    assert norm == peak or (np.isnan(norm) and np.isnan(peak))
