@@ -18,11 +18,11 @@ side is ever built; a two-mode tensor takes one SVD for both of its modes.
 this module keeps no state between calls.
 
 :func:`concentrate` records one extract per composite mode and level,
-holding the wrapped factor columns (the slices).  Where a square basis is
-needed, the slices are completed by :func:`complete_basis`, the one
-completion rule; the complement is never stored.  The tree of extracts plus
-the terminal core reproduces the input state exactly up to floating-point
-error.
+holding the wrapped factor columns (the slices) in one array, off which its
+dims and the level's ranks are read.  Where a square basis is needed, the
+slices are completed by :func:`complete_basis`, the one completion rule;
+the complement is never stored.  The tree of extracts plus the terminal
+core reproduces the input state exactly up to floating-point error.
 """
 
 from __future__ import annotations
@@ -188,14 +188,18 @@ class TripartiteExtract:
     """Wrapped leading singular vectors of one composite mode.
 
     The mode is the extract's position in ``ConcentrationLevel.extracts``.
-    ``slices`` holds the ``r`` leading wrapped vectors (each ``I_a x I_b``).
-    The ``J - r`` complement slices are derived, not stored: together with
-    the slices their vectorizations are the columns of the ``J x J`` unitary
-    :func:`complete_basis` builds from :attr:`basis_matrix`.
+    ``slices`` is the C-contiguous complex128 ``(r, I_a, I_b)`` stack of the
+    ``r`` leading wrapped vectors.  The ``J - r`` complement slices are
+    derived, not stored: with the slices their vectorizations are the columns
+    of the ``J x J`` unitary :func:`complete_basis` builds from :attr:`basis_matrix`.
     """
 
-    slices: list[np.ndarray]
-    dims: tuple[int, int, int]  # (r, I_a, I_b)
+    slices: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """``(r, I_a, I_b)``: the shape of :attr:`slices`."""
+        return self.slices.shape
 
     @property
     def is_tripartite(self) -> bool:
@@ -205,10 +209,8 @@ class TripartiteExtract:
     @property
     def basis_matrix(self) -> np.ndarray:
         """``J x r`` matrix whose columns are the vectorized slices."""
-        _, ia, ib = self.dims
-        if not self.slices:
-            return np.zeros((ia * ib, 0), dtype=np.complex128)
-        return np.stack(self.slices).transpose(0, 2, 1).reshape(-1, ia * ib).T
+        r, ia, ib = self.dims
+        return self.slices.transpose(0, 2, 1).reshape(r, ia * ib).T
 
     @property
     def full_matrix(self) -> np.ndarray:
@@ -216,15 +218,15 @@ class TripartiteExtract:
         return complete_basis(self.basis_matrix)
 
     @property
-    def complement_slices(self) -> list[np.ndarray]:
-        """The ``J - r`` trailing columns of :attr:`full_matrix`, wrapped."""
+    def complement_slices(self) -> np.ndarray:
+        """The ``J - r`` trailing columns of :attr:`full_matrix`, wrapped: a ``(J - r, I_a, I_b)`` stack."""
         r, ia, ib = self.dims
         return _wrap_columns(self.full_matrix[:, r:], ia, ib)
 
 
-def _wrap_columns(m: np.ndarray, ia: int, ib: int) -> list[np.ndarray]:
-    """Each column of ``m`` wrapped to ``ia x ib`` (as by ``wrap``), in one reshape."""
-    return list(np.ascontiguousarray(m.T.reshape(-1, ib, ia).transpose(0, 2, 1)))
+def _wrap_columns(m: np.ndarray, ia: int, ib: int) -> np.ndarray:
+    """The stack of ``m``'s columns, each wrapped to ``ia x ib`` (as by ``wrap``), in one reshape."""
+    return np.ascontiguousarray(m.T.reshape(-1, ib, ia).transpose(0, 2, 1))
 
 
 def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
@@ -234,10 +236,9 @@ def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
         raise ValueError(f"{len(pair_dims)} pair dims for {len(h.factors)} modes")
     out = []
     for k, ((ia, ib), u) in enumerate(zip(pair_dims, h.factors)):
-        jk, r = u.shape
-        if ia * ib != jk:
-            raise ValueError(f"mode {k}: composite dimension {jk} does not factor as {ia}x{ib}")
-        out.append(TripartiteExtract(_wrap_columns(u, ia, ib), (r, ia, ib)))
+        if ia * ib != len(u):
+            raise ValueError(f"mode {k}: composite dimension {len(u)} does not factor as {ia}x{ib}")
+        out.append(TripartiteExtract(_wrap_columns(u, ia, ib)))
     return out
 
 
@@ -245,8 +246,12 @@ def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
 class ConcentrationLevel:
     input_dims: tuple[int, ...]
     extracts: list[TripartiteExtract]
-    ranks: tuple[int, ...]
     core_norm: float
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """The local ranks, the core's shape: each extract's slice count."""
+        return tuple(len(ext.slices) for ext in self.extracts)
 
 
 @dataclass(eq=False)
@@ -298,26 +303,21 @@ def concentrate(state, stop_order: int = 3) -> ConcentrationTree:
     core = t
     for h in walk(t, stop_order):
         extracts = extract_tripartites(h, pair_dims(core.shape))
-        levels.append(ConcentrationLevel(core.shape, extracts, h.core.shape, tensor_norm(h.core)))
+        levels.append(ConcentrationLevel(core.shape, extracts, tensor_norm(h.core)))
         core = h.core
     return ConcentrationTree(t.shape, levels, core, stop_order)
 
 
 def reconstruct(tree: ConcentrationTree) -> np.ndarray:
-    """Replay a concentration tree innermost-first back into the full state."""
+    """Replay a concentration tree innermost-first back into the full state; ``ValueError`` if it is inconsistent."""
     cur = np.asarray(tree.terminal, dtype=np.complex128)
     for level in reversed(tree.levels):
-        if cur.shape != tuple(level.ranks):
+        if cur.shape != level.ranks:
             raise ValueError(f"core shape {cur.shape} does not match level ranks {level.ranks}")
-        bases = []
-        for k, (ext, (ia, ib)) in enumerate(zip(level.extracts, pair_dims(level.input_dims))):
-            basis = ext.basis_matrix
-            if basis.shape != (ia * ib, level.ranks[k]):
-                raise ValueError(
-                    f"mode {k}: slice basis is {basis.shape}, expected {(ia * ib, level.ranks[k])}"
-                )
-            bases.append(basis)
-        cur = unrescale(multiply_modes(cur, bases), level.input_dims)
+        pairs = tuple(ext.dims[1:] for ext in level.extracts)
+        if pairs != pair_dims(level.input_dims):
+            raise ValueError(f"extract pair dims {pairs} are not the pairing of {level.input_dims}")
+        cur = unrescale(multiply_modes(cur, [ext.basis_matrix for ext in level.extracts]), level.input_dims)
     if cur.shape != tuple(tree.original_shape):
         raise ValueError(f"reconstructed shape {cur.shape} != original {tree.original_shape}")
     return cur

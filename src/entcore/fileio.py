@@ -173,7 +173,7 @@ def write_tree(path, tree: ConcentrationTree) -> None:
         {
             "modes": [
                 {
-                    "rank": ext.dims[0],
+                    "rank": len(ext.slices),
                     "slices": _encode(ext.slices, f"level {li} mode {k} slices"),
                 }
                 for k, ext in enumerate(level.extracts)
@@ -202,12 +202,13 @@ def read_tree(path) -> ConcentrationTree:
     Every level's shape is derived, not read: its input dims are
     ``original_dims`` and then the previous level's ranks, and each slice is
     ``I_a x I_b`` for its pair in :func:`~entcore.tensor_ops.pair_dims` of
-    those dims.  A version 4 mode stores its ``rank`` slices as one payload
-    of the derived ``(rank, I_a, I_b)`` stack; the older versions list each
-    slice, and every listed slice must have the derived shape.  Version 1's
-    ``pairing``, ``input_dims``, ``rows`` and ``cols`` fields and the
-    ``complement`` of versions 1 and 2 are ignored; the complement is derived
-    from the slices (:attr:`TripartiteExtract.complement_slices`).
+    those dims.  A version 4 mode's one payload decodes to its extract's
+    ``(rank, I_a, I_b)`` slices; the older versions list each slice, and
+    every listed slice must have the derived shape.  Version 1's ``pairing``,
+    ``input_dims``, ``rows`` and ``cols`` fields and the ``complement`` of
+    versions 1 and 2 are ignored; the complement is derived from the slices
+    (:attr:`TripartiteExtract.complement_slices`).  A file stores only the
+    terminal core, so every level read carries its norm as ``core_norm``.
     """
     doc = _load(path)
     decode = _decoder(doc, path, (1, 2, 3), TREE_FORMAT_VERSION)
@@ -238,18 +239,17 @@ def read_tree(path) -> ConcentrationTree:
                 raise FileFormatError(f"{path}: level {li} mode {k}: bad rank {r!r}")
             slices_doc = _require(mode_doc, "slices", path)
             if decode is _decode:
-                slices = list(_decode(slices_doc, (r, ia, ib), path, f"level {li} mode {k} slices"))
+                slices = _decode(slices_doc, (r, ia, ib), path, f"level {li} mode {k} slices")
             else:
                 if not isinstance(slices_doc, list) or len(slices_doc) != r:
                     raise FileFormatError(f"{path}: level {li} mode {k}: expected {r} slices")
-                slices = [
+                slices = np.stack([
                     _decode_pairs(s, (ia, ib), path, f"level {li} mode {k} slice {i}")
                     for i, s in enumerate(slices_doc)
-                ]
-            extracts.append(TripartiteExtract(slices, (r, ia, ib)))
-        ranks = tuple(ext.dims[0] for ext in extracts)
-        levels.append(ConcentrationLevel(input_dims, extracts, ranks, term_norm))
-        input_dims = ranks
+                ])
+            extracts.append(TripartiteExtract(slices))
+        levels.append(ConcentrationLevel(input_dims, extracts, term_norm))
+        input_dims = levels[-1].ranks
     return ConcentrationTree(original_dims, levels, term, stop_order)
 
 

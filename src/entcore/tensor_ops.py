@@ -51,9 +51,10 @@ def as_tensor(data, dims=None) -> np.ndarray:
     """Coerce ``data`` to a C-ordered complex128 array and validate it.
 
     ``dims``, when given, reshapes a flat coefficient sequence interpreted
-    with the last index fastest.  Rejects non-finite entries, empty shapes
-    and non-positive dimensions.  A scalar is a one-mode tensor of dimension
-    1 (``np.ascontiguousarray`` returns at least one dimension).
+    with the last index fastest.  Rejects non-finite entries, any zero-length
+    axis (naming the shape), and empty or non-positive ``dims``.  A scalar is
+    a one-mode tensor of dimension 1 (``np.ascontiguousarray`` returns at
+    least one dimension).
     """
     arr = np.ascontiguousarray(np.asarray(data, dtype=np.complex128))
     if dims is not None:
@@ -63,6 +64,8 @@ def as_tensor(data, dims=None) -> np.ndarray:
         if arr.size != int(np.prod(dims)):
             raise ValueError(f"got {arr.size} coefficients for dimensions {dims}")
         arr = arr.reshape(dims)
+    if 0 in arr.shape:
+        raise ValueError(f"tensor shape {arr.shape} has a zero-length axis")
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite")
     return arr

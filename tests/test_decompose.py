@@ -310,7 +310,7 @@ class TestExtracts:
         units[0][0, 0] = units[1][1, 0] = units[2][0, 1] = units[3][1, 1] = 1.0
         for ext in tree.levels[0].extracts:
             assert len(ext.slices) == 4
-            assert not ext.complement_slices
+            assert ext.complement_slices.shape == (0, 2, 2)
             for got, want in zip(ext.slices, units):
                 assert np.allclose(got, want, atol=1e-12)
 
@@ -319,7 +319,7 @@ class TestExtracts:
         extracts = extract_tripartites(h, ((2, 2), (2, 2)))
         for ext in extracts:
             assert ext.dims[0] == 4
-            assert not ext.complement_slices
+            assert ext.complement_slices.shape == (0, 2, 2)
             assert np.allclose(
                 ext.full_matrix.conj().T @ ext.full_matrix, np.eye(4), atol=1e-12
             )
@@ -350,7 +350,7 @@ class TestExtracts:
             assert np.array_equal(ext.basis_matrix, want)
 
     def test_extract_without_slices_has_an_empty_basis(self):
-        ext = TripartiteExtract([], (0, 2, 3))
+        ext = TripartiteExtract(np.zeros((0, 2, 3)))
         assert ext.basis_matrix.shape == (6, 0)
         assert ext.full_matrix.shape == (6, 6)
 
@@ -447,8 +447,27 @@ class TestReconstruct:
     def test_malformed_tree_rejected(self):
         state = random_state((2, 2, 2, 2), seed=15)
         tree = concentrate(state)
-        tree.levels[0].extracts[0].slices.pop()
-        with pytest.raises(ValueError):
+        ext = tree.levels[0].extracts[0]
+        ext.slices = ext.slices[:-1]
+        with pytest.raises(ValueError, match=r"core shape \(4, 4\) does not match level ranks \(3, 4\)"):
+            reconstruct(tree)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            # both modes keep rank 4, so only the pairing tells the reflowed extract apart
+            (
+                lambda exts: exts.__setitem__(0, TripartiteExtract(exts[0].slices.reshape(4, 4, 1))),
+                r"extract pair dims \(\(4, 1\), \(2, 2\)\) are not the pairing of \(2, 2, 2, 2\)",
+            ),
+            (lambda exts: exts.pop(), r"core shape \(4, 4\) does not match level ranks \(4,\)"),
+        ],
+        ids=["pairing", "missing-extract"],
+    )
+    def test_level_out_of_step_with_its_extracts_rejected(self, tamper, message):
+        tree = concentrate(random_state((2, 2, 2, 2), seed=15))
+        tamper(tree.levels[0].extracts)
+        with pytest.raises(ValueError, match=message):
             reconstruct(tree)
 
 

@@ -27,6 +27,7 @@ from entcore.fileio import (
     write_tree,
 )
 from entcore.states import haar_unitary, random_state
+from entcore.tensor_ops import pair_dims
 
 import legacy
 
@@ -266,9 +267,9 @@ class TestOperatorFile:
 
 def tiny_tree() -> ConcentrationTree:
     """A 3-qubit stop-order-2 tree of exact values, so its file depends on the writer alone."""
-    pair = TripartiteExtract([np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.5j], [-0.5, 0.0]])], (2, 2, 2))
-    lone = TripartiteExtract([np.array([[0.6], [0.8]]), np.array([[-0.8], [0.6]])], (2, 2, 1))
-    level = ConcentrationLevel((2, 2, 2), [pair, lone], (2, 2), 1.0)
+    pair = TripartiteExtract(np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.5j], [-0.5, 0.0]]]))
+    lone = TripartiteExtract(np.array([[[0.6], [0.8]], [[-0.8], [0.6]]], dtype=np.complex128))
+    level = ConcentrationLevel((2, 2, 2), [pair, lone], 1.0)
     return ConcentrationTree((2, 2, 2), [level], np.array([[0.25, 0.0], [0.0, -1 / 3]]), 2)
 
 
@@ -563,16 +564,26 @@ class TestRoundTripProperties:
     def test_tree_file_is_bit_exact(self, dims, stop_order, seed):
         tree = concentrate(random_state(tuple(dims), seed=seed), stop_order=stop_order)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "tree.json"
+            path, again = Path(tmp) / "tree.json", Path(tmp) / "again.json"
             write_tree(path, tree)
             back = read_tree(path)
+            write_tree(again, back)
+            assert again.read_bytes() == path.read_bytes()
         assert back.original_shape == tree.original_shape
         assert back.stop_order == stop_order
         assert bit_equal(back.terminal, tree.terminal)
         assert len(back.levels) == len(tree.levels)
+        for t in (tree, back):
+            # each level's ranks are the next level's input dims, and the last level's the terminal's shape
+            following = [lvl.input_dims for lvl in t.levels[1:]] + [t.terminal.shape]
+            for lvl, shape in zip(t.levels, following):
+                assert lvl.ranks == shape
+                for ext, pair in zip(lvl.extracts, pair_dims(lvl.input_dims), strict=True):
+                    assert ext.slices.dtype == np.complex128 and ext.slices.flags.c_contiguous
+                    assert ext.slices.shape == ext.dims and ext.dims[1:] == pair
         for lvl_a, lvl_b in zip(tree.levels, back.levels):
             assert lvl_b.input_dims == lvl_a.input_dims
             assert lvl_b.ranks == lvl_a.ranks
             for ext_a, ext_b in zip(lvl_a.extracts, lvl_b.extracts, strict=True):
                 assert ext_b.dims == ext_a.dims
-                assert all(bit_equal(a, b) for a, b in zip(ext_a.slices, ext_b.slices, strict=True))
+                assert bit_equal(ext_a.slices, ext_b.slices)

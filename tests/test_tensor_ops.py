@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcore.cli import _pairing_label
-from entcore.decompose import hosvd
+from entcore.decompose import concentrate, hosvd
+from entcore.equivalence import LU, LocalOperatorSet, derive_certificate, invariant_filter
 from entcore.tensor_ops import (
     as_tensor,
     mode_multiply,
@@ -322,6 +325,22 @@ class TestAsTensor:
             as_tensor([1.0], dims=(0,))
         with pytest.raises(ValueError):
             as_tensor([1.0, 2.0], dims=(3,))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (2, 0, 3)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            as_tensor,
+            concentrate,
+            lambda t: invariant_filter(t, t, LU),
+            lambda t: derive_certificate(t, t, LocalOperatorSet((np.eye(2), np.eye(2)), LU)),
+        ],
+        ids=["as_tensor", "concentrate", "invariant_filter", "derive_certificate"],
+    )
+    def test_rejects_a_zero_length_axis(self, call, shape):
+        # an empty tensor is not the zero tensor, and the callers must not call it that
+        with pytest.raises(ValueError, match=re.escape(f"tensor shape {shape} has a zero-length axis")):
+            call(np.zeros(shape))
 
 
 @pytest.mark.parametrize(
