@@ -9,8 +9,9 @@ level to its local ranks; its core is one all-modes product
 (:func:`~entcore.tensor_ops.multiply_modes`) of the input with the factors'
 conjugate transposes.  A caller that needs each mode's uncut basis before
 the level is built (the invariant filter reads the particle spectra off
-them) takes them one mode at a time with :func:`left_svd` and ends in the
-same cut, so its level equals the :func:`hosvd` one.  :func:`left_svd` is
+them) takes them one mode at a time with :func:`left_svd`; at a level of
+three or more modes it ends in the same cut, so its level equals the
+:func:`hosvd` one.  :func:`left_svd` is
 the one SVD rule: a wide unfolding is first reduced to the small
 triangular factor of its QR decomposition, so no right basis of the long
 side is ever built; a two-mode tensor takes one SVD for both of its modes.
@@ -40,6 +41,8 @@ from .tensor_ops import (
     tensor_norm,
     unfold,
     unrescale,
+    vectorize,
+    wrap,
 )
 
 __all__ = [
@@ -209,8 +212,7 @@ class TripartiteExtract:
     @property
     def basis_matrix(self) -> np.ndarray:
         """``J x r`` matrix whose columns are the vectorized slices."""
-        r, ia, ib = self.dims
-        return self.slices.transpose(0, 2, 1).reshape(r, ia * ib).T
+        return vectorize(self.slices).T
 
     @property
     def full_matrix(self) -> np.ndarray:
@@ -221,12 +223,7 @@ class TripartiteExtract:
     def complement_slices(self) -> np.ndarray:
         """The ``J - r`` trailing columns of :attr:`full_matrix`, wrapped: a ``(J - r, I_a, I_b)`` stack."""
         r, ia, ib = self.dims
-        return _wrap_columns(self.full_matrix[:, r:], ia, ib)
-
-
-def _wrap_columns(m: np.ndarray, ia: int, ib: int) -> np.ndarray:
-    """The stack of ``m``'s columns, each wrapped to ``ia x ib`` (as by ``wrap``), in one reshape."""
-    return np.ascontiguousarray(m.T.reshape(-1, ib, ia).transpose(0, 2, 1))
+        return wrap(self.full_matrix[:, r:].T, ia, ib)
 
 
 def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
@@ -238,7 +235,7 @@ def extract_tripartites(h: HosvdResult, pair_dims) -> list[TripartiteExtract]:
     for k, ((ia, ib), u) in enumerate(zip(pair_dims, h.factors)):
         if ia * ib != len(u):
             raise ValueError(f"mode {k}: composite dimension {len(u)} does not factor as {ia}x{ib}")
-        out.append(TripartiteExtract(_wrap_columns(u, ia, ib)))
+        out.append(TripartiteExtract(wrap(u.T, ia, ib)))
     return out
 
 

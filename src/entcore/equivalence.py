@@ -49,7 +49,7 @@ import numpy as np
 
 from .decompose import HosvdResult, complete_basis, cut_to_ranks, cutoff_rank, left_svd, walk
 from .states import apply_local
-from .tensor_ops import as_tensor, multiply_modes, pair_dims, realign, rescale, unfold, wrap
+from .tensor_ops import as_tensor, multiply_modes, pair_dims, realign, rescale, wrap
 
 __all__ = [
     "EQUIVALENT",
@@ -613,26 +613,20 @@ def spectral_preservation_check(
 def _particle_spectra(psi: np.ndarray, psip: np.ndarray, level1: list):
     """Yield every particle's unfolding spectrum in both states, particle by particle.
 
-    With five or more particles, level 1 of the walk factors at least three
-    pair modes, each by its own :func:`~entcore.decompose.left_svd`, here of
-    both states at once.  Pair mode ``k`` of a state unfolds as
-    ``U S V^H``, and ``V`` has orthonormal columns, so particle ``2k``'s
-    singular values are those of the ``I_a x (I_b r)`` reshape of ``U S`` and
-    particle ``2k+1``'s those of its transposed ``I_b x (I_a r)`` reshape; one
-    batched SVD takes each particle for both states.  The last particle of an
-    odd order, alone in its pair, is the pair mode itself.  ``U`` is not cut to the local
-    rank, so ``RANK_RTOL`` cannot move these spectra: they equal the direct
-    ones to rounding.  Each mode's uncut ``(U, s)``, stacked ``psi`` first,
-    is appended to ``level1`` for the level to be cut from.  A state of four
-    or fewer particles has a level of at most two modes, which one SVD
-    factors whole, or none; its particles take a ``left_svd`` each and
-    ``level1`` stays empty.
+    Each pair mode of the rescaled states (:func:`~entcore.tensor_ops.rescale`),
+    the modes of level 1, is factored by one
+    :func:`~entcore.decompose.left_svd` of both states at once.  Pair mode
+    ``k`` of a state unfolds as ``U S V^H``, and ``V`` has orthonormal
+    columns, so particle ``2k``'s singular values are those of the
+    ``I_a x (I_b r)`` reshape of ``U S`` and particle ``2k+1``'s those of its
+    transposed ``I_b x (I_a r)`` reshape; one batched SVD takes each particle
+    for both states.  The last particle of an odd order, alone in its pair,
+    is the pair mode itself.  ``U`` is not cut to the local rank, so
+    ``RANK_RTOL`` cannot move these spectra: they equal the direct ones to
+    rounding.  Each mode's uncut ``(U, s)``, stacked ``psi`` first, is
+    appended to ``level1`` for the level to be cut from.
     """
     pairs = pair_dims(psi.shape)
-    if len(pairs) < 3:
-        for k in range(psi.ndim):
-            yield left_svd(unfold(psi, k))[1], left_svd(unfold(psip, k))[1]
-        return
     shape = tuple(ia * ib for ia, ib in pairs)
     t, tp = psi.reshape(shape), psip.reshape(shape)
     for k, (ia, ib) in enumerate(pairs):
@@ -655,24 +649,27 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
 
     Compares every particle's unfolding spectrum, then every composite mode
     of every concentration level, walking both hierarchies in lockstep down
-    to the stop order 3 that certificates use.  From five particles on, the
-    particle spectra are read off level 1's per-mode SVDs, pair mode by pair
-    mode, so a particle-0 mismatch still stops after pair mode 0's SVD;
-    level 1 is then cut from those same SVDs
-    (:func:`~entcore.decompose.cut_to_ranks`), equal to its
-    :func:`~entcore.decompose.hosvd`.  Fewer particles take a
-    :func:`~entcore.decompose.left_svd` each.  Walking on to order 2 would
-    add nothing: the one more level factors a 3-mode core as ``(0-1)(2)``,
-    and both of its spectra equal that core's mode-2 spectrum, which the
-    level above (or, for a 3-party state, the particle loop) has already
-    compared.  Any mismatch is a proof of inequivalence; agreement is only
-    ``inconclusive``.  Either way the residuals report the number of
-    ``comparisons`` made.
+    to the stop order 3 that certificates use.  The particle spectra are
+    read off one SVD per pair mode, pair mode by pair mode
+    (:func:`_particle_spectra`), so a particle-0 mismatch stops after pair
+    mode 0's SVD.  Walking on to order 2 would add nothing: the one more
+    level factors a 3-mode core as ``(0-1)(2)``, and both of its spectra
+    equal that core's mode-2 spectrum, which the level above (or, for a
+    3-party state, the particle loop) has already compared.  Any mismatch is
+    a proof of inequivalence; agreement is only ``inconclusive``.  Either
+    way the residuals report the number of ``comparisons`` made.
 
-    The filter builds both hierarchies on every call, level 1 seeded from
-    the particle SVDs, and never takes a handed-off one.  When it returns
-    ``inconclusive`` it hands both off (:func:`hand_off`), so a search or
-    derivation of the same states that follows walks neither again.  A pair it rejects is never copied, and its levels are dropped.
+    The filter builds both hierarchies on every call and never takes a
+    handed-off one.  A level 1 of three or more modes is cut from the
+    particle SVDs (:func:`~entcore.decompose.cut_to_ranks`): there
+    :func:`~entcore.decompose.hosvd` too takes one
+    :func:`~entcore.decompose.left_svd` per mode, so the level is its
+    ``hosvd`` bit for bit.  A level of two modes is ``hosvd``'s one SVD,
+    whose bases in a degenerate subspace the pair SVDs need not share, so it
+    is built by the walk.  When the filter returns ``inconclusive`` it hands
+    both hierarchies off (:func:`hand_off`), so a search or derivation of
+    the same states that follows walks neither again.  A pair it rejects is
+    never copied, and its levels are dropped.
 
     Raises ``ValueError`` for an unknown ``mode`` and, before any walk, for
     a zero state on either side.
@@ -718,7 +715,7 @@ def invariant_filter(psi, psi_prime, mode: str) -> EquivalenceVerdict:
             return _verdict(INEQUIVALENT, witness)
 
     walks = [Hierarchy(t) for t in (psi, psip)]
-    if level1:
+    if len(level1) > 2:
         bases, spectra = zip(*level1)
         for i, (w, t) in enumerate(zip(walks, (psi, psip))):
             w.kept.append(cut_to_ranks(rescale(t), [u[i] for u in bases], [s[i] for s in spectra]))

@@ -2,7 +2,9 @@
 
 Each complex array is stored as one base64 string (standard alphabet,
 padded) of its little-endian complex128 bytes in C order, so write-then-read
-is bit-exact for every finite double and reruns are byte-identical.  Dims,
+is bit-exact for every finite double and writing a given tree again gives the
+same bytes (a tree ``concentrate`` builds repeats bit for bit only on one BLAS
+thread: on several, its SVDs may round differently from run to run).  Dims,
 ranks, ``stop_order`` and keys stay plain JSON.  Each document is one compact
 line of sorted keys ended by a newline, encoded whole by one ``json.dumps``
 call before the file is opened; a writer rejects a non-finite entry with

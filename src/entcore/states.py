@@ -32,7 +32,7 @@ FAMILIES = ("ghz", "w", "product", "random", "paper4", "paper6")
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Recipe for a generated state: family tag, dims, parameters, seed."""
+    """Recipe for a generated state (family tag, dims, parameters, seed); every rule is checked here."""
 
     family: str
     dims: tuple[int, ...] | None = None
@@ -42,13 +42,22 @@ class StateSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.dims is not None:
-            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-            # checked here too, not only by ghz_state and w_state, so a bad spec fails where it is made
-            if self.family == "ghz" and (len(self.dims) < 2 or min(self.dims) < 2):
+        # GHZ and W default to 2 and 3 qubits, paper4 and paper6 are fixed to 4 and 6; product and random need dims
+        qubits = {"ghz": 2, "w": 3, "paper4": 4, "paper6": 6}
+        if self.dims is None and self.family not in qubits:
+            raise ValueError(f"{self.family} needs dims")
+        dims = (2,) * qubits[self.family] if self.dims is None else self.dims
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        if self.family == "ghz":
+            if len(self.dims) < 2 or min(self.dims) < 2:
                 raise ValueError("ghz needs n >= 2 parties of dimension >= 2")
-            if self.family == "w" and len(self.dims) < 2:
+            if len(set(self.dims)) > 1:
+                raise ValueError("ghz needs uniform local dimensions")
+        if self.family == "w":
+            if len(self.dims) < 2:
                 raise ValueError("w needs n >= 2 qubits")
+            if any(d != 2 for d in self.dims):
+                raise ValueError("w is a qubit family")
         if self.family in ("paper4", "paper6"):
             if self.params is None or len(self.params) != 4:
                 raise ValueError(f"family {self.family!r} needs exactly 4 real parameters")
@@ -61,10 +70,8 @@ class StateSpec:
             # scaled to a largest entry of 1 first, so the norm neither overflows nor underflows
             params = params / peak
             object.__setattr__(self, "params", tuple(params / np.linalg.norm(params)))
-            expected = (2,) * (4 if self.family == "paper4" else 6)
-            if self.dims is None:
-                object.__setattr__(self, "dims", expected)
-            elif self.dims != expected:
+            expected = (2,) * qubits[self.family]
+            if self.dims != expected:
                 raise ValueError(f"family {self.family!r} is fixed to dims {expected}")
 
 
@@ -147,22 +154,12 @@ def paper6_state(params) -> np.ndarray:
 def make_state(spec: StateSpec) -> np.ndarray:
     """Build the state described by ``spec``; always unit norm."""
     if spec.family == "ghz":
-        dims = spec.dims if spec.dims is not None else (2, 2)
-        if len(set(dims)) > 1:
-            raise ValueError("ghz needs uniform local dimensions")
-        return ghz_state(len(dims), dims[0])
+        return ghz_state(len(spec.dims), spec.dims[0])
     if spec.family == "w":
-        dims = spec.dims if spec.dims is not None else (2, 2, 2)
-        if any(d != 2 for d in dims):
-            raise ValueError("w is a qubit family")
-        return w_state(len(dims))
+        return w_state(len(spec.dims))
     if spec.family == "product":
-        if spec.dims is None:
-            raise ValueError("product needs dims")
         return product_state(spec.dims, spec.seed)
     if spec.family == "random":
-        if spec.dims is None:
-            raise ValueError("random needs dims")
         return random_state(spec.dims, spec.seed)
     if spec.family == "paper4":
         return paper4_state(spec.params)

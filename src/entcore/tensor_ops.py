@@ -14,10 +14,10 @@ Conventions used throughout the package:
   last mode stays alone.  This adjacent pairing is the only one, so it is a
   function of the dims (:func:`pair_dims`).  For the C layout rescaling is a
   plain reshape, so it is an exact relabelling.
-* ``wrap`` turns a length ``I1*I2`` vector into an ``I1 x I2`` matrix
-  **column-major** (first matrix index fastest); ``vectorize`` is its exact
-  inverse.  Note this deliberately differs from the row-major composite index
-  above; the two conventions are never composed with each other.
+* ``wrap`` turns a length ``I1*I2`` vector, or each of a stack, into an
+  ``I1 x I2`` matrix **column-major** (first matrix index fastest);
+  ``vectorize`` is its exact inverse.  This deliberately differs from the
+  row-major composite index above; the two are never composed.
 * ``realign`` rearranges a square ``I1*I2 x I1*I2`` matrix into an
   ``I1^2 x I2^2`` matrix whose rows are the column-major vectorizations of its
   ``I2 x I2`` blocks; it has rank one exactly for Kronecker products.
@@ -184,22 +184,23 @@ def unrescale(t, dims) -> np.ndarray:
 
 
 def wrap(u, i1: int, i2: int) -> np.ndarray:
-    """Column-major wrap of a length ``i1*i2`` vector into an ``i1 x i2`` matrix.
+    """Column-major wrap of a length ``i1*i2`` vector into an ``i1 x i2`` matrix, or of each of a stack.
 
-    Entry ``(i, j)`` is ``u[j*i1 + i]``.
+    Entry ``(i, j)`` is ``u[..., j*i1 + i]``: a ``(..., i1*i2)`` stack wraps to a C-contiguous ``(..., i1, i2)``.
     """
-    u = np.asarray(u).reshape(-1)
-    if u.size != i1 * i2:
-        raise ValueError(f"vector of size {u.size} does not wrap to {i1}x{i2}")
-    return np.ascontiguousarray(u.reshape(i2, i1).T)
+    u = np.atleast_1d(u)
+    if u.shape[-1] != i1 * i2:
+        raise ValueError(f"vector of size {u.shape[-1]} does not wrap to {i1}x{i2}")
+    return np.ascontiguousarray(u.reshape(u.shape[:-1] + (i2, i1)).swapaxes(-1, -2))
 
 
 def vectorize(m) -> np.ndarray:
-    """Column-major flattening; exact inverse of :func:`wrap`."""
+    """Column-major flattening of a matrix, or of each of a stack; exact inverse of :func:`wrap`."""
     m = np.asarray(m)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise ValueError("vectorize expects a matrix")
-    return m.ravel(order="F")
+    # explicit sizes, not -1: an empty stack keeps its shape
+    return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))
 
 
 def realign(a, i1: int, i2: int) -> np.ndarray:

@@ -10,8 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entcore
-from entcore import equivalence
-from entcore.decompose import concentrate, cut_to_ranks, cutoff_rank, hosvd, left_svd, reconstruct, walk
+from entcore import decompose, equivalence
+from entcore.decompose import (
+    concentrate,
+    cut_to_ranks,
+    cutoff_rank,
+    extract_tripartites,
+    hosvd,
+    left_svd,
+    reconstruct,
+    walk,
+)
 from entcore.equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -42,7 +51,7 @@ from entcore.states import (
     random_state,
     w_state,
 )
-from entcore.tensor_ops import realign, rescale, unfold
+from entcore.tensor_ops import pair_dims, realign, rescale, unfold
 
 
 def lu_ops(dims, seed):
@@ -649,7 +658,7 @@ def printed_values(witness):
 
 
 # unit dimensions too: a (2, 1) pair is two particles, and only the last of an odd order is alone
-FILTER_DIMS = st.lists(st.sampled_from((1, 2, 3)), min_size=4, max_size=9).filter(
+FILTER_DIMS = st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=9).filter(
     lambda dims: np.prod(dims) <= 2**12
 )
 
@@ -664,6 +673,8 @@ FILTER_DIMS = st.lists(st.sampled_from((1, 2, 3)), min_size=4, max_size=9).filte
 )
 def test_particle_spectra_read_off_level_one(dims, family, partner, mode, seed):
     n = len(dims)
+    # GHZ and W states, and a head and tail, need two particles
+    assume(n > 1 or (family in ("random", "product") and partner != "other tail"))
     if family == "ghz":
         dims = (max(dims[0], 2),) * n
         psi = ghz_state(n, dims[0])
@@ -695,7 +706,7 @@ def test_particle_spectra_read_off_level_one(dims, family, partner, mode, seed):
     # the spectra read off level 1 are the direct ones, and level 1 is its hosvd
     level1 = []
     derived = list(equivalence._particle_spectra(psi, psip, level1))
-    assert len(derived) == n
+    assert len(derived) == n and len(level1) == (n + 1) // 2
     for p, pair in enumerate(derived):
         for t, s in zip((psi, psip), pair):
             direct = left_svd(unfold(t, p))[1]
@@ -716,6 +727,46 @@ def test_particle_spectra_read_off_level_one(dims, family, partner, mode, seed):
         printed_values(witness),
         comparisons,
     )
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2), (3, 2, 2, 3)])
+def test_few_party_filter_factors_each_pair_mode_once(monkeypatch, dims):
+    # one left_svd of both states per pair mode; the walk of a two-mode level takes none
+    calls = []
+    real_left_svd = equivalence.left_svd
+
+    def counting_left_svd(m):
+        calls.append(np.shape(m))
+        return real_left_svd(m)
+
+    monkeypatch.setattr(equivalence, "left_svd", counting_left_svd)
+    monkeypatch.setattr(decompose, "left_svd", counting_left_svd)
+    equivalence._HANDOFF.clear()
+    psi = random_state(dims, seed=1)
+    psip = apply_local(psi, lu_ops(dims, seed=2))
+    assert invariant_filter(psi, psip, LU).status == INCONCLUSIVE
+    # two pair modes, each factored once for a stack of both states
+    assert [shape[0] for shape in calls] == [2, 2]
+    equivalence._HANDOFF.clear()
+
+
+@pytest.mark.parametrize("psi", [ghz_state(4), random_state((2, 3, 3, 2), seed=5)], ids=["ghz", "random"])
+def test_four_party_filter_hands_on_the_level_concentrate_builds(psi):
+    # a two-mode level 1 is hosvd's one SVD, not the pair SVDs: in GHZ's
+    # degenerate subspaces the two need not pick the same bases
+    equivalence._HANDOFF.clear()
+    ops = lu_ops(psi.shape, seed=3)
+    psip = apply_local(psi, ops)
+    assert invariant_filter(psi, psip, LU).status == INCONCLUSIVE
+    derive_certificate(psi, psip, ops)
+    handed = list(equivalence._HANDOFF)
+    equivalence._HANDOFF.clear()
+    assert [h.state.shape for h in handed] == [psi.shape] * 2
+    for h, t in zip(handed, (psi, psip)):
+        ours = extract_tripartites(h.kept[0], pair_dims(t.shape))
+        theirs = concentrate(t).levels[0].extracts
+        assert len(ours) == len(theirs) == 2
+        assert all(np.array_equal(a.slices, b.slices) for a, b in zip(ours, theirs))
 
 
 def test_kron_is_numpy_kron():

@@ -81,9 +81,9 @@ class TestFamilies:
         with pytest.raises(ValueError):
             StateSpec("paper4", params=(0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            make_state(StateSpec("paper6", dims=(2, 2, 2), params=(1, 1, 1, 1)))
-        with pytest.raises(ValueError):
-            make_state(StateSpec("ghz", dims=(2, 3)))
+            StateSpec("paper6", dims=(2, 2, 2), params=(1, 1, 1, 1))
+        with pytest.raises(ValueError, match="^ghz needs uniform local dimensions$"):
+            StateSpec("ghz", dims=(2, 3))
 
     @pytest.mark.parametrize("family", ["paper4", "paper6"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -118,6 +118,15 @@ class TestFamilies:
             StateSpec(family, dims=dims)
         with pytest.raises(ValueError, match=rule):
             (ghz_state(len(dims), min(dims, default=2)) if family == "ghz" else w_state(len(dims)))
+
+    @pytest.mark.parametrize(
+        "family, params, dims",
+        [("ghz", None, (2, 2)), ("w", None, (2, 2, 2)), ("paper4", (1, 1, 1, 1), (2,) * 4)],
+    )
+    def test_spec_fills_in_the_default_dims(self, family, params, dims):
+        spec = StateSpec(family, params=params)
+        assert spec.dims == dims
+        assert make_state(spec).shape == dims
 
     def test_determinism_and_seed_separation(self):
         a = random_state((2, 2, 2), seed=42)
@@ -222,9 +231,9 @@ class TestApplyLocal:
     [
         pytest.param(lambda: product_state((2, 0)), r"^bad dims \(2, 0\)$", id="product-state-dims"),
         pytest.param(lambda: random_state(()), r"^bad dims \(\)$", id="random-state-dims"),
-        pytest.param(lambda: make_state(StateSpec("w", dims=(2, 3))), "^w is a qubit family$", id="w-qutrit"),
-        pytest.param(lambda: make_state(StateSpec("product")), "^product needs dims$", id="product-no-dims"),
-        pytest.param(lambda: make_state(StateSpec("random")), "^random needs dims$", id="random-no-dims"),
+        pytest.param(lambda: StateSpec("w", dims=(2, 3)), "^w is a qubit family$", id="w-qutrit"),
+        pytest.param(lambda: StateSpec("product"), "^product needs dims$", id="product-no-dims"),
+        pytest.param(lambda: StateSpec("random"), "^random needs dims$", id="random-no-dims"),
         pytest.param(lambda: haar_unitary(0), "^dimension must be >= 1$", id="haar-dim"),
         pytest.param(lambda: random_invertible(0, 10.0), "^dimension must be >= 1$", id="invertible-dim"),
     ],

@@ -257,6 +257,23 @@ class TestWrapVectorize:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             wrap(np.zeros(5), 2, 3)
+        with pytest.raises(ValueError, match="^vector of size 5 does not wrap to 2x3$"):
+            wrap(np.zeros((6, 5)), 2, 3)
+
+    def test_stack_wraps_vector_by_vector(self):
+        rng = np.random.default_rng(13)
+        u = rng.standard_normal((4, 5, 6)) + 1j * rng.standard_normal((4, 5, 6))
+        w = wrap(u, 2, 3)
+        assert w.shape == (4, 5, 2, 3) and w.flags.c_contiguous
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(w[idx], wrap(u[idx], 2, 3))
+        assert np.array_equal(vectorize(w), u)
+        assert np.array_equal(wrap(vectorize(w), 2, 3), w)
+
+    def test_empty_stack_wraps(self):
+        w = wrap(np.zeros((0, 6), dtype=complex), 2, 3)
+        assert w.shape == (0, 2, 3)
+        assert vectorize(w).shape == (0, 6)
 
 
 class TestRealign:
