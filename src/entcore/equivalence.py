@@ -4,10 +4,11 @@ Two states related mode-by-mode by invertible (SLOCC) or unitary (LU) local
 operators admit a certificate connecting their concentration hierarchies: at
 every level, each composite mode carries a block upper triangular matrix
 ``[[P, Y], [0, P_bar]]`` linking the two factor bases, and the truncated
-cores are connected by the ``P`` blocks alone.  ``derive_certificate``
-computes those blocks from known local operators straight from the relation
-``U' = (A_a ⊗ A_b) U P~``; ``verify_certificate`` re-checks every level at the
-module tolerances.
+cores are connected by the ``P`` blocks alone.  A certificate is the local
+operator set, which carries the mode, and those blocks for each level of the
+walk to stop order 3.  ``derive_certificate`` computes the blocks from known
+local operators straight from the relation ``U' = (A_a ⊗ A_b) U P~``;
+``verify_certificate`` re-checks every level at the module tolerances.
 
 For single composite modes the Kronecker structure of the connecting matrix
 is detected through the realignment rank-one criterion
@@ -22,11 +23,12 @@ always ``inconclusive``.
 
 Every stage reads a state's levels off a :class:`Hierarchy`, the
 :func:`~entcore.decompose.walk` of one state built lazily and kept as far as
-it was read, so a walk to stop order 3 extends to stop order 2.  The
-invariant filter builds its own; the search, derivation and verification
-read ``take(t).levels(stop_order)``: :func:`take` returns the hierarchy the
-stage before handed off (:func:`hand_off`, which holds the two latest) for
-an equal state, else a new one.  Each entry is taken once, and a stage that
+it was read.  The filter, derivation and verification walk to stop order 3;
+the search reads a 3-party state's one level at stop order 2, which extends
+that walk.  The invariant filter builds its own; the search, derivation and
+verification read ``take(t).levels(...)``: :func:`take` returns the hierarchy
+the stage before handed off (:func:`hand_off`, which holds the two latest)
+for an equal state, else a new one.  Each entry is taken once, and a stage that
 stops early drops what it took, so a check walks each state once.
 
 Kronecker convention: a pair operator ``A ⊗ B`` acting on a composite index
@@ -153,6 +155,8 @@ class LocalOperatorSet:
             a = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError(f"operator {i} is not square: shape {a.shape}")
+            if not a.size:
+                raise ValueError(f"operator {i} is empty: shape {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"operator {i} has non-finite entries")
             if self.mode == LU:
@@ -182,10 +186,14 @@ class EquivalenceVerdict:
 class CertificateLevel:
     """Per-mode blocks of one concentration level."""
 
-    ranks: tuple[int, ...]
     p_blocks: list[np.ndarray]
     y_blocks: list[np.ndarray]
     p_bar_blocks: list[np.ndarray]
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """The local ranks, the core's shape: each ``r x r`` P block's size."""
+        return tuple(len(p) for p in self.p_blocks)
 
     def p_tilde(self, k: int) -> np.ndarray:
         """Assembled block upper triangular matrix for mode ``k``."""
@@ -194,10 +202,10 @@ class CertificateLevel:
 
 @dataclass(eq=False)
 class EquivalenceCertificate:
-    mode: str
+    """The local operators, which carry the mode, and the blocks of each level to stop order 3."""
+
     operators: LocalOperatorSet
     levels: list[CertificateLevel]
-    stop_order: int = 3
 
 
 @dataclass(eq=False)
@@ -215,8 +223,6 @@ class Hierarchy:
 
     def levels(self, stop_order: int) -> Iterator[HosvdResult]:
         """Yield the levels of ``walk(state, stop_order)``, building only those not kept yet."""
-        if stop_order not in (2, 3):
-            raise ValueError("stop_order must be 2 or 3")
         cur = self.state
         for h in self.kept:
             if cur.ndim <= stop_order:
@@ -283,14 +289,13 @@ def _reject_zero(psi: np.ndarray, psip: np.ndarray) -> None:
             raise ValueError(f"cannot check equivalence of the zero tensor ({name})")
 
 
-def derive_certificate(
-    psi, psi_prime, operators: LocalOperatorSet, stop_order: int = 3
-) -> EquivalenceCertificate:
+def derive_certificate(psi, psi_prime, operators: LocalOperatorSet) -> EquivalenceCertificate:
     """Compute certificate blocks for a pair known to satisfy
     ``psi_prime = (ops[0] x ... x ops[N-1]) psi``.
 
-    Both hierarchies come from :func:`~entcore.decompose.walk`, so every
-    level's pairing is the adjacent one of its mode count.  Per level and
+    Both hierarchies come from :func:`~entcore.decompose.walk` to stop order
+    3, the filter's, so every level's pairing is the adjacent one of its mode
+    count and a 3-party pair has no level.  Per level and
     composite mode, ``U`` and ``U'`` are the factors completed by
     :func:`~entcore.decompose.complete_basis`, as in a tree's
     ``full_matrix``.  ``U`` is unitary, so ``U' = (A_a x A_b) U P~`` gives
@@ -300,14 +305,14 @@ def derive_certificate(
     only the level-0 operators are ever inverted.
 
     Both hierarchies come from :func:`take`, before any check: the ones
-    handed off for equal states, else new ones, extended by the levels to
-    ``stop_order`` they lack.  They are handed off in turn to
+    handed off for equal states, else new ones, extended by the levels they
+    lack.  They are handed off in turn to
     :func:`verify_certificate`, or dropped if derivation raises.  The
     certificate itself keeps no walk.
 
-    Raises ``ValueError`` when ``stop_order`` is not 2 or 3, either state is
-    zero, the premise does not hold to ``EQUIV_RTOL``, or a level's local
-    ranks differ between the states at ``RANK_RTOL``.
+    Raises ``ValueError`` when either state is zero, the premise does not
+    hold to ``EQUIV_RTOL``, or a level's local ranks differ between the
+    states at ``RANK_RTOL``.
     """
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
@@ -324,7 +329,7 @@ def derive_certificate(
         )
     inv_ops = [np.linalg.inv(a) for a in operators.ops]
     levels: list[CertificateLevel] = []
-    for h, hp in zip(*(w.levels(stop_order) for w in walks)):
+    for h, hp in zip(*(w.levels(3) for w in walks)):
         if h.core.shape != hp.core.shape:
             raise ValueError(
                 f"local ranks differ at RANK_RTOL ({h.local_ranks} vs {hp.local_ranks}), "
@@ -337,18 +342,20 @@ def derive_certificate(
             p_blocks.append(np.ascontiguousarray(p_tilde[:r, :r]))
             y_blocks.append(np.ascontiguousarray(p_tilde[:r, r:]))
             pbar_blocks.append(np.ascontiguousarray(p_tilde[r:, r:]))
-        levels.append(CertificateLevel(h.core.shape, p_blocks, y_blocks, pbar_blocks))
+        levels.append(CertificateLevel(p_blocks, y_blocks, pbar_blocks))
         inv_ops = p_blocks
     hand_off(*walks)
-    return EquivalenceCertificate(operators.mode, operators, levels, stop_order)
+    return EquivalenceCertificate(operators, levels)
 
 
-def _malformed_blocks(clevel: CertificateLevel, factors) -> str | None:
-    """Why a level's blocks cannot connect ``J x r`` factors, or ``None`` when they can."""
+def _malformed_blocks(clevel: CertificateLevel, h: HosvdResult, hp: HosvdResult) -> str | None:
+    """Why a level's blocks cannot connect two walks' ``J x r`` factors, or ``None`` when they can."""
+    if h.core.shape != hp.core.shape:
+        return f"local ranks differ: {h.local_ranks} vs {hp.local_ranks}"
     blocks = {"P": clevel.p_blocks, "Y": clevel.y_blocks, "P_bar": clevel.p_bar_blocks}
-    if any(len(b) != len(factors) for b in blocks.values()):
-        return f"{[len(b) for b in blocks.values()]} P/Y/P_bar blocks for {len(factors)} modes"
-    for k, (j, r) in enumerate(f.shape for f in factors):
+    if any(len(b) != len(h.factors) for b in blocks.values()):
+        return f"{[len(b) for b in blocks.values()]} P/Y/P_bar blocks for {len(h.factors)} modes"
+    for k, (j, r) in enumerate(f.shape for f in h.factors):
         for (name, b), shape in zip(blocks.items(), ((r, r), (r, j - r), (j - r, j - r))):
             if np.shape(b[k]) != shape or not np.all(np.isfinite(b[k])):
                 return f"mode {k}: {name} block of shape {np.shape(b[k])} is not a finite {shape} matrix"
@@ -362,16 +369,16 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
 
     Per level ``l`` and mode ``k`` the factors must satisfy
     ``U' = (A_a x A_b) U P`` and the cores
-    ``core = (P_1 x ... x P_M) core'``; in LU mode all blocks must in
-    addition be unitary with a vanishing ``Y``.  The reassembly residual
-    ``psi' vs (x A_i) psi`` is also included.  Status is ``equivalent`` only
-    if every check passes; a failed certificate is ``inconclusive`` (it never
-    proves inequivalence).  That includes a certificate whose stop order is
-    not 2 or 3 or whose levels do not fit the hierarchies: a level whose ranks
-    differ from its cores, or lacks one finite ``r x r`` P, ``r x (J-r)`` Y and
-    ``(J-r) x (J-r)`` P_bar per mode, or has a singular P (checking stops at
-    any of these); more levels than the hierarchy has, or too few to reach its
-    terminal order.
+    ``core = (P_1 x ... x P_M) core'``; in LU mode (``cert.operators.mode``)
+    the operators and all blocks must in addition be unitary with a vanishing
+    ``Y``.  The reassembly residual ``psi' vs (x A_i) psi`` is also included.
+    Status is ``equivalent`` only if every check passes; a failed certificate
+    is ``inconclusive`` (it never proves inequivalence).  That includes a
+    certificate whose levels do not fit the hierarchies walked to stop order
+    3: a level where the two walks' ranks differ, or that lacks one finite
+    ``r x r`` P, ``r x (J-r)`` Y and ``(J-r) x (J-r)`` P_bar per mode, or has
+    a singular P (checking stops at any of these); more levels than the
+    hierarchy has, or too few to reach its terminal order.
 
     The factors and cores of each state are read off the hierarchy
     :func:`take` returns: the one :func:`derive_certificate` handed off for
@@ -379,11 +386,10 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     Verification hands nothing on, so a second verification walks afresh.
     Only the factorisations are reused: every check above is made afresh.
 
-    Raises ``ValueError`` only for caller errors: an unknown certificate
-    mode, states of different shapes, or operators whose dims do not match
-    the states'.
+    Raises ``ValueError`` only for caller errors: states of different
+    shapes, operators whose dims do not match the states', or a zero state on
+    either side.
     """
-    _check_mode(cert.mode)
     psi = as_tensor(psi)
     psip = as_tensor(psi_prime)
     walks = (take(psi), take(psip))
@@ -391,30 +397,23 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
         raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
     if cert.operators.dims != psi.shape:
         raise ValueError(f"operator dims {cert.operators.dims} do not match state dims {psi.shape}")
-    if cert.stop_order not in (2, 3):
-        return EquivalenceVerdict(INCONCLUSIVE, f"certificate stop order {cert.stop_order} is not 2 or 3")
+    _reject_zero(psi, psip)
     failures: list[str] = []
     premise = _rel_err(apply_local(psi, cert.operators), psip)
     residuals: dict = {"reassembly": premise, "levels": []}
     if premise > EQUIV_RTOL:
         failures.append(f"reassembly residual {premise:.3e}")
-    if cert.mode == LU:
+    if cert.operators.mode == LU:
         for i, a in enumerate(cert.operators.ops):
             defect = _unitarity_defect(a)
             if defect > EQUIV_RTOL:
                 failures.append(f"operator {i} unitarity defect {defect:.3e}")
-    hierarchy = zip(cert.levels, *(w.levels(cert.stop_order) for w in walks))
+    hierarchy = zip(cert.levels, *(w.levels(3) for w in walks))
     ops_level = list(cert.operators.ops)
     core_t = psi
     for li, (clevel, h, hp) in enumerate(hierarchy):
         core_t = h.core
-        if core_t.shape != tuple(clevel.ranks) or hp.core.shape != tuple(clevel.ranks):
-            failures.append(
-                f"level {li}: certificate ranks {tuple(clevel.ranks)} do not match "
-                f"{core_t.shape} / {hp.core.shape}"
-            )
-            break
-        malformed = _malformed_blocks(clevel, h.factors)
+        malformed = _malformed_blocks(clevel, h, hp)
         if malformed:
             failures.append(f"level {li}: {malformed}")
             break
@@ -425,7 +424,7 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
             level_res["tripartite"].append(res)
             if res > EQUIV_RTOL:
                 failures.append(f"level {li} mode {k}: tripartite relation residual {res:.3e}")
-            if cert.mode == LU:
+            if cert.operators.mode == LU:
                 for name, blk in (("P", clevel.p_blocks[k]), ("P_bar", clevel.p_bar_blocks[k])):
                     if blk.size == 0:
                         continue
@@ -447,7 +446,7 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     else:
         if len(residuals["levels"]) < len(cert.levels):
             failures.append("certificate has more levels than the concentration hierarchy")
-        if core_t.ndim > cert.stop_order:
+        if core_t.ndim > 3:
             failures.append("certificate does not reach the terminal order of the hierarchy")
     if failures:
         return EquivalenceVerdict(INCONCLUSIVE, "; ".join(failures[:4]), residuals)
@@ -1221,7 +1220,7 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
                 {"objectives": objectives, "premise": premise},
             )
         hand_off(*walks)
-        cert = derive_certificate(psi, psip, ops, stop_order=effective_stop)
+        cert = derive_certificate(psi, psip, ops)
         return verify_certificate(psi, psip, cert)
     except ValueError as exc:
         return EquivalenceVerdict(INCONCLUSIVE, str(exc), {"objectives": objectives})

@@ -1,8 +1,11 @@
 """The public names of ``entcore``, pinned so that any change to them is a deliberate diff here."""
 
+import dataclasses
+import inspect
 import types
 
 import entcore
+from entcore.equivalence import CertificateLevel, EquivalenceCertificate
 
 PUBLIC_NAMES = {
     # decompose
@@ -71,3 +74,14 @@ def test_public_names_are_pinned():
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
+
+
+def test_certificate_holds_only_operators_and_blocks():
+    # the mode is the operator set's, the ranks are the P blocks' sizes, and
+    # every certificate walks to stop order 3
+    fields = {cls: [f.name for f in dataclasses.fields(cls)] for cls in (EquivalenceCertificate, CertificateLevel)}
+    assert fields == {
+        EquivalenceCertificate: ["operators", "levels"],
+        CertificateLevel: ["p_blocks", "y_blocks", "p_bar_blocks"],
+    }
+    assert list(inspect.signature(entcore.derive_certificate).parameters) == ["psi", "psi_prime", "operators"]

@@ -16,14 +16,6 @@ from entcore.decompose import (
     level_tripartite_parameters,
     reconstruct,
 )
-from entcore.equivalence import (
-    INCONCLUSIVE,
-    LU,
-    EquivalenceCertificate,
-    LocalOperatorSet,
-    derive_certificate,
-    verify_certificate,
-)
 from entcore.states import (
     apply_local,
     ghz_state,
@@ -394,18 +386,6 @@ class TestConcentrate:
     def test_stop_order_validation(self):
         with pytest.raises(ValueError):
             concentrate(random_state((2, 2, 2), seed=11), stop_order=4)
-        # derivation shares the walker's validation: an LU orbit pair must not
-        # yield a misleading mode-count error (1) or an empty certificate (5);
-        # verification reports a bad stop order as inconclusive, not an error
-        psi = random_state((2, 2, 2, 2), seed=11)
-        ops = LocalOperatorSet(tuple(haar_unitary(2, seed=40 + i) for i in range(4)), LU)
-        psip = apply_local(psi, ops)
-        for stop_order in (1, 5):
-            with pytest.raises(ValueError, match="stop_order must be 2 or 3"):
-                derive_certificate(psi, psip, ops, stop_order=stop_order)
-        verdict = verify_certificate(psi, psip, EquivalenceCertificate(LU, ops, [], stop_order=5))
-        assert verdict.status == INCONCLUSIVE
-        assert verdict.witness == "certificate stop order 5 is not 2 or 3"
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):

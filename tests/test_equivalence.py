@@ -150,34 +150,47 @@ class TestDeriveAndVerify:
         with pytest.raises(ValueError, match="not related"):
             derive_certificate(psi, psip, lu_ops((2, 2, 2, 2), seed=400))
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_rank_mismatch_names_the_cutoff(self, n):
-        # b = product + 3e-10 GHZ and its image under diag(1, 1e-2) x I x ...
+    def test_rank_mismatch_names_the_cutoff(self):
+        # b = product + 3e-10 GHZ and its image under diag(1, 1e-2) x I x I x I
         # are SLOCC-equivalent by construction and the premise holds, but at
-        # RANK_RTOL level 1's ranks read [2, 2] vs [1, 1] (stop order 2, so
-        # that 3 qubits have a level): the error states that measurement, not
-        # that the states are unrelated
-        b = product_state((2,) * n) + 3e-10 * ghz_state(n)
-        ops = LocalOperatorSet((np.diag([1.0, 1e-2]),) + (np.eye(2),) * (n - 1), SLOCC)
+        # RANK_RTOL level 1's ranks read [2, 2] vs [1, 1]: the error states
+        # that measurement, not that the states are unrelated
+        b = product_state((2,) * 4) + 3e-10 * ghz_state(4)
+        ops = LocalOperatorSet((np.diag([1.0, 1e-2]),) + (np.eye(2),) * 3, SLOCC)
         message = (
             r"^local ranks differ at RANK_RTOL \(\[2, 2\] vs \[1, 1\]\), "
             "so no level-by-level certificate exists at this cutoff$"
         )
         with pytest.raises(ValueError, match=message):
-            derive_certificate(b, apply_local(b, ops), ops, stop_order=2)
+            derive_certificate(b, apply_local(b, ops), ops)
 
-    def test_slocc_certificate_relabelled_lu_is_inconclusive(self):
-        # LU verification rechecks every operator's unitarity, whatever the
+    def test_near_cutoff_three_qubit_pair_certifies_with_no_level(self):
+        # the 3-qubit pair of the case above has no level at stop order 3, so
+        # its certificate is the operators alone and verifies; the filter's
+        # particle ranks still read 2 vs 1 at RANK_RTOL
+        b = product_state((2,) * 3) + 3e-10 * ghz_state(3)
+        ops = LocalOperatorSet((np.diag([1.0, 1e-2]), np.eye(2), np.eye(2)), SLOCC)
+        bp = apply_local(b, ops)
+        cert = derive_certificate(b, bp, ops)
+        assert cert.levels == []
+        assert verify_certificate(b, bp, cert).status == EQUIVALENT
+        verdict = invariant_filter(b, bp, SLOCC)
+        assert verdict.status == INEQUIVALENT
+        assert verdict.witness == "particle 0: local rank 2 vs 1"
+
+    def test_lu_verification_rechecks_operator_unitarity(self):
+        # an LU operator set validated once can be changed through an aliased
+        # array; verification rechecks every operator's unitarity, whatever the
         # certificate's derivation assumed
         psi = random_state((2,) * 4, seed=6)
-        ops = slocc_ops((2,) * 4, seed=1300)
+        ops = lu_ops((2,) * 4, seed=1300)
+        ops.ops[0][:] = 2 * ops.ops[0]
         psip = apply_local(psi, ops)
         cert = derive_certificate(psi, psip, ops)
-        assert verify_certificate(psi, psip, cert).status == EQUIVALENT
-        relabelled = EquivalenceCertificate(LU, cert.operators, cert.levels, cert.stop_order)
-        verdict = verify_certificate(psi, psip, relabelled)
+        verdict = verify_certificate(psi, psip, cert)
         assert verdict.status == INCONCLUSIVE
-        assert re.match(r"operator 0 unitarity defect \d\.\d{3}e[+-]\d\d", verdict.witness)
+        assert verdict.residuals["reassembly"] <= equivalence.EQUIV_RTOL
+        assert verdict.witness.startswith("operator 0 unitarity defect 4.243e+00")
 
     def test_perturbed_block_fails_verification(self):
         psi = random_state((2, 2, 2, 2), seed=5)
@@ -198,14 +211,6 @@ class TestDeriveAndVerify:
         cert = derive_certificate(psi, psip, ops)
         assert verify_certificate(psi, psip, cert).status == EQUIVALENT
 
-    def test_stop_order_two_produces_deeper_certificates(self):
-        psi = random_state((2,) * 6, seed=8)
-        ops = lu_ops((2,) * 6, seed=700)
-        psip = apply_local(psi, ops)
-        cert = derive_certificate(psi, psip, ops, stop_order=2)
-        assert len(cert.levels) == 2
-        assert verify_certificate(psi, psip, cert).status == EQUIVALENT
-
     def test_zero_level_certificate_for_small_states(self):
         psi = random_state((2, 2, 2), seed=9)
         ops = lu_ops((2, 2, 2), seed=800)
@@ -220,27 +225,41 @@ class TestDeriveAndVerify:
         psi = random_state(dims, seed=1)
         ops = lu_ops(dims, seed=1000)
         cert = derive_certificate(psi, apply_local(psi, ops), ops)
+        assert cert.levels[0].ranks == (4, 4, 4)
         ghz = ghz_state(6)
         verdict = verify_certificate(ghz, apply_local(ghz, ops), cert)
         assert verdict.status == INCONCLUSIVE
-        assert verdict.witness == "level 0: certificate ranks (4, 4, 4) do not match (2, 2, 2) / (2, 2, 2)"
+        assert verdict.witness == "level 0: mode 0: P block of shape (4, 4) is not a finite (2, 2) matrix"
+
+    def test_walks_of_different_ranks_are_inconclusive(self):
+        # the two walks' ranks must agree before any block is read
+        dims = (2,) * 6
+        psi = random_state(dims, seed=1)
+        ops = lu_ops(dims, seed=1000)
+        cert = derive_certificate(psi, apply_local(psi, ops), ops)
+        verdict = verify_certificate(psi, ghz_state(6), cert)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness.endswith("; level 0: local ranks differ: [4, 4, 4] vs [2, 2, 2]")
 
     @pytest.mark.parametrize(
-        "derived_stop, checked_stop, reason",
+        "tamper, reason",
         [
-            (2, 3, "certificate has more levels than the concentration hierarchy"),
-            (3, 2, "certificate does not reach the terminal order of the hierarchy"),
-            (3, 4, "certificate stop order 4 is not 2 or 3"),
+            ("append", "certificate has more levels than the concentration hierarchy"),
+            ("drop", "certificate does not reach the terminal order of the hierarchy"),
         ],
     )
-    def test_certificate_of_another_depth_is_inconclusive(self, derived_stop, checked_stop, reason):
+    def test_certificate_of_another_depth_is_inconclusive(self, tamper, reason):
         dims = (2,) * 6
         psi = random_state(dims, seed=2)
         ops = lu_ops(dims, seed=1100)
         psip = apply_local(psi, ops)
-        cert = derive_certificate(psi, psip, ops, stop_order=derived_stop)
-        relabelled = EquivalenceCertificate(cert.mode, ops, cert.levels, stop_order=checked_stop)
-        verdict = verify_certificate(psi, psip, relabelled)
+        cert = derive_certificate(psi, psip, ops)
+        assert len(cert.levels) == 1
+        if tamper == "append":
+            cert.levels.append(cert.levels[0])
+        else:
+            cert.levels.pop()
+        verdict = verify_certificate(psi, psip, cert)
         assert verdict.status == INCONCLUSIVE
         assert verdict.witness == reason
 
@@ -1611,11 +1630,13 @@ class TestSearchEquivalence:
 
 
 @pytest.mark.parametrize("mode", [LU, SLOCC])
-@pytest.mark.parametrize("n", [4, 5, 7, 9])
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 9])
 @pytest.mark.parametrize("pair", ["zero-zero", "zero-random", "random-zero"])
 def test_zero_state_is_rejected_before_any_walk(monkeypatch, n, mode, pair):
     # a zero state has no levels: it once crashed the walk at 7 and 9 qubits
-    # and passed the filter at 4 and 5, only to crash the search
+    # and passed the filter at 4 and 5, only to crash the search; verification
+    # once certified a zero pair and reported a 1e300 reassembly residual for
+    # a zero partner
     def no_walk(*args, **kwargs):
         raise AssertionError("walked a zero state")
 
@@ -1630,6 +1651,7 @@ def test_zero_state_is_rejected_before_any_walk(monkeypatch, n, mode, pair):
         lambda: invariant_filter(psi, psip, mode),
         lambda: search_equivalence(psi, psip, mode),
         lambda: derive_certificate(psi, psip, ops),
+        lambda: verify_certificate(psi, psip, EquivalenceCertificate(ops, [])),
     ):
         with pytest.raises(ValueError, match=message):
             stage()
@@ -1641,9 +1663,6 @@ MODE_STAGES = {
     "search_p_tilde": lambda mode: search_p_tilde(np.eye(4), np.eye(4), 2, 2, 2, mode),
     "search_equivalence": lambda mode: search_equivalence(ghz_state(2), ghz_state(2), mode),
     "realign_rank1_check": lambda mode: realign_rank1_check(np.eye(4), np.eye(4), 2 * np.eye(4), 2, 2, mode),
-    "verify_certificate": lambda mode: verify_certificate(
-        ghz_state(2), ghz_state(2), EquivalenceCertificate(mode, LocalOperatorSet((np.eye(2),) * 2, LU), [])
-    ),
 }
 
 
@@ -1651,8 +1670,8 @@ MODE_STAGES = {
 @pytest.mark.parametrize("stage", sorted(MODE_STAGES))
 def test_unknown_mode_is_rejected_before_any_work(monkeypatch, stage, mode):
     # search_equivalence once walked both states and answered inconclusive,
-    # realign_rank1_check read "LU" as SLOCC and passed 2 I, and
-    # verify_certificate skipped the LU checks for any mode but "lu"
+    # and realign_rank1_check read "LU" as SLOCC and passed 2 I; a certificate's
+    # mode is its LocalOperatorSet's
     def no_walk(*args, **kwargs):
         raise AssertionError("walked before checking the mode")
 
@@ -1684,6 +1703,15 @@ def test_import_does_not_load_scipy():
             lambda: LocalOperatorSet((np.ones((2, 3)),), SLOCC),
             r"^operator 0 is not square: shape \(2, 3\)$",
             id="operator-not-square",
+        ),
+        pytest.param(
+            lambda: LocalOperatorSet((np.zeros((0, 0)),), LU), r"^operator 0 is empty: shape \(0, 0\)$",
+            id="operator-empty-lu",
+        ),
+        pytest.param(
+            lambda: LocalOperatorSet((np.eye(2), np.zeros((0, 0))), SLOCC),
+            r"^operator 1 is empty: shape \(0, 0\)$",
+            id="operator-empty-slocc",
         ),
         pytest.param(
             lambda: LocalOperatorSet((np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])), SLOCC),

@@ -4,7 +4,7 @@ Concentration, certificate derivation and verification, the invariant
 filter and the search must all see the same levels, and one check must walk
 each state once.  An ``equivalence.Hierarchy`` builds a state's levels lazily
 and keeps them; the filter builds its own, and every later stage reads
-``take(t).levels(stop_order)``, taking the hierarchies the stage before
+``take(t).levels(...)``, taking the hierarchies the stage before
 handed off (``equivalence.hand_off`` / ``equivalence.take``), so it builds only
 the levels no stage before it read.  No hierarchy is taken twice, and a
 stage that stops early drops what it took.
@@ -85,11 +85,13 @@ def test_tree_and_certificate_share_the_hierarchy(dims, stop_order, seed, mode):
     psi, psip, ops = orbit(tuple(dims), seed, mode)
     tree = concentrate(psi, stop_order=stop_order)
     assert np.linalg.norm(reconstruct(tree) - psi) < 1e-10
-    cert = derive_certificate(psi, psip, ops, stop_order=stop_order)
+    cert = derive_certificate(psi, psip, ops)
     verdict = verify_certificate(psi, psip, cert)
     assert verdict.status == EQUIVALENT
+    # a certificate walks to stop order 3, a prefix of the walk to stop order 2;
     # each level's pairing follows from its input dims, which the ranks above fix
-    assert [lvl.ranks for lvl in cert.levels] == [lvl.ranks for lvl in tree.levels]
+    assert len(cert.levels) == levels_to(len(dims), 3)
+    assert [lvl.ranks for lvl in cert.levels] == [lvl.ranks for lvl in tree.levels[: len(cert.levels)]]
     # verify took the walks derive handed off; a second verify walks both states afresh
     assert not equivalence._HANDOFF
     fresh = verify_certificate(psi, psip, cert)
@@ -126,13 +128,12 @@ def hosvd_counter(monkeypatch):
 def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
     """Concentration walks to ``stop_order``; filter, derive and verify walk each state once.
 
-    The filter walks both states to stop order 3, the certificates' default,
+    The filter walks both states to stop order 3, the certificates' order,
     whatever ``stop_order`` is: one more level to order 2 would factor a
     3-mode core, whose spectra the filter has already compared one level up.
     It walks on every call and hands its hierarchies on.  A derive takes
-    them and builds only the levels they lack: none at stop order 3, the one
-    more level per state at stop order 2.  Verify takes derive's, so a
-    second verify, with nothing left to take, walks both again.
+    them and builds no level.  Verify takes derive's, so a second verify,
+    with nothing left to take, walks both again.
     """
     hosvd_calls = hosvd_counter(monkeypatch)
     psi, psip, ops = orbit((2,) * order, seed=order)
@@ -146,23 +147,23 @@ def test_each_consumer_walks_each_state_once(monkeypatch, order, stop_order):
         count, verdict = hosvd_calls(invariant_filter, psi, psip, LU)
         assert verdict.status == INCONCLUSIVE
         assert count == 2 * n_filter
-    count, cert = hosvd_calls(derive_certificate, psi, psip, ops, stop_order=stop_order)
-    assert count == 2 * (n_levels - n_filter)
+    count, cert = hosvd_calls(derive_certificate, psi, psip, ops)
+    assert count == 0
     count, verdict = hosvd_calls(verify_certificate, psi, psip, cert)
     assert verdict.status == EQUIVALENT
     assert count == 0
     assert not equivalence._HANDOFF
     count, verdict = hosvd_calls(verify_certificate, psi.copy(), psip.copy(), cert)
     assert verdict.status == EQUIVALENT
-    assert count == 2 * n_levels
+    assert count == 2 * n_filter
 
 
-@pytest.mark.parametrize("case", ["psi changed in place", "states swapped", "stop order relabelled"])
+@pytest.mark.parametrize("case", ["psi changed in place", "states swapped", "level dropped"])
 def test_verify_reuses_no_hierarchy_of_another_state(monkeypatch, case):
-    """A handed-off hierarchy stands in for a walk only of an equal state, to any stop order."""
+    """A handed-off hierarchy stands in for a walk only of an equal state, however far checking reads it."""
     hosvd_calls = hosvd_counter(monkeypatch)
     psi, psip, ops = orbit((2,) * 6, seed=6)
-    cert = derive_certificate(psi, psip, ops, stop_order=3)
+    cert = derive_certificate(psi, psip, ops)
     n_levels = len(cert.levels)
     if case == "psi changed in place":
         psi[(0,) * psi.ndim] += 0.5
@@ -174,10 +175,9 @@ def test_verify_reuses_no_hierarchy_of_another_state(monkeypatch, case):
         count, verdict = hosvd_calls(verify_certificate, psip, psi, cert)
         assert count == 0
     else:
-        cert.stop_order = 2
+        cert.levels.pop()
         count, verdict = hosvd_calls(verify_certificate, psi, psip, cert)
-        # derive's levels to order 3 are a prefix of the walks to order 2, and
-        # checking stops with the certificate's one level, before the next is built
+        # checking stops before the level derive handed off, and builds none
         assert count == 0
         assert verdict.witness == "certificate does not reach the terminal order of the hierarchy"
     assert verdict.status == INCONCLUSIVE
@@ -236,6 +236,29 @@ def test_check_without_ops_walks_each_state_once(monkeypatch, tmp_path, capsys, 
     count, code = hosvd_calls(main, ["check", str(a), str(b), "--mode", LU, "--budget", "2"])
     assert code == (EXIT_OK if partner == "copy" else EXIT_INCONCLUSIVE), capsys.readouterr().out
     assert count == 2 * levels_to(order, 3)
+    assert not equivalence._HANDOFF
+
+
+@pytest.mark.parametrize("mode", [LU, SLOCC])
+@pytest.mark.parametrize("state", ["ghz", "random"])
+def test_three_party_check_searches_a_level_the_certificate_does_not_walk(
+    monkeypatch, tmp_path, capsys, state, mode
+):
+    """``entcore check`` without ``--ops`` on a 3-party state and its copy.
+
+    The filter's walk to stop order 3 is empty.  The search extends it by its
+    stop-order-2 level, one per state, and hands it on; the certificate walks
+    to stop order 3, so it has no level, and derive and verify build none.
+    """
+    hosvd_calls = hosvd_counter(monkeypatch)
+    psi = states.ghz_state(3) if state == "ghz" else random_state((2, 3, 2), seed=5)
+    a = tmp_path / "a.json"
+    write_tensor(a, psi)
+    count, code = hosvd_calls(main, ["check", str(a), str(a), "--mode", mode])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK, out
+    assert count == 2
+    assert "witness: verified certificate (0 levels, 0 block matrices)\n" in out
     assert not equivalence._HANDOFF
 
 
