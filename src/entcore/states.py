@@ -48,6 +48,8 @@ class StateSpec:
             raise ValueError(f"{self.family} needs dims")
         dims = (2,) * qubits[self.family] if self.dims is None else self.dims
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        if self.family in ("product", "random") and (not self.dims or min(self.dims) < 1):
+            raise ValueError(f"{self.family} needs one or more dims, each >= 1, got {self.dims}")
         if self.family == "ghz":
             if len(self.dims) < 2 or min(self.dims) < 2:
                 raise ValueError("ghz needs n >= 2 parties of dimension >= 2")

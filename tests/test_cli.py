@@ -62,8 +62,10 @@ class TestGen:
             (("ghz", "1"), "ghz needs n >= 2 parties of dimension >= 2"),
             (("ghz", "2", "1"), "ghz needs n >= 2 parties of dimension >= 2"),
             (("w", "1"), "w needs n >= 2 qubits"),
+            (("random", "0", "2"), "random needs one or more dims, each >= 1, got (0, 2)"),
+            (("product", "2", "-3"), "product needs one or more dims, each >= 1, got (2, -3)"),
         ],
-        ids=["ghz-0", "ghz-1", "ghz-2-1", "w-1"],
+        ids=["ghz-0", "ghz-1", "ghz-2-1", "w-1", "random-0-2", "product-2--3"],
     )
     def test_too_few_parties_or_levels_name_the_rule(self, tmp_path, capsys, params, rule):
         # bad generator arguments (2), not a dimension error (3)
@@ -147,11 +149,12 @@ class TestConcentrateReconstruct:
         assert code == 2
 
     def test_malformed_tree_exit_3(self, tmp_path, capsys):
+        # version 4 stores the terminal's dims, so they can disagree with the levels' ranks
         src = tmp_path / "s.json"
         tree = tmp_path / "s.tree.json"
         write_tensor(src, random_state((2, 2, 2, 2), seed=6))
         assert run(capsys, "concentrate", src, tree)[0] == 0
-        doc = json.loads(tree.read_text())
+        doc = legacy.tree_doc(read_tree(tree), version=4)
         doc["terminal"]["dims"] = [3, 3]
         doc["terminal"]["coeffs"] = base64.b64encode(np.ones(9, dtype="<c16").tobytes()).decode()
         tree.write_text(json.dumps(doc))
@@ -169,8 +172,7 @@ class TestConcentrateReconstruct:
 
     def test_malformed_payload_exit_2(self, tmp_path, capsys):
         src = tmp_path / "s.json"
-        write_tensor(src, random_state((2, 2, 2, 2), seed=6))
-        doc = json.loads(src.read_text())
+        doc = legacy.state_doc(random_state((2, 2, 2, 2), seed=6), version=2)
         doc["coeffs"] = doc["coeffs"][:-4]
         src.write_text(json.dumps(doc))
         code, _, err = run(capsys, "concentrate", src, tmp_path / "t.json")

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entcore.cli import main
 from entcore.decompose import (
     ConcentrationLevel,
     ConcentrationTree,
@@ -30,11 +32,7 @@ from entcore.states import haar_unitary, random_state
 from entcore.tensor_ops import pair_dims
 
 import legacy
-
-
-def payload(a) -> str:
-    """The base64 payload of ``a``'s little-endian complex128 bytes, spelled out here, not by the writer."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<c16").tobytes()).decode("ascii")
+from legacy import payload
 
 
 class TestTensorFile:
@@ -68,8 +66,7 @@ class TestTensorFile:
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "trunc.json"
-        write_tensor(path, random_state((2, 2), seed=2))
-        path.write_text(path.read_text()[:40])
+        path.write_text(legacy.text(legacy.state_doc(random_state((2, 2), seed=2), version=2))[:40])
         with pytest.raises(FileFormatError):
             read_tensor(path)
 
@@ -162,8 +159,7 @@ class TestTreeFile:
 
     def test_non_integer_stop_order_rejected(self, tmp_path):
         path = tmp_path / "tree.json"
-        write_tree(path, concentrate(random_state((2, 2, 2, 2), seed=7)))
-        doc = json.loads(path.read_text())
+        doc = legacy.tree_doc(concentrate(random_state((2, 2, 2, 2), seed=7)), version=4)
         doc["stop_order"] = 2.0
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match="stop_order"):
@@ -194,12 +190,20 @@ class TestTreeFile:
         assert np.linalg.norm(reconstruct(back) - state) < 1e-10
         assert_bit_equal(back, tree)
 
-    def test_version_4_has_no_complement(self, tmp_path):
+    def test_version_5_stores_each_shape_once(self, tmp_path):
+        # no complement, no terminal dims, no per-mode rank beside its slices: the ranks give every shape
         path = tmp_path / "tree.json"
-        write_tree(path, concentrate(random_state((2,) * 6, seed=6), stop_order=2))
-        doc = json.loads(path.read_text())
-        assert doc["format_version"] == 4
-        assert all(set(m) == {"rank", "slices"} for level in doc["levels"] for m in level["modes"])
+        tree = concentrate(random_state((2,) * 6, seed=6), stop_order=2)
+        write_tree(path, tree)
+        head, _, body = path.read_bytes().partition(b"\n")
+        assert json.loads(head) == {
+            "format_version": 5,
+            "original_dims": [2] * 6,
+            "ranks": [list(level.ranks) for level in tree.levels],
+            "stop_order": 2,
+        }
+        entries = tree.terminal.size + sum(ext.slices.size for level in tree.levels for ext in level.extracts)
+        assert len(body) == 16 * entries
 
     def test_slice_shape_must_match_pairing(self, tmp_path):
         # a 2x2 slice reflowed to 1x4 must not be read with the stored shape
@@ -224,8 +228,7 @@ class TestTreeFile:
     )
     def test_malformed_level_rejected(self, tmp_path, tamper, message):
         path = tmp_path / "tree.json"
-        write_tree(path, concentrate(random_state((2,) * 6, seed=8)))
-        doc = json.loads(path.read_text())
+        doc = legacy.tree_doc(concentrate(random_state((2,) * 6, seed=8)), version=4)
         tamper(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match=message):
@@ -299,7 +302,9 @@ def assert_bit_equal(got, want):
         assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b, dtype=np.complex128).tobytes()
 
 
-# Files the list-payload versions wrote (state and operators 1, trees 3), and the arrays they hold
+# Files the older versions wrote, and the arrays they hold: [re, im] lists
+# (state and operators 1, trees 3) and base64 strings (state and operators 2,
+# trees 4).  They are read-only fixtures: no writer makes them any more.
 V1_STATE = (
     b'{"coeffs":[[0.5,0.0],[-0.0,0.1],[1e-300,-2.5],[0.0,0.7071067811865476]],'
     b'"dims":[2,2],"format_version":1}\n'
@@ -320,42 +325,63 @@ V1_OPERATORS = (
     b'[[0.0,0.0],[0.0,0.0],[-1.0,0.0]]]}]}\n'
 )
 V1_OPERATORS_ARRAYS = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 1j, -1.0])]
+V2_STATE = (
+    b'{"coeffs":"AAAAAAAA4D8AAAAAAAAAAAAAAAAAAACAmpmZmZmZuT8BAAAAAAAAAAAAAAAAAATAWfP4wh9upQHNO39mnqDmPw==",'
+    b'"dims":[2,2],"format_version":2}\n'
+)
+V2_STATE_ARRAY = floats(0.5, 0.0, -0.0, 0.1, 5e-324, -2.5, 1e-300, 0.7071067811865476).reshape(2, 2)
+V4_TREE = (
+    b'{"format_version":4,"levels":[{"modes":['
+    b'{"rank":2,"slices":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+    b'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAOA/AAAAAAAA4L8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="},'
+    b'{"rank":2,"slices":"MzMzMzMz4z8AAAAAAAAAAJqZmZmZmek/AAAAAAAAAACamZmZmZnpvwAAAAAAAAAAMzMzMzMz4z8AAAAAAAAAAA=="}]}],'
+    b'"original_dims":[2,2,2],"stop_order":2,'
+    b'"terminal":{"coeffs":"AAAAAAAA0D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEAAAAAAACAVVVVVVVV1b8AAAAAAAAAAA==","dims":[2,2]}}\n'
+)
+V4_TREE_TERMINAL = floats(0.25, -0.0, 5e-324, 0.0, 0.0, -5e-324, -1 / 3, 0.0).reshape(2, 2)
+V2_OPERATORS = (
+    b'{"format_version":2,"operators":['
+    b'{"dim":2,"entries":"AAAAAAAAAAAAAAAAAAAAgAAAAAAAAPA/AQAAAAAAAAAAAAAAAADwPwAAAAAAAAAAAAAAAAAAAIAAAAAAAAAAAA=="},'
+    b'{"dim":3,"entries":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+    b'AAAAAAAAAAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
+    b'AADwvwAAAAAAAAAA"}]}\n'
+)
+V2_OPERATORS_ARRAYS = [floats(0.0, -0.0, 1.0, 5e-324, 1.0, 0.0, -0.0, 0.0).reshape(2, 2), np.diag([1.0, 1j, -1.0])]
+
+
+def v4_tree() -> ConcentrationTree:
+    tree = tiny_tree()
+    return ConcentrationTree(tree.original_shape, tree.levels, V4_TREE_TERMINAL, tree.stop_order)
 
 
 class TestLayout:
-    """Each document is one compact line of sorted keys ended by a newline; each array is one base64 payload."""
+    """Each file is one compact JSON header line of sorted keys, then its arrays' raw little-endian complex128 bytes."""
 
     def test_state_file_bytes(self, tmp_path):
         path = tmp_path / "state.json"
-        write_tensor(path, floats(0.5, 0.0, -0.0, 0.1, 5e-324, -2.5, 1e-300, 0.7071067811865476).reshape(2, 2))
-        assert path.read_bytes() == (
-            b'{"coeffs":"AAAAAAAA4D8AAAAAAAAAAAAAAAAAAACAmpmZmZmZuT8BAAAAAAAAAAAAAAAAAATAWfP4wh9upQHNO39mnqDmPw==",'
-            b'"dims":[2,2],"format_version":2}\n'
+        write_tensor(path, V2_STATE_ARRAY)
+        assert path.read_bytes() == b'{"dims":[2,2],"format_version":3}\n' + struct.pack(
+            "<8d", 0.5, 0.0, -0.0, 0.1, 5e-324, -2.5, 1e-300, 0.7071067811865476
         )
 
     def test_tree_file_bytes(self, tmp_path):
+        # the pair mode's 2 x 2 x 2 slices, the lone mode's 2 x 2 x 1 slices, then the 2 x 2 terminal
         path = tmp_path / "tree.json"
-        tree = tiny_tree()
-        terminal = floats(0.25, -0.0, 5e-324, 0.0, 0.0, -5e-324, -1 / 3, 0.0).reshape(2, 2)
-        write_tree(path, ConcentrationTree(tree.original_shape, tree.levels, terminal, tree.stop_order))
+        write_tree(path, v4_tree())
         assert path.read_bytes() == (
-            b'{"format_version":4,"levels":[{"modes":['
-            b'{"rank":2,"slices":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
-            b'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAOA/AAAAAAAA4L8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="},'
-            b'{"rank":2,"slices":"MzMzMzMz4z8AAAAAAAAAAJqZmZmZmek/AAAAAAAAAACamZmZmZnpvwAAAAAAAAAAMzMzMzMz4z8AAAAAAAAAAA=="}]}],'
-            b'"original_dims":[2,2,2],"stop_order":2,'
-            b'"terminal":{"coeffs":"AAAAAAAA0D8AAAAAAAAAgAEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEAAAAAAACAVVVVVVVV1b8AAAAAAAAAAA==","dims":[2,2]}}\n'
+            b'{"format_version":5,"original_dims":[2,2,2],"ranks":[[2,2]],"stop_order":2}\n'
+            + struct.pack("<16d", 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, -0.5, 0.0, 0.0, 0.0)
+            + struct.pack("<8d", 0.6, 0.0, 0.8, 0.0, -0.8, 0.0, 0.6, 0.0)
+            + struct.pack("<8d", 0.25, -0.0, 5e-324, 0.0, 0.0, -5e-324, -1 / 3, 0.0)
         )
 
     def test_operator_file_bytes(self, tmp_path):
         path = tmp_path / "ops.json"
-        write_operators(path, [floats(0.0, -0.0, 1.0, 5e-324, 1.0, 0.0, -0.0, 0.0).reshape(2, 2), np.diag([1.0, 1j, -1.0])])
+        write_operators(path, V2_OPERATORS_ARRAYS)
         assert path.read_bytes() == (
-            b'{"format_version":2,"operators":['
-            b'{"dim":2,"entries":"AAAAAAAAAAAAAAAAAAAAgAAAAAAAAPA/AQAAAAAAAAAAAAAAAADwPwAAAAAAAAAAAAAAAAAAAIAAAAAAAAAAAA=="},'
-            b'{"dim":3,"entries":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
-            b'AAAAAAAAAAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA'
-            b'AADwvwAAAAAAAAAA"}]}\n'
+            b'{"dims":[2,3],"format_version":3}\n'
+            + struct.pack("<8d", 0.0, -0.0, 1.0, 5e-324, 1.0, 0.0, -0.0, 0.0)
+            + struct.pack("<18d", 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0)
         )
 
     @pytest.mark.parametrize(
@@ -372,15 +398,34 @@ class TestLayout:
         path.write_bytes(text)
         assert_bit_equal(read(path), want)
 
+    @pytest.mark.parametrize(
+        "text, write, read, want",
+        [
+            (V2_STATE, write_tensor, read_tensor, V2_STATE_ARRAY),
+            (V4_TREE, write_tree, read_tree, v4_tree()),
+            (V2_OPERATORS, write_operators, read_operators, V2_OPERATORS_ARRAYS),
+        ],
+        ids=["state", "tree", "operators"],
+    )
+    def test_base64_file_reads_bit_exact(self, tmp_path, text, write, read, want):
+        # the bytes each base64 string held are the payload the binary writers write
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_bytes(text)
+        assert_bit_equal(read(old), want)
+        write(new, want)
+        # sorted keys put every base64 string of the old file in payload order
+        strings = re.findall(rb'"([A-Za-z0-9+/=]{20,})"', text)
+        assert new.read_bytes().partition(b"\n")[2] == b"".join(map(base64.b64decode, strings))
+
     def test_indented_tree_holds_the_same_document(self, tmp_path):
         # the version 3 tree in the indented layout still reads, bit for bit
-        # to the arrays of the version 4 file of the same tree
+        # to the arrays of the version 5 file of the same tree
         new, indented = tmp_path / "new.json", tmp_path / "indented.json"
         tree = concentrate(random_state((2,) * 9, seed=9), stop_order=3)
         write_tree(new, tree)
         indented.write_text(indented_tree_text(tree))
         assert json.loads(indented.read_text())["format_version"] == 3
-        assert json.loads(new.read_text())["format_version"] == 4
+        assert json.loads(new.read_bytes().partition(b"\n")[0])["format_version"] == 5
         back = read_tree(new)
         assert_bit_equal(back, tree)
         assert_bit_equal(read_tree(indented), back)
@@ -389,6 +434,13 @@ class TestLayout:
         "state": (write_tensor, np.array([1.0, np.nan])),
         "tree": (write_tree, ConcentrationTree((2, 2), [], np.array([[1.0, np.nan], [0.0, 0.0]]), 3)),
         "operators": (write_operators, [np.array([[1.0, np.nan], [0.0, 1.0]])]),
+        # shapes the readers refuse
+        "0-d state": (write_tensor, np.array(1.0)),
+        "state of dims (2, 0)": (write_tensor, np.zeros((2, 0))),
+        "no operators": (write_operators, []),
+        "2 x 3 operator": (write_operators, [np.eye(2), np.ones((2, 3))]),
+        "1-D operator": (write_operators, [np.ones(2)]),
+        "tree terminal off its ranks": (write_tree, ConcentrationTree((2, 2, 2), tiny_tree().levels, np.ones(4), 2)),
     }
 
     @pytest.mark.parametrize("what", WRITERS)
@@ -467,8 +519,7 @@ class TestPayload:
     )
     def test_malformed_tree_payload_rejected(self, tmp_path, tamper, message):
         path = tmp_path / "tree.json"
-        write_tree(path, concentrate(random_state((2,) * 5, seed=3), stop_order=3))
-        doc = json.loads(path.read_text())
+        doc = legacy.tree_doc(concentrate(random_state((2,) * 5, seed=3), stop_order=3), version=4)
         tamper(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
@@ -509,6 +560,69 @@ class TestPayload:
         with pytest.raises(ValueError, match="operator 1: it contains non-finite values"):
             write_operators(path, [np.eye(2), np.array([[bad]])])
         assert not path.exists()
+
+
+def nan_at(offset):
+    """Set the double at byte ``offset`` of a payload to NaN."""
+    return lambda head, body: (head, body[:offset] + struct.pack("<d", math.nan) + body[offset + 8 :])
+
+
+class TestBinaryPayload:
+    """A binary file's header line gives every shape; the rest must be exactly their bytes, every value finite.
+
+    The files hold a 5-qubit state (32 entries), five 2 x 2 operators (20) and
+    the state's stop-order-3 tree (68): level 0 has modes (2, 2) of rank 4,
+    (2, 2) of rank 4 and (2, 1) of rank 2, and the terminal is 4 x 4 x 2.
+    """
+
+    CASES = {
+        "short state": ("state", lambda h, b: (h, b[:-1]), r"coeffs must hold exactly 32 complex128 values \(512 bytes\), not 511 bytes"),
+        "state with trailing bytes": ("state", lambda h, b: (h, b + bytes(16)), "coeffs must hold exactly 32 complex128 values .* not 528 bytes"),
+        "short tree": ("tree", lambda h, b: (h, b[:-16]), r"payload must hold exactly 68 complex128 values \(1088 bytes\), not 1072 bytes"),
+        "operators with trailing bytes": ("operators", lambda h, b: (h, b + b"\n"), "payload must hold exactly 20 complex128 values .* not 321 bytes"),
+        "header not an object": ("state", lambda h, b: (h["dims"], b), "expected a JSON object with field 'format_version'"),
+        "operator dims not a list": ("operators", lambda h, b: ({**h, "dims": 2}, b), "dims must be a non-empty list of integers >= 1"),
+        "rank out of range": ("tree", lambda h, b: ({**h, "ranks": [[4, 5, 2]]}, b), "level 0 mode 1: bad rank 5"),
+        "too many ranks": ("tree", lambda h, b: ({**h, "ranks": [[4, 4, 2, 1]]}, b), "level 0 must describe 3 modes"),
+        "stop order not an integer": ("tree", lambda h, b: ({**h, "stop_order": 3.0}, b), "stop_order must be 2 or 3"),
+        "non-finite state": ("state", nan_at(16 * 31 + 8), "coeffs contains non-finite values"),
+        "non-finite slice": ("tree", nan_at(16 * 33), "level 0 mode 2 slices contains non-finite values"),
+        "non-finite terminal": ("tree", nan_at(16 * 36), "terminal coeffs contains non-finite values"),
+        "non-finite operator": ("operators", nan_at(16 * 19), "operator 4 contains non-finite values"),
+        "unknown version": ("state", lambda h, b: ({**h, "format_version": 9}, b), "unsupported format_version 9"),
+        "tree version in a state file": ("state", lambda h, b: ({**h, "format_version": 5}, b), "unsupported format_version 5"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_malformed_binary_file_exit_2(self, tmp_path, capsys, case):
+        kind, tamper, message = self.CASES[case]
+        state = random_state((2,) * 5, seed=3)
+        a, path = tmp_path / "a.bin", tmp_path / f"{kind}.bin"
+        write_tensor(a, state)
+        write, read, argv = {
+            "state": (lambda p: write_tensor(p, state), read_tensor, ["concentrate", path, tmp_path / "t.bin"]),
+            "tree": (lambda p: write_tree(p, concentrate(state)), read_tree, ["reconstruct", path, tmp_path / "b.bin"]),
+            "operators": (lambda p: write_operators(p, [np.eye(2)] * 5), read_operators, ["check", a, a, "--mode", "lu", "--ops", path]),
+        }[kind]
+        write(path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        head, body = tamper(json.loads(head), body)
+        path.write_bytes(json.dumps(head).encode() + b"\n" + body)
+        expected = f"^{re.escape(str(path))}: {message}"
+        with pytest.raises(FileFormatError, match=expected):
+            read(path)
+        assert main([str(x) for x in argv]) == 2
+        out, err = capsys.readouterr()
+        assert re.match(f"error: {expected[1:]}", err) and err.count("\n") == 1
+        assert "verdict" not in out
+
+    def test_thirteen_qubit_state_is_a_header_and_its_bytes(self, tmp_path):
+        path = tmp_path / "s.bin"
+        state = random_state((2,) * 13, seed=1)
+        write_tensor(path, state)
+        head, newline, body = path.read_bytes().partition(b"\n")
+        assert head == b'{"dims":[2,2,2,2,2,2,2,2,2,2,2,2,2],"format_version":3}' and newline
+        assert body == state.astype("<c16").tobytes() and len(body) == 131072
 
 
 # Every finite double, with the edge cases drawn often: signed zeros,
@@ -552,6 +666,30 @@ class TestRoundTripProperties:
             back = read_operators(path)
         assert len(back) == len(ops)
         assert all(bit_equal(a, b) for a, b in zip(back, ops))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), dims=st.lists(st.integers(1, 3), min_size=1, max_size=4), ranks=st.tuples(st.integers(1, 4), st.integers(1, 2)))
+    def test_every_version_reads_the_same_bits(self, data, dims, ranks):
+        # the same arrays written as [re, im] lists, as base64 strings and as the binary payload
+        state = data.draw(complex_arrays(tuple(dims)))
+        ops = [data.draw(complex_arrays((d, d))) for d in dims]
+        # a 3-qubit stop-order-2 tree: the reader takes any slice values of the derived shapes
+        pair, lone = data.draw(complex_arrays((ranks[0], 2, 2))), data.draw(complex_arrays((ranks[1], 2, 1)))
+        level = ConcentrationLevel((2, 2, 2), [TripartiteExtract(pair), TripartiteExtract(lone)], 1.0)
+        tree = ConcentrationTree((2, 2, 2), [level], data.draw(complex_arrays(ranks)), 2)
+        cases = [
+            (state, legacy.state_doc, (1, 2), write_tensor, read_tensor),
+            (ops, legacy.operators_doc, (1, 2), write_operators, read_operators),
+            (tree, legacy.tree_doc, (3, 4), write_tree, read_tree),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file"
+            for value, doc, versions, write, read in cases:
+                for version in versions:
+                    path.write_text(legacy.text(doc(value, version)))
+                    assert_bit_equal(read(path), value)
+                write(path, value)
+                assert_bit_equal(read(path), value)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,13 @@ class TestFamilies:
             StateSpec(family, dims=dims)
         with pytest.raises(ValueError, match=rule):
             (ghz_state(len(dims), min(dims, default=2)) if family == "ghz" else w_state(len(dims)))
+
+    @pytest.mark.parametrize("family", ["product", "random"])
+    @pytest.mark.parametrize("dims", [(), (0, 2), (2, -1)])
+    def test_spec_of_empty_or_non_positive_dims_names_the_rule(self, family, dims):
+        # rejected by the spec, as ghz and w specs are, not first by the generator
+        with pytest.raises(ValueError, match=rf"^{family} needs one or more dims, each >= 1, got {re.escape(str(dims))}$"):
+            StateSpec(family, dims=dims, seed=1)
 
     @pytest.mark.parametrize(
         "family, params, dims",
