@@ -453,14 +453,9 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     return EquivalenceVerdict(EQUIVALENT, cert, residuals)
 
 
-def _realign_ratio(phi, i1: int, i2: int) -> float:
-    """``sigma2/sigma1`` of ``realign(phi)``; 0 when it has one singular value or none nonzero."""
-    s = np.linalg.svd(realign(phi, i1, i2), compute_uv=False)
-    return float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
-
-
 def _realign_ratios(phis: np.ndarray, i1: int, i2: int) -> np.ndarray:
-    """:func:`_realign_ratio` of each matrix of a stack, from one stacked SVD."""
+    """``sigma2/sigma1`` of ``realign(phi)`` for each matrix ``phi`` of a stack, from one stacked
+    SVD; 0 when it has one singular value or none nonzero."""
     s = np.linalg.svd(realign(phis, i1, i2), compute_uv=False)
     ratios = np.zeros(len(phis))
     if s.shape[1] > 1:
@@ -794,10 +789,11 @@ def _als_kron_factors(w2, w1, a1, a2, cond_bound, iters=60, ctol=1e-14):
     # iterations left (cut at each by its last rate ``rho <= 1``, 0 at first,
     # ``resid`` would end above ``ctol``, as in a stall) or when it leaves the
     # barrier: cond(A1) cond(A2) above ``cond_bound`` (a zero singular value
-    # reads as infinite condition).  The caller sets that bound to COND_LIMIT
-    # cond(U) cond(U'), and cond(U^{-1} kron(A1, A2) U') >= cond(A1) cond(A2) /
-    # (cond(U) cond(U')), so past it the iterate's unprojected P~ already fails
-    # the barrier; on the planted problems tried, no start that leaves it comes
+    # reads as infinite condition; an infinite bound disables the barrier).
+    # The search always passes the finite bound COND_LIMIT cond(U) cond(U'),
+    # and cond(U^{-1} kron(A1, A2) U') >= cond(A1) cond(A2) / (cond(U)
+    # cond(U')), so past it the iterate's unprojected P~ already fails the
+    # barrier; on the planted problems tried, no start that leaves it comes
     # back to an acceptable candidate.  A stopped start leaves the stack.  The
     # stacked matmul and SVDs treat each slice as a matrix of its own, so a
     # start's iterates do not depend on which others share the stack.
@@ -816,10 +812,9 @@ def _als_kron_factors(w2, w1, a1, a2, cond_bound, iters=60, ctol=1e-14):
         rho = np.minimum(resid / prev[live], 1.0)
         prev[live] = resid
         stopped = (resid < ctol) | (resid * rho ** (iters - it - 1) > ctol)
-        if cond_bound < np.inf:
-            s1 = np.linalg.svd(a1[live], compute_uv=False)
-            s2 = np.linalg.svd(a2[live], compute_uv=False)
-            stopped |= s1[:, 0] * s2[:, 0] > cond_bound * (s1[:, -1] * s2[:, -1])
+        s1 = np.linalg.svd(a1[live], compute_uv=False)
+        s2 = np.linalg.svd(a2[live], compute_uv=False)
+        stopped |= s1[:, 0] * s2[:, 0] > cond_bound * (s1[:, -1] * s2[:, -1])
         live = live[~stopped]
         if live.size == 0:
             break
@@ -997,25 +992,26 @@ def _blocks(pt_full, r: int, mode: str):
     return p, y, pbar
 
 
-def _first_found(restarts, a1, a2, u, u_inv, up, up_inv, r: int) -> SearchResult | None:
-    """The first ALS candidate of the stacked Kronecker factors ``a1, a2`` that
-    :func:`search_p_tilde` accepts, as a :class:`SearchResult` of its restart in
-    ``restarts``, or ``None``.
+def _first_found(restarts, strategy, pt_full, u, up_inv, r, i1, i2, mode) -> SearchResult | None:
+    """The first candidate of the stack ``pt_full`` of unprojected ``P~`` that
+    :func:`search_p_tilde` accepts, as a :class:`SearchResult` of ``strategy``
+    and its restart in ``restarts``, or ``None``.
 
-    Each is built and scored as it would be alone, all in one pass: one
-    stacked Kronecker product and two stacked matmuls give every unprojected
-    ``P~ = U^{-1} kron(A1, A2) U'``, one stacked SVD keeps those that clear
-    the ``COND_LIMIT`` barrier, and one more gives the realignment ratios of
-    those kept.
+    Each is projected and scored as it would be alone, all in one pass:
+    :func:`_blocks` projects the stack, one stacked SVD gives the
+    realignment ratios, and in SLOCC mode one more bars those beyond the
+    ``COND_LIMIT`` barrier (an LU candidate is unitary, of condition 1).
     """
-    p, y, pbar = _blocks(u_inv @ _kron(a1, a2) @ up, r, SLOCC)
+    p, y, pbar = _blocks(pt_full, r, mode)
     pt = _block_upper(p, y, pbar)
-    kept = np.flatnonzero(~(_conditions(pt) > COND_LIMIT))
-    objectives = _realign_ratios(u @ pt[kept] @ up_inv, a1.shape[-1], a2.shape[-1])
-    for j, objective in zip(kept, objectives):
-        if objective <= EQUIV_RTOL:
-            return SearchResult(p[j].copy(), y[j].copy(), pbar[j].copy(), float(objective), restarts[j], "als")
-    return None
+    objectives = _realign_ratios(u @ pt @ up_inv, i1, i2)
+    accepted = objectives <= EQUIV_RTOL
+    if mode == SLOCC and accepted.any():
+        accepted &= ~(_conditions(pt) > COND_LIMIT)
+    if not accepted.any():
+        return None
+    j = int(np.argmax(accepted))
+    return SearchResult(p[j].copy(), y[j].copy(), pbar[j].copy(), float(objectives[j]), restarts[j], strategy)
 
 
 def search_p_tilde(
@@ -1036,15 +1032,19 @@ def search_p_tilde(
     mode.  The barrier applies in SLOCC mode only: an LU candidate, the
     polar factors of its blocks with ``Y = 0``, is unitary, of condition 1.
 
-    Candidates come as one stream over ``budget`` restarts.  Restart 0 holds
-    the deterministic ones: the direct basis change, product-vector matches
-    (rank-2 qubit pairs), and the reduced-basis null-space phase solve for
-    unitary bases.  Its zero-block condition on the phases ``z, w`` is
-    linear in ``z (x) w``, through a phase tensor that is one outer product
-    of two basis changes of the reduced eigenbases: when that map's null
-    space is one-dimensional its null vector, split through its dominant
-    singular pair, is the solution; when it is two-dimensional on a qubit
-    pair, the plane's two product vectors, roots of one quadratic, are the
+    Candidates come as one stream over ``budget`` restarts, one stack per
+    source, and one scorer serves every stack: it projects each candidate,
+    applies the barrier in SLOCC mode and stops the search at the first,
+    in stream order, whose objective is at most ``EQUIV_RTOL``, each scored
+    as it would be alone.  Restart 0 holds the deterministic sources: the
+    direct basis change, product-vector matches (rank-2 qubit pairs), and
+    the reduced-basis null-space phase solve for unitary bases.  Its
+    zero-block condition on the phases ``z, w`` is linear in ``z (x) w``,
+    through a phase tensor that is one outer product of two basis changes
+    of the reduced eigenbases: when that map's null space is
+    one-dimensional its null vector, split through its dominant singular
+    pair, is the solution; when it is two-dimensional on a qubit pair, the
+    plane's two product vectors, roots of one quadratic, are the
     candidates; when the map reads only paired columns (the splits ``r = 1``
     and ``side - 1`` read the Schmidt pairs), the phases of the null vector
     on them are those of ``z (x) w``; and when it reads none, the unit
@@ -1052,23 +1052,18 @@ def search_p_tilde(
     bases (on non-unitary ones only the direct change and the matches
     apply), so the restart budget feeds only SLOCC mode, whose alternating
     least-squares solve of the zero-block condition follows: restart 0's
-    from the identity pair alone, then, when no candidate of restart 0
-    qualifies, one stacked solve runs the starts of restarts 1 to
-    ``budget - 1``, seeded by ``(seed, restart)``, in lockstep, and their
-    candidates are built and scored in one pass of stacked products and
-    SVDs, each as it would be alone, and taken in restart order.  A start
-    stops when it converges, when at its last rate it cannot converge in the
-    iterations left (as a stalled one cannot), or when its Kronecker pair
-    leaves the barrier: past ``cond(A1) cond(A2) > COND_LIMIT cond(U)
-    cond(U')`` its unprojected ``P~`` is conditioned beyond ``COND_LIMIT``,
-    and on the planted problems tested no start comes back from there to a
-    candidate the barrier accepts.  Each start's iterates are those it has alone, so the
-    candidates and their order do not depend on the stacking.  The search
-    stops at the first candidate within ``EQUIV_RTOL``: the first whose
-    projected ``P~`` clears the barrier (in SLOCC mode) and whose objective
-    is at most ``EQUIV_RTOL``.  Returns it as a :class:`SearchResult`
-    (``strategy`` names its source), or ``None`` when no candidate qualifies
-    (never a proof of inequivalence); ``budget = 0`` tries none.
+    from the identity pair alone, then one stacked solve runs the starts of
+    restarts 1 to ``budget - 1``, seeded by ``(seed, restart)``, in
+    lockstep.  A start stops when it converges, when at its last rate it
+    cannot converge in the iterations left (as a stalled one cannot), or
+    when its Kronecker pair leaves the barrier: past ``cond(A1) cond(A2) >
+    COND_LIMIT cond(U) cond(U')`` its unprojected ``P~`` is conditioned
+    beyond ``COND_LIMIT``, and on the planted problems tested no start comes
+    back from there to a candidate the barrier accepts.  Each start's
+    iterates are those it has alone, so the candidates and their order do
+    not depend on the stacking.  Returns the first candidate accepted as a
+    :class:`SearchResult` (``strategy`` names its source), or ``None`` when
+    none is (never a proof of inequivalence); ``budget = 0`` tries none.
 
     Raises ``ValueError`` for an unknown ``mode``, bases that are not
     ``i1*i2`` square, an ``r`` that is not an integer in ``1..i1*i2``
@@ -1109,39 +1104,39 @@ def search_p_tilde(
     als = mode == SLOCC
     constraints = _als_operators(u_inv, up, r, i1, i2) if als else None
 
-    def pair(a1, a2):
+    def pairs(a1, a2):
+        # the unprojected P~ of each stacked Kronecker pair
         return u_inv @ _kron(a1, a2) @ up
 
+    def restart_zero(strategy, factors):
+        # a closed form's Kronecker pairs as one stack of restart 0, if it gives any
+        if factors:
+            yield [0] * len(factors), strategy, pairs(*map(np.stack, zip(*factors)))
+
     def candidates():
-        # (restart, strategy, unprojected P~) of restart 0, computed only as far as consumed
-        yield 0, "direct", u_inv @ up
+        # (restarts, strategy, stacked unprojected P~) per source, computed only as far as consumed
+        yield [0], "direct", (u_inv @ up)[None]
         if r == 2 and i1 == 2 and i2 == 2:
-            for a1, a2 in _matching_candidates(u, up):
-                yield 0, "matching", pair(a1, a2)
+            yield from restart_zero("matching", _matching_candidates(u, up))
         bases = _reduced_bases(u, up, r, i1, i2) if structured and r < side else None
         if bases is not None:
             (v1, v1p), (v2, v2p) = bases
-            for z, w in _null_phases(_phase_tensor(u_inv, up, bases, r, i1, i2), i1, i2):
-                yield 0, "null", pair(v1 @ np.diag(z) @ v1p.conj().T, v2 @ np.diag(w) @ v2p.conj().T)
+            phases = _null_phases(_phase_tensor(u_inv, up, bases, r, i1, i2), i1, i2)
+            yield from restart_zero(
+                "null", [(v1 @ np.diag(z) @ v1p.conj().T, v2 @ np.diag(w) @ v2p.conj().T) for z, w in phases]
+            )
         if als:
-            a1, a2 = _als_kron_factors(*constraints, *_als_starts(entropy, [0], i1, i2), cond_bound)
-            yield 0, "als", pair(a1[0], a2[0])
+            # restart 0's identity start alone, then every later restart as one lockstep stack
+            for restarts in ([0], range(1, budget)):
+                if restarts:
+                    a1, a2 = _als_kron_factors(*constraints, *_als_starts(entropy, restarts, i1, i2), cond_bound)
+                    yield restarts, "als", pairs(a1, a2)
 
-    for restart, strategy, pt_full in candidates():
-        p, y, pbar = _blocks(pt_full, r, mode)
-        pt = _block_upper(p, y, pbar)
-        # LU candidates are unitary, so only SLOCC ones can fail the degenerate-minimizer barrier
-        if mode == SLOCC and _condition(pt) > COND_LIMIT:
-            continue
-        objective = _realign_ratio(u @ pt @ up_inv, i1, i2)
-        if objective <= EQUIV_RTOL:
-            return SearchResult(p, y, pbar, objective, restart, strategy)
-    if not als or budget < 2:
-        return None
-    # every later restart as one stack, solved in lockstep and scored in one pass
-    stack = range(1, budget)
-    a1, a2 = _als_kron_factors(*constraints, *_als_starts(entropy, stack, i1, i2), cond_bound)
-    return _first_found(stack, a1, a2, u, u_inv, up, up_inv, r)
+    for restarts, strategy, pt_full in candidates():
+        found = _first_found(restarts, strategy, pt_full, u, up_inv, r, i1, i2, mode)
+        if found is not None:
+            return found
+    return None
 
 
 def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> EquivalenceVerdict:

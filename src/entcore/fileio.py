@@ -299,11 +299,11 @@ def read_tree(path) -> ConcentrationTree:
 
     Every level's shape is derived from ``original_dims`` and the ranks, as
     the module docstring says.  Versions 1 to 4 also store the terminal's
-    dims and each mode's rank beside its slices: one base64 payload in
-    version 4, a list of ``[re, im]`` matrices before, each of the derived
-    shape.  Version 1's ``pairing``, ``input_dims``, ``rows`` and ``cols``
-    fields and the ``complement`` of versions 1 and 2 are ignored; the
-    complement is derived from the slices
+    dims, which must equal the derived ones, and each mode's rank beside its
+    slices: one base64 payload in version 4, a list of ``[re, im]`` matrices
+    before, each of the derived shape.  Version 1's ``pairing``,
+    ``input_dims``, ``rows`` and ``cols`` fields and the ``complement`` of
+    versions 1 and 2 are ignored; the complement is derived from the slices
     (:attr:`TripartiteExtract.complement_slices`).  A file stores only the
     terminal core, so every level read carries its norm as ``core_norm``.
     """
@@ -326,11 +326,13 @@ def read_tree(path) -> ConcentrationTree:
                 raise _Invalid("levels must be a list")
             modes = [_require(level_doc, "modes") for level_doc in levels_doc]
             ranks = [[_require(m, "rank") for m in ms] if isinstance(ms, list) else ms for ms in modes]
-            levels, _ = _levels(original_dims, ranks)
+            levels, derived_dims = _levels(original_dims, ranks)
             slices = [
                 [_legacy_slices(_require(m, "slices"), pairs, name, shape) for m, (name, shape) in zip(ms, level)]
                 for ms, level in zip(modes, levels)
             ]
+            if term_dims != derived_dims:
+                raise _Invalid(f"terminal dims {list(term_dims)} are not {list(derived_dims)}, the shape the ranks give")
         term_norm = tensor_norm(term)
         levels, input_dims = [], original_dims
         for level_slices in slices:

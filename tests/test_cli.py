@@ -148,8 +148,9 @@ class TestConcentrateReconstruct:
         code, _, _ = run(capsys, "concentrate", tmp_path / "absent.json", tmp_path / "t.json")
         assert code == 2
 
-    def test_malformed_tree_exit_3(self, tmp_path, capsys):
-        # version 4 stores the terminal's dims, so they can disagree with the levels' ranks
+    def test_legacy_tree_terminal_off_its_ranks_exit_2(self, tmp_path, capsys):
+        # version 4 stores the terminal's dims, so they can disagree with the levels' ranks:
+        # a malformed file, refused on reading, before anything is written
         src = tmp_path / "s.json"
         tree = tmp_path / "s.tree.json"
         write_tensor(src, random_state((2, 2, 2, 2), seed=6))
@@ -159,7 +160,9 @@ class TestConcentrateReconstruct:
         doc["terminal"]["coeffs"] = base64.b64encode(np.ones(9, dtype="<c16").tobytes()).decode()
         tree.write_text(json.dumps(doc))
         code, _, err = run(capsys, "reconstruct", tree, tmp_path / "back.json")
-        assert code == 3
+        assert code == 2
+        assert err == f"error: {tree}: terminal dims [3, 3] are not [4, 4], the shape the ranks give\n"
+        assert not (tmp_path / "back.json").exists()
 
     def test_tiny_state_exit_0(self, tmp_path, capsys):
         # the squares of its entries underflow, but it is not the zero state

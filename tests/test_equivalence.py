@@ -1320,13 +1320,20 @@ def test_every_found_connector_passes_the_benchmark_gate(problem, trial, cond, b
     assert s[1] <= equivalence.EQUIV_RTOL * s[0]
 
 
+def realign_ratio(phi, i1, i2):
+    """``sigma2/sigma1`` of ``realign(phi)`` for one matrix; 0 when it has one singular value
+    or none nonzero: the one-matrix reference for the search's stacked objective."""
+    s = np.linalg.svd(realign(phi, i1, i2), compute_uv=False)
+    return float(s[1] / s[0]) if s.size > 1 and s[0] > 0 else 0.0
+
+
 def barrier_accepts(u, up, r, i1, i2, a1, a2):
     """Whether the search takes the SLOCC candidate of the factors ``a1, a2``."""
     pt = np.linalg.inv(u) @ np.kron(a1, a2) @ up
     pt[r:, :r] = 0
     if equivalence._condition(pt) > equivalence.COND_LIMIT:
         return False
-    return equivalence._realign_ratio(u @ pt @ np.linalg.inv(up), i1, i2) <= equivalence.EQUIV_RTOL
+    return realign_ratio(u @ pt @ np.linalg.inv(up), i1, i2) <= equivalence.EQUIV_RTOL
 
 
 SLOCC_SPLITS = [((i1, i2), r) for i1, i2 in ((2, 2), (2, 3), (3, 3)) for r in range(1, i1 * i2)]
@@ -1454,19 +1461,26 @@ def four_draw_als_starts(entropy, restarts, i1, i2):
     return np.stack(a1), np.stack(a2)
 
 
-def one_at_a_time_first_found(restarts, a1, a2, u, u_inv, up, up_inv, r):
-    """``_first_found`` as one candidate at a time, each built from its own Kronecker
-    product and scored with the barrier: the reference for the one pass."""
-    i1, i2 = a1.shape[-1], a2.shape[-1]
-    for restart, b1, b2 in zip(restarts, a1, a2):
-        pt_full = u_inv @ np.kron(b1, b2) @ up
-        p, y, pbar = pt_full[:r, :r], pt_full[:r, r:], pt_full[r:, r:]
+def polar(a):
+    """The unitary polar factor of one matrix."""
+    u, _, vh = np.linalg.svd(a)
+    return u @ vh
+
+
+def one_at_a_time_first_found(restarts, strategy, pt_full, u, up_inv, r, i1, i2, mode):
+    """``_first_found`` as one candidate at a time, each projected on its own (the polar
+    factors of its blocks in LU mode) and scored with the barrier in SLOCC mode only:
+    the reference for the one pass."""
+    for restart, pt_one in zip(restarts, pt_full):
+        p, y, pbar = pt_one[:r, :r], pt_one[:r, r:], pt_one[r:, r:]
+        if mode == LU:
+            p, y, pbar = polar(p), np.zeros_like(y), polar(pbar) if pbar.size else pbar
         pt = equivalence._block_upper(p, y, pbar)
-        if equivalence._condition(pt) > equivalence.COND_LIMIT:
+        if mode == SLOCC and equivalence._condition(pt) > equivalence.COND_LIMIT:
             continue
-        objective = equivalence._realign_ratio(u @ pt @ up_inv, i1, i2)
+        objective = realign_ratio(u @ pt @ up_inv, i1, i2)
         if objective <= equivalence.EQUIV_RTOL:
-            return equivalence.SearchResult(p, y, pbar, objective, restart, "als")
+            return equivalence.SearchResult(p, y, pbar, objective, restart, strategy)
     return None
 
 
@@ -1480,16 +1494,33 @@ def test_one_draw_starts_are_the_four_draw_starts(dims, entropy):
 
 
 # planted SLOCC problems of every split, with the four of condition 1e3 that
-# PLANTED_SLOCC pins, two of which are found only on a later restart
+# PLANTED_SLOCC pins, two of which are found only on a later restart; planted
+# LU problems of every split on unitary bases (the phase solve's) and on bases
+# of condition 10; and one pair of equal bases per mode (the direct change's)
 ONE_PASS_PROBLEMS = [
-    *[(dims, r, trial, cond) for dims, r in SLOCC_SPLITS for trial in (0, 1) for cond in (10.0, 1e3)],
-    *[(dims, r, trial, cond) for dims, r, trial, cond in TestSearchPTilde.PLANTED_SLOCC if cond == 1e3],
+    *[(dims, r, trial, cond, SLOCC) for dims, r in SLOCC_SPLITS for trial in (0, 1) for cond in (10.0, 1e3)],
+    *[(dims, r, trial, cond, SLOCC) for dims, r, trial, cond in TestSearchPTilde.PLANTED_SLOCC if cond == 1e3],
+    *[(dims, r, trial, cond, LU) for dims, r in LU_SPLITS for trial in (0, 1) for cond in (None, 10.0)],
+    *[((2, 3), 3, None, 10.0, mode) for mode in (LU, SLOCC)],
 ]
 
 
+def one_pass_problem(dims, r, trial, cond, mode):
+    """The bases ``(u, u')`` of a ``ONE_PASS_PROBLEMS`` entry; ``trial = None`` stands for
+    equal bases of condition ``cond``."""
+    if trial is None:
+        u = random_invertible(dims[0] * dims[1], cond, seed=7301)
+        return u, u.copy()
+    if mode == LU:
+        return planted_lu_problem(trial, r, dims, cond=cond)
+    return planted_slocc_problem(trial, r, dims, cond=cond)
+
+
 def test_one_pass_scoring_loses_nothing(monkeypatch):
-    # the later restarts built and scored in one pass pick the candidate that
-    # one-at-a-time scoring with four-draw starts picks, to the last byte
+    # every stack of candidates scored in one pass picks the candidate that
+    # one-at-a-time scoring with four-draw starts picks, to the last byte, in
+    # either mode and from every source: restart 0's direct change, matches,
+    # phase solutions and identity-start ALS, and the stacked later restarts
     picks = []
     for first_found, starts in (
         (equivalence._first_found, equivalence._als_starts),
@@ -1498,14 +1529,15 @@ def test_one_pass_scoring_loses_nothing(monkeypatch):
         monkeypatch.setattr(equivalence, "_first_found", first_found)
         monkeypatch.setattr(equivalence, "_als_starts", starts)
         picks.append([])
-        for dims, r, trial, cond in ONE_PASS_PROBLEMS:
-            u, up = planted_slocc_problem(trial, r, dims, cond=cond)
-            res = search_p_tilde(u, up, r, *dims, SLOCC, budget=50, seed=trial)
+        for dims, r, trial, cond, mode in ONE_PASS_PROBLEMS:
+            u, up = one_pass_problem(dims, r, trial, cond, mode)
+            res = search_p_tilde(u, up, r, *dims, mode, budget=50, seed=trial)
             picks[-1].append(res and (res.strategy, res.restart_index, repr(res.objective),
                                       res.p.tobytes(), res.y.tobytes(), res.p_bar.tobytes()))
     assert picks[0] == picks[1]
-    # the stacked restarts give some of the picks
-    assert any(pick is not None and pick[1] > 0 for pick in picks[0])
+    # every source gives some of the picks
+    sources = {(pick[0], pick[1] > 0) for pick in picks[0] if pick is not None}
+    assert sources == {("direct", False), ("matching", False), ("null", False), ("als", False), ("als", True)}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

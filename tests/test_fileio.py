@@ -515,6 +515,9 @@ class TestPayload:
             (lambda doc: doc["terminal"].update(coeffs=bits(*[0] * 63, 0x7FF8000000000000)),
              "terminal coeffs contains non-finite values"),
             (lambda doc: doc.update(format_version=3), "terminal coeffs must list exactly 32"),
+            # the stored terminal dims hold as many entries as the ranks give, in another shape
+            (lambda doc: doc["terminal"].update(dims=[2, 4, 4]),
+             r"terminal dims \[2, 4, 4\] are not \[4, 4, 2\], the shape the ranks give"),
         ],
     )
     def test_malformed_tree_payload_rejected(self, tmp_path, tamper, message):
