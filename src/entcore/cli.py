@@ -105,29 +105,10 @@ def _cmd_check(args) -> int:
     b = read_tensor(args.b)
     if a.shape != b.shape:
         raise ValueError(f"states have different dims: {tuple(a.shape)} vs {tuple(b.shape)}")
-    verdict = eq.invariant_filter(a, b, args.mode)
-    if verdict.status == eq.INEQUIVALENT:
-        _print_verdict(verdict)
-        return EXIT_INEQUIVALENT
-    if args.ops:
-        mats = read_operators(args.ops)
-        operators = eq.LocalOperatorSet(tuple(mats), args.mode)
-        if operators.dims != a.shape:
-            raise ValueError(f"operator dims {operators.dims} do not match state dims {a.shape}")
-        try:
-            cert = eq.derive_certificate(a, b, operators)
-            verdict = eq.verify_certificate(a, b, cert)
-        except ValueError as exc:
-            print(f"certificate derivation failed: {exc}", file=sys.stderr)
-            verdict = eq.EquivalenceVerdict(eq.INCONCLUSIVE, str(exc), verdict.residuals)
-    else:
-        verdict = eq.search_equivalence(a, b, args.mode, budget=args.budget, seed=args.seed)
+    operators = eq.LocalOperatorSet(tuple(read_operators(args.ops)), args.mode) if args.ops else None
+    verdict = eq.check(a, b, args.mode, operators, args.budget, args.seed)
     _print_verdict(verdict)
-    if verdict.status == eq.EQUIVALENT:
-        return EXIT_OK
-    if verdict.status == eq.INEQUIVALENT:
-        return EXIT_INEQUIVALENT
-    return EXIT_INCONCLUSIVE
+    return {eq.EQUIVALENT: EXIT_OK, eq.INEQUIVALENT: EXIT_INEQUIVALENT}.get(verdict.status, EXIT_INCONCLUSIVE)
 
 
 def _cmd_params(args) -> int:

@@ -19,7 +19,9 @@ restarts and stops at the first candidate within ``EQUIV_RTOL``.
 
 Verdicts are three-valued.  Only :func:`invariant_filter` may declare a pair
 ``inequivalent`` (from sound invariants); a failed search or certificate is
-always ``inconclusive``.
+always ``inconclusive``.  :func:`check`, which ``entcore check`` runs, is the
+one place that orders the stages: the filter, then a certificate from given
+operators, or else the search.
 
 Every stage reads a state's levels off a :class:`Hierarchy`, the
 :func:`~entcore.decompose.walk` of one state built lazily and kept as far as
@@ -68,6 +70,7 @@ __all__ = [
     "SQRT_SINGULAR_VALUE_SUM",
     "SearchResult",
     "SpectralFunctional",
+    "check",
     "derive_certificate",
     "invariant_filter",
     "kron_factorize",
@@ -289,6 +292,29 @@ def _reject_zero(psi: np.ndarray, psip: np.ndarray) -> None:
             raise ValueError(f"cannot check equivalence of the zero tensor ({name})")
 
 
+def _check_dims(dims: tuple[int, ...], shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless operator ``dims`` match state ``shape``."""
+    if dims != shape:
+        raise ValueError(f"operator dims {dims} do not match state dims {shape}")
+
+
+def _pair(psi, psi_prime, dims=None) -> tuple[np.ndarray, np.ndarray, tuple[Hierarchy, Hierarchy]]:
+    """Both states as tensors and the hierarchies :func:`take` returns for them, taken before any check.
+
+    Raises ``ValueError`` when the states differ in shape, operator ``dims``
+    (when given) do not match them, or either state is zero.
+    """
+    psi = as_tensor(psi)
+    psip = as_tensor(psi_prime)
+    walks = (take(psi), take(psip))
+    if psi.shape != psip.shape:
+        raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
+    if dims is not None:
+        _check_dims(dims, psi.shape)
+    _reject_zero(psi, psip)
+    return psi, psip, walks
+
+
 def derive_certificate(psi, psi_prime, operators: LocalOperatorSet) -> EquivalenceCertificate:
     """Compute certificate blocks for a pair known to satisfy
     ``psi_prime = (ops[0] x ... x ops[N-1]) psi``.
@@ -314,14 +340,7 @@ def derive_certificate(psi, psi_prime, operators: LocalOperatorSet) -> Equivalen
     hold to ``EQUIV_RTOL``, or a level's local ranks differ between the
     states at ``RANK_RTOL``.
     """
-    psi = as_tensor(psi)
-    psip = as_tensor(psi_prime)
-    walks = (take(psi), take(psip))
-    if psi.shape != psip.shape:
-        raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
-    if operators.dims != psi.shape:
-        raise ValueError(f"operator dims {operators.dims} do not match state dims {psi.shape}")
-    _reject_zero(psi, psip)
+    psi, psip, walks = _pair(psi, psi_prime, operators.dims)
     premise = _rel_err(apply_local(psi, operators), psip)
     if premise > EQUIV_RTOL:
         raise ValueError(
@@ -390,14 +409,7 @@ def verify_certificate(psi, psi_prime, cert: EquivalenceCertificate) -> Equivale
     shapes, operators whose dims do not match the states', or a zero state on
     either side.
     """
-    psi = as_tensor(psi)
-    psip = as_tensor(psi_prime)
-    walks = (take(psi), take(psip))
-    if psi.shape != psip.shape:
-        raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
-    if cert.operators.dims != psi.shape:
-        raise ValueError(f"operator dims {cert.operators.dims} do not match state dims {psi.shape}")
-    _reject_zero(psi, psip)
+    psi, psip, walks = _pair(psi, psi_prime, cert.operators.dims)
     failures: list[str] = []
     premise = _rel_err(apply_local(psi, cert.operators), psip)
     residuals: dict = {"reassembly": premise, "levels": []}
@@ -560,15 +572,15 @@ def spectral_preservation_check(
     seed,
     i1: int,
     i2: int,
-    tol: float = EQUIV_RTOL,
 ) -> bool:
     """Probabilistic necessary test that ``phi`` acts like a local pair operator.
 
     Draws ``samples`` vectors (cycling through targeted rank-1 and rank-2
     matricizations and generic ones) and demands the functional of the
     matricized image match the input's: exact rank equality for the rank
-    functional, agreement to ``tol`` otherwise.  ``True`` means "never
-    refuted" (no certificate); ``False`` refutes Kronecker structure.
+    functional, agreement to ``EQUIV_RTOL * max(1, |input's value|)``
+    otherwise.  ``True`` means "never refuted" (no certificate); ``False``
+    refutes Kronecker structure.
 
     Raises ``ValueError`` when ``phi`` is not ``i1*i2`` square or
     ``samples`` is not a non-negative integer.
@@ -598,7 +610,7 @@ def spectral_preservation_check(
         w_out = (phi @ a).reshape(i1, i2)
         f_in = functional.evaluate(w_in)
         f_out = functional.evaluate(w_out)
-        slack = 0.0 if functional.is_rank else tol * max(1.0, abs(f_in))
+        slack = 0.0 if functional.is_rank else EQUIV_RTOL * max(1.0, abs(f_in))
         if abs(f_out - f_in) > slack:
             return False
     return True
@@ -1160,17 +1172,12 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
     _check_mode(mode)
     budget = _check_count(budget, "budget")
     _seed_entropy(seed)  # checked here, before any walk
-    psi = as_tensor(psi)
-    psip = as_tensor(psi_prime)
-    if psi.shape != psip.shape:
-        raise ValueError(f"shape mismatch: {psi.shape} vs {psip.shape}")
-    _reject_zero(psi, psip)
-    walks = (take(psi), take(psip))
+    psi, psip, walks = _pair(psi, psi_prime)
     effective_stop = 3 if psi.ndim > 3 else 2
     first_level = next(zip(*(w.levels(effective_stop) for w in walks)), None)
     if first_level is None:
         return EquivalenceVerdict(
-            INCONCLUSIVE, "no search surface for bipartite states", {"searched_modes": 0}
+            INCONCLUSIVE, f"no search surface for {psi.ndim}-party states", {"searched_modes": 0}
         )
     h, hp = first_level
     if h.core.shape != hp.core.shape:
@@ -1219,3 +1226,42 @@ def search_equivalence(psi, psi_prime, mode: str, budget: int = 50, seed=0) -> E
         return verify_certificate(psi, psip, cert)
     except ValueError as exc:
         return EquivalenceVerdict(INCONCLUSIVE, str(exc), {"objectives": objectives})
+
+
+def check(
+    psi, psi_prime, mode: str, operators: LocalOperatorSet | None = None, budget: int = 50, seed=0
+) -> EquivalenceVerdict:
+    """Decide a pair end to end, as ``entcore check`` does: filter, then certificate or search.
+
+    Returns :func:`invariant_filter`'s verdict when it is ``inequivalent``.
+    Otherwise, without ``operators``, returns :func:`search_equivalence` at
+    ``budget`` and ``seed``; with them, the :func:`verify_certificate` verdict
+    of the :func:`derive_certificate` certificate, or, when derivation raises
+    ``ValueError`` (the premise fails, or a level's ranks differ),
+    ``inconclusive`` with the message as witness and the filter's residuals.
+    Each stage takes the walks of the one before, so each state is walked
+    once.
+
+    Raises ``ValueError``, before any walk, for an unknown ``mode``, a
+    ``budget`` or ``seed`` that :func:`search_equivalence` would reject, or
+    ``operators`` of another mode or of dims other than the states'; and, as
+    the filter does, for a zero state on either side.
+    """
+    _check_mode(mode)
+    _check_count(budget, "budget")
+    _seed_entropy(seed)
+    psi, psip = as_tensor(psi), as_tensor(psi_prime)
+    if operators is not None:
+        if operators.mode != mode:
+            raise ValueError(f"operators are for mode {operators.mode!r}, not {mode!r}")
+        _check_dims(operators.dims, psi.shape)
+    verdict = invariant_filter(psi, psip, mode)
+    if verdict.status == INEQUIVALENT:
+        return verdict
+    if operators is None:
+        return search_equivalence(psi, psip, mode, budget, seed)
+    try:
+        cert = derive_certificate(psi, psip, operators)
+    except ValueError as exc:
+        return EquivalenceVerdict(INCONCLUSIVE, str(exc), verdict.residuals)
+    return verify_certificate(psi, psip, cert)

@@ -240,8 +240,10 @@ class TestCheck:
         write_tensor(a, psi)
         write_tensor(b, apply_local(psi, [haar_unitary(2, seed=80 + i) for i in range(4)]))
         write_operators(ops_path, [haar_unitary(2, seed=90 + i) for i in range(4)])
-        code, out, _ = run(capsys, "check", a, b, "--mode", "lu", "--ops", ops_path)
+        code, out, err = run(capsys, "check", a, b, "--mode", "lu", "--ops", ops_path)
         assert code == 4
+        assert "witness: states are not related by the supplied operators (residual " in out
+        assert err == ""
 
     @pytest.mark.parametrize(
         "ops",
@@ -261,6 +263,28 @@ class TestCheck:
         assert code == 3
         assert "verdict" not in out
         assert "operator dims" in err
+
+    def test_ops_are_read_before_the_filter(self, tmp_path, capsys):
+        # GHZ and W differ at particle 0, yet a missing operator file exits 2 and a mis-sized one 3
+        g, w, ops_path = tmp_path / "g.json", tmp_path / "w.json", tmp_path / "ops.json"
+        assert run(capsys, "gen", "ghz", "3", g)[0] == 0
+        assert run(capsys, "gen", "w", "3", w)[0] == 0
+        code, out, err = run(capsys, "check", g, w, "--mode", "lu", "--ops", tmp_path / "missing.json")
+        assert code == 2
+        assert "verdict" not in out
+        assert err.startswith("error: ")
+        write_operators(ops_path, [haar_unitary(2, seed=90 + i) for i in range(2)])
+        code, out, err = run(capsys, "check", g, w, "--mode", "lu", "--ops", ops_path)
+        assert code == 3
+        assert "verdict" not in out
+        assert "operator dims (2, 2) do not match state dims (2, 2, 2)" in err
+
+    def test_one_party_pair_exit_4_names_the_party_count(self, tmp_path, capsys):
+        s = tmp_path / "s.json"
+        assert run(capsys, "gen", "random", "3", s)[0] == 0
+        code, out, _ = run(capsys, "check", s, s, "--mode", "lu")
+        assert code == 4
+        assert "witness: no search surface for 1-party states\n" in out
 
     def test_dimension_mismatch_exit_3(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

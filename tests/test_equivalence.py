@@ -32,6 +32,7 @@ from entcore.equivalence import (
     SQRT_SINGULAR_VALUE_SUM,
     EquivalenceCertificate,
     LocalOperatorSet,
+    check,
     derive_certificate,
     invariant_filter,
     kron_factorize,
@@ -439,8 +440,8 @@ class TestSpectralPreservation:
 
     def test_unitary_kronecker_preserves_lu_functionals(self):
         phi = np.kron(haar_unitary(2, seed=4), haar_unitary(2, seed=5))
-        assert spectral_preservation_check(phi, SINGULAR_VALUE_SUM, 64, 0, 2, 2, tol=1e-10)
-        assert spectral_preservation_check(phi, SQRT_SINGULAR_VALUE_SUM, 64, 0, 2, 2, tol=1e-10)
+        assert spectral_preservation_check(phi, SINGULAR_VALUE_SUM, 64, 0, 2, 2)
+        assert spectral_preservation_check(phi, SQRT_SINGULAR_VALUE_SUM, 64, 0, 2, 2)
 
     def test_generic_invertible_refuted(self):
         refuted = 0
@@ -1596,9 +1597,14 @@ class TestSearchEquivalence:
         assert verdict.status == EQUIVALENT, verdict.witness
         assert verify_certificate(psi, psi.copy(), verdict.witness).status == EQUIVALENT
 
-    def test_bipartite_states_have_no_search_surface(self):
-        verdict = search_equivalence(ghz_state(2), ghz_state(2), SLOCC, budget=4, seed=0)
+    @pytest.mark.parametrize("dims, mode", [((3,), LU), ((2,), SLOCC), ((2, 3), LU), ((2, 2), SLOCC)])
+    def test_one_and_two_party_states_have_no_search_surface(self, dims, mode):
+        # a one-party pair once read "no search surface for bipartite states"
+        psi = random_state(dims, seed=1)
+        verdict = search_equivalence(psi, psi.copy(), mode, budget=4)
         assert verdict.status == INCONCLUSIVE
+        assert verdict.witness == f"no search surface for {len(dims)}-party states"
+        assert verdict.residuals == {"searched_modes": 0}
 
     def test_level_rank_mismatch_searches_no_mode(self):
         equivalence._HANDOFF.clear()
@@ -1684,6 +1690,8 @@ def test_zero_state_is_rejected_before_any_walk(monkeypatch, n, mode, pair):
         lambda: search_equivalence(psi, psip, mode),
         lambda: derive_certificate(psi, psip, ops),
         lambda: verify_certificate(psi, psip, EquivalenceCertificate(ops, [])),
+        lambda: check(psi, psip, mode),
+        lambda: check(psi, psip, mode, ops),
     ):
         with pytest.raises(ValueError, match=message):
             stage()
@@ -1694,6 +1702,8 @@ MODE_STAGES = {
     "LocalOperatorSet": lambda mode: LocalOperatorSet((np.eye(2),), mode),
     "search_p_tilde": lambda mode: search_p_tilde(np.eye(4), np.eye(4), 2, 2, 2, mode),
     "search_equivalence": lambda mode: search_equivalence(ghz_state(2), ghz_state(2), mode),
+    "check": lambda mode: check(ghz_state(2), ghz_state(2), mode),
+    "check with operators": lambda mode: check(ghz_state(2), ghz_state(2), mode, lu_ops((2, 2), 1)),
     "realign_rank1_check": lambda mode: realign_rank1_check(np.eye(4), np.eye(4), 2 * np.eye(4), 2, 2, mode),
 }
 
@@ -1711,6 +1721,49 @@ def test_unknown_mode_is_rejected_before_any_work(monkeypatch, stage, mode):
     monkeypatch.setattr(equivalence, "left_svd", no_walk)
     with pytest.raises(ValueError, match=re.escape(f"mode must be 'lu' or 'slocc', got {mode!r}")):
         MODE_STAGES[stage](mode)
+
+
+CHECK_CALLER_ERRORS = {
+    "operators of the other mode": (
+        lambda psi, mode: check(psi, psi, mode, lu_ops(psi.shape, 1) if mode == SLOCC else slocc_ops(psi.shape, 1)),
+        "operators are for mode",
+    ),
+    "operators of other dims": (
+        lambda psi, mode: check(psi, psi, mode, LocalOperatorSet((np.eye(2),) * (psi.ndim - 1), mode)),
+        "operator dims (2, 2, 2, 2, 2) do not match state dims (2, 2, 2, 2, 2, 2)",
+    ),
+    "negative budget": (lambda psi, mode: check(psi, psi, mode, budget=-1), "budget must be"),
+    "negative seed": (lambda psi, mode: check(psi, psi, mode, seed=(0, -1)), "seed must be"),
+}
+
+
+@pytest.mark.parametrize("mode", [LU, SLOCC])
+@pytest.mark.parametrize("error", sorted(CHECK_CALLER_ERRORS))
+def test_check_rejects_caller_errors_before_any_walk(monkeypatch, error, mode):
+    # past the filter, derivation would turn mis-sized operators into an
+    # inconclusive verdict, and certify in the operators' mode, not check's
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before checking the arguments")
+
+    monkeypatch.setattr(equivalence, "walk", no_walk)
+    monkeypatch.setattr(equivalence, "left_svd", no_walk)
+    call, message = CHECK_CALLER_ERRORS[error]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(random_state((2,) * 6, seed=1), mode)
+
+
+def test_check_hands_budget_and_seed_to_the_search(monkeypatch):
+    calls = []
+    real_search = equivalence.search_equivalence
+
+    def recording_search(psi, psip, mode, budget=50, seed=0):
+        calls.append((budget, seed))
+        return real_search(psi, psip, mode, budget, seed)
+
+    monkeypatch.setattr(equivalence, "search_equivalence", recording_search)
+    psi = random_state((2,) * 4, seed=3)
+    assert check(psi, psi.copy(), SLOCC, budget=7, seed=(5, 1)).status == EQUIVALENT
+    assert calls == [(7, (5, 1))]
 
 
 def test_import_does_not_load_scipy():

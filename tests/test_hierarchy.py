@@ -29,7 +29,9 @@ from entcore.equivalence import (
     INEQUIVALENT,
     LU,
     SLOCC,
+    EquivalenceVerdict,
     LocalOperatorSet,
+    check,
     derive_certificate,
     invariant_filter,
     search_equivalence,
@@ -237,6 +239,55 @@ def test_check_without_ops_walks_each_state_once(monkeypatch, tmp_path, capsys, 
     assert code == (EXIT_OK if partner == "copy" else EXIT_INCONCLUSIVE), capsys.readouterr().out
     assert count == 2 * levels_to(order, 3)
     assert not equivalence._HANDOFF
+
+
+def check_stage_by_stage(psi, psip, mode, ops, budget):
+    """The route of :func:`check` spelt out one stage at a time: the reference it must match."""
+    verdict = invariant_filter(psi, psip, mode)
+    if verdict.status == INEQUIVALENT:
+        return verdict
+    if ops is None:
+        return search_equivalence(psi, psip, mode, budget=budget, seed=0)
+    try:
+        return verify_certificate(psi, psip, derive_certificate(psi, psip, ops))
+    except ValueError as exc:
+        return EquivalenceVerdict(INCONCLUSIVE, str(exc), verdict.residuals)
+
+
+CHECK_PAIRS = [("lu orbit", LU), ("slocc orbit", SLOCC), ("unrelated", LU), ("unrelated", SLOCC),
+               ("wrong ops", LU), ("wrong ops", SLOCC)]
+
+
+@pytest.mark.parametrize("order", [6, 9])
+@pytest.mark.parametrize("with_ops", [True, False], ids=["ops", "search"])
+@pytest.mark.parametrize("kind, mode", CHECK_PAIRS, ids=[f"{k}-{m}" for k, m in CHECK_PAIRS])
+def test_check_matches_the_stages_run_one_by_one(monkeypatch, kind, mode, with_ops, order):
+    """``check`` gives the verdict of its stages run in turn, and walks each state once, as they do."""
+    hosvd_calls = hosvd_counter(monkeypatch)
+    psi, psip, ops = orbit((2,) * order, seed=order, mode=mode)
+    if kind == "unrelated":
+        psip = random_state(psi.shape, seed=order + 100)
+    elif kind == "wrong ops":
+        ops = orbit(psi.shape, seed=order + 100, mode=mode)[2]
+    ops = ops if with_ops else None
+    runs = []
+    for fn in (check, check_stage_by_stage):
+        runs.append(hosvd_calls(fn, psi, psip, mode, ops, 2))
+        assert not equivalence._HANDOFF
+    (count, verdict), (stage_count, reference) = runs
+    assert (verdict.status, type(verdict.witness), repr(verdict.residuals)) == (
+        reference.status,
+        type(reference.witness),
+        repr(reference.residuals),
+    )
+    if isinstance(reference.witness, str):
+        assert verdict.witness == reference.witness
+    # unrelated LU pairs differ at particle 0, before any level; every other filter walks both states
+    if kind == "unrelated" and mode == LU:
+        assert (verdict.status, count, stage_count) == (INEQUIVALENT, 0, 0)
+    else:
+        assert count == stage_count == 2 * levels_to(order, 3)
+        assert verdict.status == (EQUIVALENT if with_ops and kind.endswith("orbit") else INCONCLUSIVE)
 
 
 @pytest.mark.parametrize("mode", [LU, SLOCC])
